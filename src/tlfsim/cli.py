@@ -14,8 +14,9 @@ Subcommands
 Global flags: ``--seed`` (override the scenario seed), ``--out-dir``
 (override the scenario output directory; falls back to the
 ``SPINBOSON_OUT_DIR`` environment variable), ``--deterministic``
-(serialize sweep execution; the default), ``--jobs N`` (worker-pool width
-when not deterministic), ``--format {csv|jsonl}``.
+(run sweep points one after another in this process instead of in a worker
+pool; tables are byte-identical either way), ``--jobs N`` (worker-pool
+width when not deterministic), ``--format {csv|jsonl}``.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 numerical failures.
@@ -89,7 +90,7 @@ def _add_global_flags(parser) -> None:
         "--deterministic",
         action="store_true",
         default=argparse.SUPPRESS,
-        help="serialize sweep execution for reproducible byte-identical outputs",
+        help="run sweep points serially instead of in a worker pool",
     )
     parser.add_argument(
         "--jobs", type=int, default=argparse.SUPPRESS, help="worker-pool width"

@@ -38,7 +38,7 @@ import scipy.signal
 import yaml
 
 from . import __version__
-from .dynamics import LindbladGenerator, propagate
+from .dynamics import LindbladGenerator, _grid_steps, propagate
 from .model import (
     ConfigurationError,
     GATE_GENERATORS,
@@ -127,6 +127,10 @@ class Scenario:
             raise ConfigurationError("n_samples must be at least 16")
         if self.sample_step <= 0 or self.trace_step_cycles <= 0 or self.bell_step_cycles <= 0:
             raise ConfigurationError("sampling steps must be positive")
+        try:
+            _grid_steps(*self.time_grid())
+        except ValueError as exc:
+            raise ConfigurationError(f"time grid: {exc}") from exc
 
     def resolved_duration(self) -> float:
         if self.duration is not None:
@@ -135,6 +139,14 @@ class Scenario:
             # set by the sampling parameters instead
             return (self.n_samples - 1) * self.sample_step / (2 * np.pi)
         return DEFAULT_DURATIONS[self.kind]
+
+    def time_grid(self) -> tuple[float, float]:
+        """(t_end, dt) of every propagation of this scenario, in 1/omega_p units."""
+        if self.kind == "spectrum_sweep":
+            return (self.n_samples - 1) * self.sample_step, self.sample_step
+        step = self.bell_step_cycles if self.kind == "bell_decay" else self.trace_step_cycles
+        cycle = 2 * np.pi / self.model.omega_p
+        return self.resolved_duration() * cycle, step * cycle
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -170,15 +182,6 @@ class Scenario:
             return cls(**data)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
-
-    @classmethod
-    def from_file(cls, path) -> "Scenario":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                raw = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigurationError(f"cannot parse scenario file: {exc}") from exc
-        return cls.from_dict(raw)
 
     def canonical_dict(self) -> dict:
         out = {
@@ -284,10 +287,6 @@ def detect_peaks(
     return [(float(spec.omega[i]), float(power[i])) for i in idx[order]]
 
 
-def _cycle(omega_p: float) -> float:
-    return 2 * np.pi / omega_p
-
-
 def _mu_label(mu_over_nu: float) -> str:
     return f"mu{mu_over_nu:.2f}"
 
@@ -304,8 +303,8 @@ def _spectrum_point(scenario_dict: dict, mu_over_nu: float, out_dir: str, fmt: s
     ops = build_operators(ens, cfg)
     gen = LindbladGenerator.from_system(ops)
     rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-    t_end = (scenario.n_samples - 1) * scenario.sample_step
-    traj = propagate(gen, rho0, t_end, dt=scenario.sample_step, record={"M_x": ops.m_x})
+    t_end, dt = scenario.time_grid()
+    traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
     series = magnetization_series(traj)
     spec = power_spectrum(series)
     label = _mu_label(mu_over_nu)
@@ -389,8 +388,8 @@ def _spectrum_control(scenario: Scenario, out: Path, fmt: str) -> dict:
     gen = LindbladGenerator.from_system(ops)
     v = probe_state_vector("plus_plus")
     rho0 = np.outer(v, v.conj())
-    t_end = (scenario.n_samples - 1) * scenario.sample_step
-    traj = propagate(gen, rho0, t_end, dt=scenario.sample_step, record={"M_x": ops.m_x})
+    t_end, dt = scenario.time_grid()
+    traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
     series = magnetization_series(traj)
     spec = power_spectrum(series)
     header = _header(scenario, {"control": "isolated probe", "time_unit": "1/omega_p"})
@@ -417,8 +416,7 @@ def _entanglement_point(scenario_dict: dict, mu_over_nu: float, out_dir: str, fm
     ops = build_operators(ens, cfg)
     gen = LindbladGenerator.from_system(ops)
     rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-    dt = scenario.trace_step_cycles * _cycle(cfg.omega_p)
-    t_end = scenario.resolved_duration() * _cycle(cfg.omega_p)
+    t_end, dt = scenario.time_grid()
     traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
     et = entanglement_trace(traj.t_grid, traj.marginals)
     label = _mu_label(mu_over_nu)
@@ -517,8 +515,7 @@ def run_bell_decay(
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
         rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
-        dt = scenario.bell_step_cycles * _cycle(cfg.omega_p)
-        t_end = scenario.resolved_duration() * _cycle(cfg.omega_p)
+        t_end, dt = scenario.time_grid()
         traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
         et = entanglement_trace(traj.t_grid, traj.marginals)
         if abs(et.log_negativity[0] - 1.0) > 1e-8:
@@ -647,8 +644,7 @@ def run_gate(
     ens0 = sample_ensemble(base_cfg)
     g = gate.strength if gate.strength is not None else float(ens0.nu)
 
-    dt = scenario.trace_step_cycles * _cycle(base_cfg.omega_p)
-    t_end = scenario.resolved_duration() * _cycle(base_cfg.omega_p)
+    t_end, dt = scenario.time_grid()
     results = []
     ensembles = {}
 

@@ -117,3 +117,27 @@ def test_numerical_failure_exit_code(scenario_file, monkeypatch, capsys):
     monkeypatch.setattr("tlfsim.cli.run_scenario", boom)
     assert cli_main(["run", str(scenario_file)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+BAD_GRID_SCENARIO = """\
+schema_version: 1
+kind: gate
+gate:
+  kind: zz
+model:
+  n_tlf: 1
+  seed: 5
+duration: 1.0
+trace_step_cycles: 0.3
+output: {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_grid_that_does_not_divide_is_config_error(command, tmp_path, capsys):
+    path = tmp_path / "bad_grid.yaml"
+    path.write_text(BAD_GRID_SCENARIO.format(out=tmp_path / "out"))
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "does not divide" in err
+    assert not (tmp_path / "out").exists()

@@ -21,7 +21,15 @@ from tlfsim.dynamics import (
     rk4_reference,
     step_propagator,
 )
-from tlfsim.model import ModelConfig, build_operators, initial_state, sample_ensemble, tlf_ground_state
+from tlfsim.model import (
+    PROBE_STATES,
+    ModelConfig,
+    add_gate,
+    build_operators,
+    initial_state,
+    sample_ensemble,
+    tlf_ground_state,
+)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -189,6 +197,65 @@ class TestSectors:
         gen, rho0, _ = self.make_system()
         with pytest.raises(ValueError):
             propagate(gen, rho0, 1.0, dt=0.05, method="magic")
+
+
+MODEL_VARIANTS = {
+    "plain": {},
+    "warm": {"nbar": 0.5, "gamma_plus_mode": "sampled"},
+    "halved": {"halve_couplings": True},
+}
+
+
+def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21):
+    cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant])
+    ens = sample_ensemble(cfg)
+    ops = build_operators(ens, cfg)
+    if gate is not None:
+        ops = add_gate(ops, gate, float(ens.nu))
+    rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
+    return LindbladGenerator.from_system(ops), rho0
+
+
+class TestBlockEngine:
+    """The live-pair, class-shared block engine against the dense propagator."""
+
+    @pytest.mark.parametrize(
+        "n_tlf, state, gate, variant",
+        [
+            (n_tlf, state, gate, variant)
+            for variant in MODEL_VARIANTS
+            # one fluctuator has no ring bond, so halving changes nothing there
+            for n_tlf in ((2,) if variant == "halved" else (1, 2))
+            for state in PROBE_STATES
+            for gate in (None, "zz", "xxyy")
+        ],
+    )
+    def test_sector_matches_dense(self, n_tlf, state, gate, variant):
+        gen, rho0 = probe_tlf_system(n_tlf, state, gate, variant)
+        dense = propagate(gen, rho0, 5.0, dt=0.05, method="dense", keep_states=True)
+        split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
+        assert np.max(np.abs(dense.states - split.states)) < 1e-10
+        assert (dense.stats["sectors"], dense.stats["propagators"]) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "state, gate, sectors, pairs_live, propagators",
+        [
+            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to adjoints
+            ("plus_plus", None, 4, 16, 6),
+            # only the |00>,|11> pairs are live
+            ("phi+", None, 4, 4, 3),
+            # XX+YY merges |01>,|10>; the three sectors all differ
+            ("plus_plus", "xxyy", 3, 9, 6),
+        ],
+    )
+    def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
+        gen, rho0 = probe_tlf_system(4, state, gate)
+        traj = propagate(gen, rho0, 0.1, dt=0.05)
+        counters = {k: traj.stats[k] for k in ("sectors", "pairs_live", "propagators")}
+        assert counters == {
+            "sectors": sectors, "pairs_live": pairs_live, "propagators": propagators
+        }
+        assert all(type(v) is int for v in counters.values())
 
 
 class TestStationaryBellStates:

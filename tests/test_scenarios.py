@@ -153,6 +153,9 @@ class TestSpectrumSweep:
         ens = manifest["ensembles"]["mu0.50"]
         assert len(ens["eps"]) == 2
         assert manifest["library_version"]
+        for label in ("mu0.50", "control"):
+            cptp = manifest["summary"]["cptp"][label]
+            assert (cptp["sectors"], cptp["pairs_live"], cptp["propagators"]) == (4, 16, 6)
 
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
