@@ -13,10 +13,11 @@ Subcommands
 
 Global flags: ``--seed`` (override the scenario seed), ``--out-dir``
 (override the scenario output directory; falls back to the
-``SPINBOSON_OUT_DIR`` environment variable), ``--deterministic``
-(run sweep points one after another in this process instead of in a worker
-pool; tables are byte-identical either way), ``--jobs N`` (worker-pool
-width when not deterministic), ``--format {csv|jsonl}``.
+``SPINBOSON_OUT_DIR`` environment variable), ``--jobs N`` (run the
+scenario's points in a worker pool N wide; 1 runs them one after another in
+this process, and the default sizes the pool to the CPU count; tables are
+byte-identical either way), ``--deterministic`` (the same as ``--jobs 1``),
+``--format {csv|jsonl}``.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
 numerical failures.
@@ -38,8 +39,10 @@ Scenario file schema (YAML)
       seed: 0                    # RNG seed
       gamma_plus_mode: scaled-by-nbar   # or: sampled
       halve_couplings: false     # halve the TLF-TLF interaction term
-    sweep: [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]   # mu/nu values, within [0, 1.2]
-    duration: 50.0               # probe cycles (kind-specific default)
+    sweep: [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]   # mu/nu values, within [0, 1.2];
+                                 # not for bell_decay and gate (0 and 1)
+    duration: 50.0               # probe cycles (kind-specific default);
+                                 # not for spectrum_sweep (see n_samples)
     gate: {kind: zz, strength: null}        # gate kind: zz | xxyy;
                                  # strength defaults to the sampled coupling
     bell: phi+                   # bell_decay only: phi+ | phi- | psi+ | psi-
@@ -90,7 +93,7 @@ def _add_global_flags(parser) -> None:
         "--deterministic",
         action="store_true",
         default=argparse.SUPPRESS,
-        help="run sweep points serially instead of in a worker pool",
+        help="run the points serially, the same as --jobs 1",
     )
     parser.add_argument(
         "--jobs", type=int, default=argparse.SUPPRESS, help="worker-pool width"
@@ -162,8 +165,7 @@ def _cmd_run(args) -> int:
             scenario,
             out_dir=out_dir,
             fmt=args.format,
-            deterministic=args.deterministic,
-            jobs=args.jobs,
+            jobs=1 if args.deterministic else args.jobs,
         )
         tag = f" [{label}]" if label else ""
         print(f"scenario {record.scenario_hash} ({scenario.kind}) seed {record.seed}{tag}")

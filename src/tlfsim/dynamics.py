@@ -45,7 +45,7 @@ EIG_ABORT_TOL = -1e-5
 
 
 class PropagationError(RuntimeError):
-    """State invariants broke down beyond repair during propagation."""
+    """State invariants broke down beyond repair, in propagation or in an observable."""
 
 
 @dataclass(frozen=True)

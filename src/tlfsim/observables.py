@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import PropagationError
 from .linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -136,7 +137,7 @@ def _clip_small_negatives(rho: np.ndarray) -> np.ndarray:
     """Zero out tiny negative populations from rounding; renormalize."""
     w, v = np.linalg.eigh(0.5 * (rho + dag(rho)))
     if np.min(w) < EIG_CLIP_FLOOR:
-        raise ValueError(f"state has negative population {np.min(w):.3e}")
+        raise PropagationError(f"state has negative population {np.min(w):.3e}")
     if np.min(w) >= 0:
         return rho
     w = np.clip(w, 0.0, None)
@@ -150,7 +151,7 @@ def log_negativity(rho_p: np.ndarray) -> float:
     if rho_p.shape != (4, 4):
         raise ValueError("log-negativity expects a 4x4 probe state")
     if abs(np.trace(rho_p).real - 1.0) > 1e-6:
-        raise ValueError("probe state trace deviates from one")
+        raise PropagationError("probe state trace deviates from one")
     rho_p = _clip_small_negatives(rho_p)
     value = np.log2(trace_norm(partial_transpose(rho_p, 0, PROBE_LAYOUT)))
     return max(0.0, float(value))
@@ -166,7 +167,9 @@ def correlation_matrix(rho_p: np.ndarray) -> np.ndarray:
         for j, sj in enumerate("xyz"):
             val = np.einsum("ij,ji->", kron(_PAULIS[si], _PAULIS[sj]), rho_p)
             if abs(val.imag) > 1e-10:
-                raise ValueError(f"correlator <{si}{sj}> has imaginary part {val.imag:.3e}")
+                raise PropagationError(
+                    f"correlator <{si}{sj}> has imaginary part {val.imag:.3e}"
+                )
             out[i, j] = val.real
     return out
 

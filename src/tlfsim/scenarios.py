@@ -1,15 +1,21 @@
-"""Scenario runners: seeded figure-style experiments with file outputs.
+"""Scenario runs: seeded figure-style experiments with file outputs.
 
-A scenario couples a model configuration to one experiment kind:
+Every experiment kind runs one pipeline per point. :func:`simulate` samples
+the fluctuators, assembles the operators (plus a gate term), builds the
+initial state and propagates it, or does the same for the isolated probe.
+The kind's point function observes the trajectory, writes the point's
+tables and returns its manifest entries; :func:`run_scenario` runs the
+points, serially or in a worker pool, and writes the manifest. The points
+are mu/nu values of the TLF-TLF coupling:
 
-* ``spectrum_sweep``   -- magnetization time series and periodogram per
-  TLF-TLF coupling value, plus an isolated-probe control and a peak table;
+* ``spectrum_sweep``   -- magnetization time series and periodogram at each
+  ``sweep`` value and for an isolated-probe control, plus a peak table;
 * ``entanglement_sweep`` / ``bound_compare`` -- probe log-negativity and its
-  correlator lower bound along the sweep;
-* ``bell_decay``       -- decay of an initially entangled register state,
-  threshold-crossing lifetimes and the exchange-probability law;
-* ``gate``             -- an entangling gate run ideally (no fluctuators)
-  and in the noisy environment.
+  correlator lower bound at each ``sweep`` value;
+* ``bell_decay``       -- decay of an entangled register state at 0 and 1,
+  with threshold-crossing lifetimes and the exchange-probability law;
+* ``gate``             -- an entangling gate on the ideal register (no
+  fluctuators), then in the noisy environment at 0 and 1.
 
 Every output file starts with a ``#``-commented header block carrying the
 scenario hash, seed and resolved parameters; a YAML manifest accompanies
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -47,7 +54,6 @@ from .model import (
     build_operators,
     initial_state,
     probe_only_operators,
-    probe_state_vector,
     sample_ensemble,
     tlf_ground_state,
 )
@@ -107,6 +113,12 @@ class Scenario:
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
         if len(self.sweep) == 0:
             raise ConfigurationError("sweep must be non-empty")
+        if self.kind in ("bell_decay", "gate") and self.sweep != DEFAULT_SWEEP:
+            raise ConfigurationError(f"{self.kind} always runs mu_over_nu 0 and 1; drop sweep")
+        if self.kind == "spectrum_sweep" and self.duration is not None:
+            raise ConfigurationError(
+                "spectrum_sweep takes no duration; n_samples and sample_step set it"
+            )
         if self.resolved_duration() <= 0:
             raise ConfigurationError("duration must be positive")
         if self.kind == "gate":
@@ -219,7 +231,7 @@ class RunRecord:
     files: list
     summary: dict
     wall_clock_s: float
-    deterministic: bool
+    jobs: int | None  # worker-pool width; 1 ran the points serially
     library_version: str = __version__
 
     def write(self, path) -> None:
@@ -291,192 +303,110 @@ def _mu_label(mu_over_nu: float) -> str:
     return f"mu{mu_over_nu:.2f}"
 
 
-def _ext(fmt: str) -> str:
-    return "jsonl" if fmt == "jsonl" else "csv"
+def simulate(
+    cfg: ModelConfig,
+    t_end: float,
+    dt: float,
+    probe: str = "plus_plus",
+    gate: str | None = None,
+    g: float | None = None,
+    fluctuators: bool = True,
+    magnetization: bool = False,
+):
+    """Propagate one probe-plus-fluctuator system; return ``(ensemble, trajectory)``.
 
-
-def _spectrum_point(scenario_dict: dict, mu_over_nu: float, out_dir: str, fmt: str) -> dict:
-    """One spectrum-sweep point; separate function so a worker pool can run it."""
-    scenario = Scenario.from_dict(scenario_dict)
-    cfg = dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
-    ens = sample_ensemble(cfg)
-    ops = build_operators(ens, cfg)
+    The fluctuators are sampled from ``cfg`` and start in their ground state,
+    the probe in ``probe``. ``fluctuators=False`` runs the isolated probe
+    instead and returns no ensemble. ``gate`` adds a static gate term of
+    strength ``g``. The trajectory records ``M_x`` when ``magnetization`` is
+    set and the probe marginals otherwise.
+    """
+    if fluctuators:
+        ens = sample_ensemble(cfg)
+        ops = build_operators(ens, cfg)
+        if gate is not None:
+            ops = add_gate(ops, gate, g)
+        tlf = tlf_ground_state(ens, cfg)
+    else:
+        ens = None
+        ops = probe_only_operators(cfg, gate=gate, gate_strength=g)
+        tlf = np.eye(1)
+    rho0 = initial_state(probe, tlf, ops.layout)
     gen = LindbladGenerator.from_system(ops)
-    rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-    t_end, dt = scenario.time_grid()
-    traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
+    if magnetization:
+        traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
+    else:
+        traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
+    return ens, traj
+
+
+def _config(scenario: Scenario, mu_over_nu: float | None) -> ModelConfig:
+    """The model of one point; the fluctuator-free point (None) keeps the scenario's."""
+    if mu_over_nu is None:
+        return scenario.model
+    return dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
+
+
+def _point_result(label: str, files: list, ens, traj, **summary) -> dict:
+    """What a point function hands back: its tables and its manifest entries."""
+    return {
+        "label": label,
+        "files": files,
+        "ensemble": None if ens is None else ens.as_dict(),
+        "stats": traj.stats,
+        "summary": summary,
+    }
+
+
+def _write_entanglement(path, fmt: str, header: list[str], et) -> None:
+    _write_table(
+        path, fmt, header, ["t", "E_P", "C2prime"],
+        zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist()),
+    )
+
+
+def _spectrum_point(scenario: Scenario, mu_over_nu: float | None, out: Path, fmt: str) -> dict:
+    """Magnetization series and spectrum; ``None`` is the isolated-probe control."""
+    control = mu_over_nu is None
+    ens, traj = simulate(
+        _config(scenario, mu_over_nu), *scenario.time_grid(),
+        fluctuators=not control, magnetization=True,
+    )
     series = magnetization_series(traj)
     spec = power_spectrum(series)
-    label = _mu_label(mu_over_nu)
-    header = _header(scenario, {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"})
-    ts_file = f"timeseries_{label}.{_ext(fmt)}"
-    sp_file = f"spectrum_{label}.{_ext(fmt)}"
+    label = "control" if control else _mu_label(mu_over_nu)
+    point = {"control": "isolated probe"} if control else {"mu_over_nu": mu_over_nu}
+    header = _header(scenario, {**point, "time_unit": "1/omega_p"})
+    ts_file = f"timeseries_{label}.{fmt}"
+    sp_file = f"spectrum_{label}.{fmt}"
     _write_table(
-        Path(out_dir) / ts_file, fmt, header, ["t", "value"],
+        out / ts_file, fmt, header, ["t", "value"],
         zip(series.t_grid.tolist(), series.values.tolist()),
     )
     _write_table(
-        Path(out_dir) / sp_file, fmt, header, ["omega", "power"],
+        out / sp_file, fmt, header, ["omega", "power"],
         zip(spec.omega.tolist(), spec.power.tolist()),
     )
-    peaks = detect_peaks(spec)
-    return {
-        "label": label,
-        "mu_over_nu": mu_over_nu,
-        "files": [ts_file, sp_file],
-        "peaks": peaks,
-        "ensemble": ens.as_dict(),
-        "stats": traj.stats,
-    }
+    return _point_result(label, [ts_file, sp_file], ens, traj, peaks=detect_peaks(spec))
 
 
-def run_spectrum_sweep(
-    scenario: Scenario,
-    out_dir=None,
-    fmt: str = "csv",
-    deterministic: bool = True,
-    jobs: int | None = None,
-) -> RunRecord:
-    """Magnetization spectra across the TLF-TLF coupling sweep plus a control."""
-    t0 = time.monotonic()
-    out = _prepare_out_dir(scenario, out_dir)
-    results = []
-    sdict = scenario.canonical_dict()
-    point_args = [(sdict, float(mu), str(out), fmt) for mu in scenario.sweep]
-    if deterministic or (jobs is not None and jobs <= 1) or len(point_args) == 1:
-        for args in point_args:
-            results.append(_spectrum_point(*args))
-    else:
-        workers = jobs or min(len(point_args), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_spectrum_point, *zip(*point_args)))
-
-    control = _spectrum_control(scenario, out, fmt)
-    results.append(control)
-
-    peak_rows = []
-    for res in results:
-        for omega, power in res["peaks"]:
-            peak_rows.append((res["label"], res["mu_over_nu"], omega, power))
-    peaks_file = f"peaks.{_ext(fmt)}"
-    _write_table(
-        out / peaks_file, fmt, _header(scenario),
-        ["run", "mu_over_nu", "omega", "power"], peak_rows,
-    )
-
-    record = RunRecord(
-        scenario_hash=scenario.hash(),
-        seed=scenario.model.seed,
-        scenario=sdict,
-        ensembles={r["label"]: r["ensemble"] for r in results if r["ensemble"]},
-        files=sorted(f for r in results for f in r["files"]) + [peaks_file],
-        summary={
-            "peaks": {r["label"]: r["peaks"] for r in results},
-            "cptp": {r["label"]: _stats_plain(r["stats"]) for r in results},
-        },
-        wall_clock_s=time.monotonic() - t0,
-        deterministic=deterministic,
-    )
-    record.write(out / "manifest.yaml")
-    return record
-
-
-def _spectrum_control(scenario: Scenario, out: Path, fmt: str) -> dict:
-    """Isolated-probe control run: same sampling, no fluctuators."""
-    cfg = scenario.model
-    ops = probe_only_operators(cfg)
-    gen = LindbladGenerator.from_system(ops)
-    v = probe_state_vector("plus_plus")
-    rho0 = np.outer(v, v.conj())
-    t_end, dt = scenario.time_grid()
-    traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
-    series = magnetization_series(traj)
-    spec = power_spectrum(series)
-    header = _header(scenario, {"control": "isolated probe", "time_unit": "1/omega_p"})
-    ts_file = f"timeseries_control.{_ext(fmt)}"
-    sp_file = f"spectrum_control.{_ext(fmt)}"
-    _write_table(out / ts_file, fmt, header, ["t", "value"],
-                 zip(series.t_grid.tolist(), series.values.tolist()))
-    _write_table(out / sp_file, fmt, header, ["omega", "power"],
-                 zip(spec.omega.tolist(), spec.power.tolist()))
-    return {
-        "label": "control",
-        "mu_over_nu": None,
-        "files": [ts_file, sp_file],
-        "peaks": detect_peaks(spec),
-        "ensemble": None,
-        "stats": traj.stats,
-    }
-
-
-def _entanglement_point(scenario_dict: dict, mu_over_nu: float, out_dir: str, fmt: str) -> dict:
-    scenario = Scenario.from_dict(scenario_dict)
-    cfg = dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
-    ens = sample_ensemble(cfg)
-    ops = build_operators(ens, cfg)
-    gen = LindbladGenerator.from_system(ops)
-    rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-    t_end, dt = scenario.time_grid()
-    traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
+def _entanglement_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> dict:
+    """Probe entanglement trace from a separable start (also the bound comparison)."""
+    ens, traj = simulate(_config(scenario, mu_over_nu), *scenario.time_grid())
     et = entanglement_trace(traj.t_grid, traj.marginals)
     label = _mu_label(mu_over_nu)
-    fname = f"entanglement_{label}.{_ext(fmt)}"
+    fname = f"entanglement_{label}.{fmt}"
     header = _header(scenario, {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"})
-    _write_table(
-        Path(out_dir) / fname, fmt, header, ["t", "E_P", "C2prime"],
-        zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist()),
-    )
+    _write_entanglement(out / fname, fmt, header, et)
     gap = et.log_negativity - et.c2prime
     i_max = int(np.argmax(et.log_negativity))
-    return {
-        "label": label,
-        "mu_over_nu": mu_over_nu,
-        "files": [fname],
-        "ensemble": ens.as_dict(),
-        "stats": traj.stats,
-        "max_E_P": float(et.log_negativity[i_max]),
-        "t_at_max": float(et.t_grid[i_max]),
-        "mean_bound_gap": float(np.mean(gap)),
-        "max_bound_violation": float(np.max(et.c2prime - et.log_negativity)),
-    }
-
-
-def run_entanglement_sweep(
-    scenario: Scenario,
-    out_dir=None,
-    fmt: str = "csv",
-    deterministic: bool = True,
-    jobs: int | None = None,
-) -> RunRecord:
-    """Probe entanglement traces across the sweep (also the bound comparison)."""
-    t0 = time.monotonic()
-    out = _prepare_out_dir(scenario, out_dir)
-    sdict = scenario.canonical_dict()
-    point_args = [(sdict, float(mu), str(out), fmt) for mu in scenario.sweep]
-    if deterministic or (jobs is not None and jobs <= 1) or len(point_args) == 1:
-        results = [_entanglement_point(*args) for args in point_args]
-    else:
-        workers = jobs or min(len(point_args), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_entanglement_point, *zip(*point_args)))
-    record = RunRecord(
-        scenario_hash=scenario.hash(),
-        seed=scenario.model.seed,
-        scenario=scenario.canonical_dict(),
-        ensembles={r["label"]: r["ensemble"] for r in results},
-        files=sorted(f for r in results for f in r["files"]),
-        summary={
-            "max_E_P": {r["label"]: r["max_E_P"] for r in results},
-            "t_at_max": {r["label"]: r["t_at_max"] for r in results},
-            "mean_bound_gap": {r["label"]: r["mean_bound_gap"] for r in results},
-            "max_bound_violation": {r["label"]: r["max_bound_violation"] for r in results},
-            "cptp": {r["label"]: _stats_plain(r["stats"]) for r in results},
-        },
-        wall_clock_s=time.monotonic() - t0,
-        deterministic=deterministic,
+    return _point_result(
+        label, [fname], ens, traj,
+        max_E_P=float(et.log_negativity[i_max]),
+        t_at_max=float(et.t_grid[i_max]),
+        mean_bound_gap=float(np.mean(gap)),
+        max_bound_violation=float(np.max(et.c2prime - et.log_negativity)),
     )
-    record.write(out / "manifest.yaml")
-    return record
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -488,123 +418,62 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
 
 
-def run_bell_decay(
-    scenario: Scenario,
-    out_dir=None,
-    fmt: str = "csv",
-    deterministic: bool = True,
-    jobs: int | None = None,
-) -> RunRecord:
-    """Entanglement decay of a register Bell state, for unconnected and
-    fully connected fluctuators, with lifetimes and the exchange-probability
-    law.
+def _bell_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> dict:
+    """Entanglement decay of a register Bell state, with lifetimes and the
+    exchange-probability law.
 
     The probability column uses the mean dressed emission rate of the
     sampled ensemble as the energy-exchange clock; the raw lifetimes are
     emitted alongside so the underlying lifetime-threshold law can be
     refit under any convention.
     """
-    t0 = time.monotonic()
-    out = _prepare_out_dir(scenario, out_dir)
     state = scenario.bell
     state_tag = state.replace("+", "_plus").replace("-", "_minus")
-    results = []
-    for mu_over_nu in (0.0, 1.0):
-        cfg = dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
-        ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
-        t_end, dt = scenario.time_grid()
-        traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
-        et = entanglement_trace(traj.t_grid, traj.marginals)
-        if abs(et.log_negativity[0] - 1.0) > 1e-8:
-            raise ConfigurationError(
-                f"initial register entanglement is {et.log_negativity[0]!r}, not 1"
-            )
-        label = _mu_label(mu_over_nu)
-        header = _header(
-            scenario,
-            {
-                "bell_state": state,
-                "mu_over_nu": mu_over_nu,
-                "time_unit": "1/omega_p",
-                "t_eps_resolution": dt,
-            },
+    cfg = _config(scenario, mu_over_nu)
+    t_end, dt = scenario.time_grid()
+    ens, traj = simulate(cfg, t_end, dt, probe=state)
+    et = entanglement_trace(traj.t_grid, traj.marginals)
+    if abs(et.log_negativity[0] - 1.0) > 1e-8:
+        raise ConfigurationError(
+            f"initial register entanglement is {et.log_negativity[0]!r}, not 1"
         )
-        trace_file = f"bell_{state_tag}_{label}.{_ext(fmt)}"
-        _write_table(
-            out / trace_file, fmt, header, ["t", "E_P", "C2prime"],
-            zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist()),
-        )
-        gamma_char = float(np.mean(ens.Gamma_minus))
-        rows = []
-        t_eps_list = []
-        for eps in scenario.epsilons:
-            t_eps = entanglement_lifetime(et, eps)
-            t_eps_list.append(t_eps)
-            if t_eps is None:
-                rows.append((eps, "", "", float(-np.log(eps))))
-            else:
-                rows.append(
-                    (
-                        eps,
-                        float(t_eps),
-                        p_of_t(t_eps, gamma=gamma_char, nbar=cfg.nbar),
-                        float(-np.log(eps)),
-                    )
-                )
-        decay_file = f"decay_{state_tag}_{label}.{_ext(fmt)}"
-        decay_header = header + [
-            f"gamma_char: {gamma_char!r} (mean dressed emission rate; "
-            "p = 1 - exp(-gamma_char (2 nbar + 1) t_eps / 2))"
-        ]
-        _write_table(
-            out / decay_file, fmt, decay_header,
-            ["epsilon", "t_eps", "p_t_eps", "neg_log_eps"], rows,
-        )
-        fit = None
-        fit_raw = None
-        if all(t is not None for t in t_eps_list):
-            x = -np.log(np.asarray(scenario.epsilons))
-            te = np.asarray(t_eps_list, dtype=float)
-            p = np.array([p_of_t(t, gamma=gamma_char, nbar=cfg.nbar) for t in te])
-            fit = _linear_fit(x, p)
-            fit_raw = _linear_fit(x, te)
-        results.append(
-            {
-                "label": label,
-                "files": [trace_file, decay_file],
-                "ensemble": ens.as_dict(),
-                "stats": traj.stats,
-                "gamma_char": gamma_char,
-                "t_eps": [None if t is None else float(t) for t in t_eps_list],
-                "fit_p_vs_neg_log_eps": fit,
-                "fit_t_eps_vs_neg_log_eps": fit_raw,
-                "final_E_P": float(et.log_negativity[-1]),
-                "min_E_P": float(np.min(et.log_negativity)),
-            }
-        )
-
-    record = RunRecord(
-        scenario_hash=scenario.hash(),
-        seed=scenario.model.seed,
-        scenario=scenario.canonical_dict(),
-        ensembles={r["label"]: r["ensemble"] for r in results},
-        files=sorted(f for r in results for f in r["files"]),
-        summary={
+    label = _mu_label(mu_over_nu)
+    header = _header(
+        scenario,
+        {
             "bell_state": state,
-            "lifetimes": {r["label"]: r["t_eps"] for r in results},
-            "fits": {r["label"]: r["fit_p_vs_neg_log_eps"] for r in results},
-            "fits_raw_lifetime": {r["label"]: r["fit_t_eps_vs_neg_log_eps"] for r in results},
-            "gamma_char": {r["label"]: r["gamma_char"] for r in results},
-            "cptp": {r["label"]: _stats_plain(r["stats"]) for r in results},
+            "mu_over_nu": mu_over_nu,
+            "time_unit": "1/omega_p",
+            "t_eps_resolution": dt,
         },
-        wall_clock_s=time.monotonic() - t0,
-        deterministic=deterministic,
     )
-    record.write(out / "manifest.yaml")
-    return record
+    trace_file = f"bell_{state_tag}_{label}.{fmt}"
+    _write_entanglement(out / trace_file, fmt, header, et)
+    gamma_char = float(np.mean(ens.Gamma_minus))
+    t_eps = [entanglement_lifetime(et, eps) for eps in scenario.epsilons]
+    p_t_eps = [None if t is None else p_of_t(t, gamma=gamma_char, nbar=cfg.nbar) for t in t_eps]
+    rows = [
+        (eps, "" if t is None else t, "" if p is None else p, float(-np.log(eps)))
+        for eps, t, p in zip(scenario.epsilons, t_eps, p_t_eps)
+    ]
+    decay_file = f"decay_{state_tag}_{label}.{fmt}"
+    decay_header = header + [
+        f"gamma_char: {gamma_char!r} (mean dressed emission rate; "
+        "p = 1 - exp(-gamma_char (2 nbar + 1) t_eps / 2))"
+    ]
+    _write_table(
+        out / decay_file, fmt, decay_header,
+        ["epsilon", "t_eps", "p_t_eps", "neg_log_eps"], rows,
+    )
+    fit = fit_raw = None
+    if None not in t_eps:
+        x = -np.log(np.asarray(scenario.epsilons))
+        fit = _linear_fit(x, np.array(p_t_eps))
+        fit_raw = _linear_fit(x, np.array(t_eps))
+    return _point_result(
+        label, [trace_file, decay_file], ens, traj,
+        lifetimes=t_eps, fits=fit, fits_raw_lifetime=fit_raw, gamma_char=gamma_char,
+    )
 
 
 def _first_local_max(t: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -629,86 +498,44 @@ def _plateau_report(t: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
-def run_gate(
-    scenario: Scenario,
-    out_dir=None,
-    fmt: str = "csv",
-    deterministic: bool = True,
-    jobs: int | None = None,
-) -> RunRecord:
-    """Entangling-gate performance: ideal register vs the noisy environment."""
-    t0 = time.monotonic()
-    out = _prepare_out_dir(scenario, out_dir)
-    gate = scenario.gate
-    base_cfg = scenario.model
-    ens0 = sample_ensemble(base_cfg)
-    g = gate.strength if gate.strength is not None else float(ens0.nu)
-
-    t_end, dt = scenario.time_grid()
-    results = []
-    ensembles = {}
-
-    # ideal register: no fluctuators at all
-    ops_ideal = probe_only_operators(base_cfg, gate=gate.kind, gate_strength=g)
-    v = probe_state_vector("plus_plus")
-    rho0 = np.outer(v, v.conj())
-    traj = propagate(
-        LindbladGenerator.from_system(ops_ideal), rho0, t_end, dt=dt,
-        marginal_keep=(0, 1), layout=ops_ideal.layout,
+def _gate_point(
+    scenario: Scenario, mu_over_nu: float | None, out: Path, fmt: str, g: float
+) -> dict:
+    """Entangling gate of strength ``g`` among the fluctuators; ``None`` is the
+    ideal register, with no fluctuators at all."""
+    gate = scenario.gate.kind
+    ens, traj = simulate(
+        _config(scenario, mu_over_nu), *scenario.time_grid(),
+        gate=gate, g=g, fluctuators=mu_over_nu is not None,
     )
     et = entanglement_trace(traj.t_grid, traj.marginals)
-    results.append(("ideal", None, et, traj.stats))
-
-    for mu_over_nu in (0.0, 1.0):
-        cfg = dataclasses.replace(base_cfg, mu_over_nu=mu_over_nu)
-        ens = sample_ensemble(cfg)
-        ops = add_gate(build_operators(ens, cfg), gate.kind, g)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-        traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
-        et = entanglement_trace(traj.t_grid, traj.marginals)
-        results.append((_mu_label(mu_over_nu), mu_over_nu, et, traj.stats))
-        ensembles[_mu_label(mu_over_nu)] = ens.as_dict()
-
-    files = []
-    summary = {"gate": gate.kind, "gate_strength": g, "first_max": {}, "plateau": {}, "cptp": {}}
-    for label, mu_over_nu, et, stats in results:
-        fname = f"gate_{gate.kind}_{label}.{_ext(fmt)}"
-        header = _header(
-            scenario,
-            {"gate": gate.kind, "gate_strength": g, "run": label, "time_unit": "1/omega_p"},
-        )
-        _write_table(
-            out / fname, fmt, header, ["t", "E_P", "C2prime"],
-            zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist()),
-        )
-        files.append(fname)
-        t_max, v_max = _first_local_max(et.t_grid, et.log_negativity)
-        summary["first_max"][label] = {"t": t_max, "E_P": v_max}
-        summary["plateau"][label] = _plateau_report(et.t_grid, et.log_negativity)
-        summary["cptp"][label] = _stats_plain(stats)
-
-    record = RunRecord(
-        scenario_hash=scenario.hash(),
-        seed=scenario.model.seed,
-        scenario=scenario.canonical_dict(),
-        ensembles=ensembles,
-        files=sorted(files),
-        summary=summary,
-        wall_clock_s=time.monotonic() - t0,
-        deterministic=deterministic,
+    label = "ideal" if mu_over_nu is None else _mu_label(mu_over_nu)
+    fname = f"gate_{gate}_{label}.{fmt}"
+    header = _header(
+        scenario,
+        {"gate": gate, "gate_strength": g, "run": label, "time_unit": "1/omega_p"},
     )
-    record.write(out / "manifest.yaml")
-    return record
+    _write_entanglement(out / fname, fmt, header, et)
+    t_max, v_max = _first_local_max(et.t_grid, et.log_negativity)
+    return _point_result(
+        label, [fname], ens, traj,
+        first_max={"t": t_max, "E_P": v_max},
+        plateau=_plateau_report(et.t_grid, et.log_negativity),
+    )
 
 
-RUNNERS = {
-    "spectrum_sweep": run_spectrum_sweep,
-    "entanglement_sweep": run_entanglement_sweep,
-    "bound_compare": run_entanglement_sweep,
-    "bell_decay": run_bell_decay,
-    "gate": run_gate,
-}
+def _run_points(point, args: list[tuple], jobs: int | None) -> list[dict]:
+    """``point(*a)`` for every argument tuple, in order.
+
+    Serial when ``jobs`` is 1 or less or there is only one point; otherwise
+    in a process pool ``jobs`` wide, or as wide as the CPU count when
+    ``jobs`` is None. Tables are byte-identical either way.
+    """
+    if (jobs is not None and jobs <= 1) or len(args) == 1:
+        return [point(*a) for a in args]
+    workers = min(len(args), jobs or os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(point, *zip(*args)))
 
 
 def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
@@ -757,17 +584,65 @@ def run_scenario(
     scenario: Scenario,
     out_dir=None,
     fmt: str = "csv",
-    deterministic: bool = True,
-    jobs: int | None = None,
+    jobs: int | None = 1,
 ) -> RunRecord:
-    runner = RUNNERS[scenario.kind]
-    return runner(scenario, out_dir=out_dir, fmt=fmt, deterministic=deterministic, jobs=jobs)
+    """Run every point of the scenario, write its tables and its manifest.
 
-
-def _prepare_out_dir(scenario: Scenario, out_dir) -> Path:
-    out = Path(out_dir) if out_dir is not None else Path(scenario.output)
+    ``jobs`` is the worker-pool width (see :func:`_run_points`); the default
+    of 1 runs the points one after another in this process.
+    """
+    t0 = time.monotonic()
+    out = Path(out_dir if out_dir is not None else scenario.output)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    # each kind: its point function, its mu/nu points (None runs without
+    # fluctuators) and the manifest summary entries that precede the points'
+    head = {}
+    if scenario.kind == "spectrum_sweep":
+        point, mus = _spectrum_point, [float(mu) for mu in scenario.sweep] + [None]
+    elif scenario.kind == "bell_decay":
+        point, mus = _bell_point, [0.0, 1.0]
+        head = {"bell_state": scenario.bell}
+    elif scenario.kind == "gate":
+        gate = scenario.gate
+        g = gate.strength if gate.strength is not None else float(
+            sample_ensemble(scenario.model).nu
+        )
+        point, mus = functools.partial(_gate_point, g=g), [None, 0.0, 1.0]
+        head = {"gate": gate.kind, "gate_strength": g}
+    else:
+        point, mus = _entanglement_point, [float(mu) for mu in scenario.sweep]
+    results = _run_points(point, [(scenario, mu, out, fmt) for mu in mus], jobs)
+
+    files = sorted(f for r in results for f in r["files"])
+    if scenario.kind == "spectrum_sweep":
+        peak_rows = [
+            (r["label"], mu, omega, power)
+            for mu, r in zip(mus, results)
+            for omega, power in r["summary"]["peaks"]
+        ]
+        peaks_file = f"peaks.{fmt}"
+        files.append(peaks_file)
+        _write_table(
+            out / peaks_file, fmt, _header(scenario),
+            ["run", "mu_over_nu", "omega", "power"], peak_rows,
+        )
+    summary = dict(head)
+    for r in results:
+        for key, value in r["summary"].items():
+            summary.setdefault(key, {})[r["label"]] = value
+    summary["cptp"] = {r["label"]: _stats_plain(r["stats"]) for r in results}
+    record = RunRecord(
+        scenario_hash=scenario.hash(),
+        seed=scenario.model.seed,
+        scenario=scenario.canonical_dict(),
+        ensembles={r["label"]: r["ensemble"] for r in results if r["ensemble"] is not None},
+        files=files,
+        summary=summary,
+        wall_clock_s=time.monotonic() - t0,
+        jobs=jobs,
+    )
+    record.write(out / "manifest.yaml")
+    return record
 
 
 def _stats_plain(stats: dict) -> dict:

@@ -18,19 +18,12 @@ import scipy.signal
 import scipy.stats
 
 from tlfsim.cli import cli_main
-from tlfsim.dynamics import LindbladGenerator, propagate
 from tlfsim.model import (
     ModelConfig,
-    add_gate,
-    build_operators,
     dressed_rates,
-    initial_state,
-    probe_only_operators,
-    probe_state_vector,
     sample_ensemble,
     sample_linear,
     sample_loguniform,
-    tlf_ground_state,
 )
 from tlfsim.observables import (
     entanglement_lifetime,
@@ -47,7 +40,7 @@ from tlfsim.oracles import (
     pure_dephasing,
     rk4_convergence,
 )
-from tlfsim.scenarios import Scenario, detect_peaks, run_spectrum_sweep
+from tlfsim.scenarios import Scenario, detect_peaks, run_scenario, simulate
 
 pytestmark = pytest.mark.acceptance
 
@@ -64,44 +57,32 @@ def report(criterion, passed, detail):
     assert passed, detail
 
 
-def _system(seed, ratio, mu_over_nu):
-    cfg = ModelConfig(ratio_eps=ratio, tan_theta_bar=TAN_THETA, mu_over_nu=mu_over_nu, seed=seed)
-    ens = sample_ensemble(cfg)
-    ops = build_operators(ens, cfg)
-    gen = LindbladGenerator.from_system(ops)
-    return cfg, ens, ops, gen
+def _config(seed, ratio, mu_over_nu):
+    return ModelConfig(ratio_eps=ratio, tan_theta_bar=TAN_THETA, mu_over_nu=mu_over_nu, seed=seed)
 
 
-def _ent_run(seed, ratio, mu_over_nu, cycles, step_cycles, state="plus_plus", gate=None, g=None):
-    cfg, ens, ops, gen = _system(seed, ratio, mu_over_nu)
-    if gate is not None:
-        ops = add_gate(ops, gate, g)
-        gen = LindbladGenerator.from_system(ops)
-    rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
-    traj = propagate(
-        gen, rho0, cycles * TWO_PI, dt=step_cycles * TWO_PI,
-        marginal_keep=(0, 1), layout=ops.layout,
+def _ent_run(seed, ratio, mu_over_nu, cycles, step_cycles, state="plus_plus", gate=None, g=None,
+             fluctuators=True):
+    ens, traj = simulate(
+        _config(seed, ratio, mu_over_nu), cycles * TWO_PI, step_cycles * TWO_PI,
+        probe=state, gate=gate, g=g, fluctuators=fluctuators,
     )
     et = entanglement_trace(traj.t_grid, traj.marginals)
     return et, traj.stats, ens
 
 
-def _spectrum_run(seed, ratio, mu_over_nu):
-    cfg, ens, ops, gen = _system(seed, ratio, mu_over_nu)
-    rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
-    traj = propagate(gen, rho0, 3999 * 0.05, dt=0.05, record={"M_x": ops.m_x})
+def _spectrum_run(seed, ratio, mu_over_nu, fluctuators=True):
+    """Spectrum peaks and stats; ``fluctuators=False`` is the isolated-probe control."""
+    _, traj = simulate(
+        _config(seed, ratio, mu_over_nu), 3999 * 0.05, 0.05,
+        fluctuators=fluctuators, magnetization=True,
+    )
     spec = power_spectrum(magnetization_series(traj))
     return detect_peaks(spec), traj.stats
 
 
 def _control_spectrum(seed):
-    cfg = ModelConfig(seed=seed)
-    ops = probe_only_operators(cfg)
-    gen = LindbladGenerator.from_system(ops)
-    v = probe_state_vector("plus_plus")
-    traj = propagate(gen, np.outer(v, v.conj()), 3999 * 0.05, dt=0.05, record={"M_x": ops.m_x})
-    spec = power_spectrum(magnetization_series(traj))
-    return detect_peaks(spec), traj.stats
+    return _spectrum_run(seed, 3.0, 1.0, fluctuators=False)
 
 
 def _first_local_max(values):
@@ -176,17 +157,12 @@ def golden_bank():
 
         bank["gate"][seed] = {}
         for kind in ("zz", "xxyy"):
-            cfg = ModelConfig(ratio_eps=1.0, tan_theta_bar=TAN_THETA, seed=seed)
-            g = float(sample_ensemble(cfg).nu)
-            ops = probe_only_operators(cfg, gate=kind, gate_strength=g)
-            v = probe_state_vector("plus_plus")
-            traj = propagate(
-                LindbladGenerator.from_system(ops), np.outer(v, v.conj()),
-                25 * TWO_PI, dt=0.01 * TWO_PI, marginal_keep=(0, 1), layout=ops.layout,
+            g = float(sample_ensemble(_config(seed, 1.0, 0.0)).nu)
+            et_ideal, stats, _ = _ent_run(
+                seed, 1.0, 0.0, cycles=25, step_cycles=0.01, gate=kind, g=g, fluctuators=False
             )
-            et_ideal = entanglement_trace(traj.t_grid, traj.marginals)
             entry = {"ideal": _first_local_max(et_ideal.log_negativity), "ideal_trace": et_ideal}
-            log_stats(f"gate-{seed}-{kind}-ideal", traj.stats)
+            log_stats(f"gate-{seed}-{kind}-ideal", stats)
             for mu in (0.0, 1.0):
                 et, stats, _ = _ent_run(
                     seed, 1.0, mu, cycles=25, step_cycles=0.01, gate=kind, g=g
@@ -420,7 +396,7 @@ def test_criterion_11_performance_budget(tmp_path):
         }
     )
     t0 = time.monotonic()
-    run_spectrum_sweep(scenario, out_dir=tmp_path, deterministic=True)
+    run_scenario(scenario, out_dir=tmp_path, jobs=1)
     elapsed = time.monotonic() - t0
     ok = elapsed < 1800.0
     report(

@@ -141,3 +141,48 @@ def test_grid_that_does_not_divide_is_config_error(command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "does not divide" in err
     assert not (tmp_path / "out").exists()
+
+
+KEY_KIND_MISMATCHES = {
+    "bell_decay-sweep": "kind: bell_decay\nbell: phi+\nsweep: [0.5]\n",
+    "gate-sweep": "kind: gate\ngate: {kind: zz}\nsweep: [0.5]\n",
+    "spectrum_sweep-duration": "kind: spectrum_sweep\nn_samples: 64\nduration: 99.0\n",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", list(KEY_KIND_MISMATCHES))
+def test_key_the_kind_ignores_is_config_error(case, command, tmp_path, capsys):
+    path = tmp_path / "mismatch.yaml"
+    path.write_text(
+        "schema_version: 1\nmodel: {n_tlf: 1, seed: 5}\n"
+        + KEY_KIND_MISMATCHES[case]
+        + f"output: {tmp_path / 'out'}\n"
+    )
+    assert cli_main([command, str(path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _propagate_with_negative_marginal(gen, rho0, t_end, dt, **kwargs):
+    from tlfsim.dynamics import Trajectory
+
+    marginal = np.diag([0.5, 0.3, 0.201, -0.001]).astype(complex)
+    return Trajectory(
+        t_grid=np.array([0.0, dt]), step=dt, marginals=np.stack([marginal, marginal])
+    )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_negative_population_is_numerical_failure(jobs, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ent.yaml"
+    path.write_text(
+        "schema_version: 1\nkind: entanglement_sweep\nmodel: {n_tlf: 1, seed: 5}\n"
+        "sweep: [0.0, 1.0]\nduration: 1.0\ntrace_step_cycles: 0.1\n"
+        f"output: {tmp_path / 'out'}\n"
+    )
+    monkeypatch.setattr("tlfsim.scenarios.propagate", _propagate_with_negative_marginal)
+    assert cli_main(["run", str(path), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "negative population" in err
+    assert "Traceback" not in err

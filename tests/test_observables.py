@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, herm_eig, kron
-from tlfsim.dynamics import LindbladGenerator, propagate
+from tlfsim.dynamics import LindbladGenerator, PropagationError, propagate
 from tlfsim.model import ModelConfig, build_operators, initial_state, probe_only_operators, probe_state_vector, sample_ensemble, tlf_ground_state
 from tlfsim.observables import (
     EntanglementTrace,
@@ -168,12 +168,12 @@ class TestLogNegativity:
             assert abs(log_negativity(u @ base @ u.conj().T) - e0) <= 1e-9
 
     def test_trace_deviation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PropagationError):
             log_negativity(1.01 * dm(PHI_PLUS))
 
     def test_negative_population_rejected(self):
         rho = dm(PHI_PLUS) - 1e-5 * np.diag([1.0, -1.0 / 3, -1.0 / 3, -1.0 / 3])
-        with pytest.raises(ValueError):
+        with pytest.raises(PropagationError):
             log_negativity(rho)
 
     def test_small_negative_clipped(self):
@@ -195,6 +195,11 @@ class TestCorrelationMatrix:
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0
         assert np.allclose(lam, expected, atol=1e-12)
+
+    def test_imaginary_correlator_rejected(self):
+        rho = dm(PHI_PLUS) + 1e-6j * kron(SIGMA_X, SIGMA_X)
+        with pytest.raises(PropagationError):
+            correlation_matrix(rho)
 
 
 class TestLowerBound:

@@ -6,16 +6,7 @@ import yaml
 
 from tlfsim.model import ConfigurationError, ModelConfig
 from tlfsim.observables import SpectrumEstimate
-from tlfsim.scenarios import (
-    GateSpec,
-    Scenario,
-    detect_peaks,
-    run_bell_decay,
-    run_entanglement_sweep,
-    run_gate,
-    run_scenario,
-    run_spectrum_sweep,
-)
+from tlfsim.scenarios import GateSpec, Scenario, detect_peaks, run_scenario
 
 SMALL_MODEL = {"n_tlf": 2, "ratio_eps": 3.0, "tan_theta_bar": 1.0 / 3.0, "seed": 5}
 
@@ -119,7 +110,7 @@ class TestPeakDetection:
 class TestSpectrumSweep:
     def test_outputs_and_control(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0, 1.0], n_samples=400)
-        record = run_spectrum_sweep(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         for name in (
             "timeseries_mu0.00.csv",
             "timeseries_mu1.00.csv",
@@ -145,7 +136,7 @@ class TestSpectrumSweep:
 
     def test_manifest_provenance(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.5], n_samples=200)
-        record = run_spectrum_sweep(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         manifest = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
         assert manifest["scenario_hash"] == sc.hash()
         assert manifest["seed"] == 5
@@ -159,30 +150,44 @@ class TestSpectrumSweep:
 
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
-        run_spectrum_sweep(sc, out_dir=tmp_path, fmt="jsonl")
+        run_scenario(sc, out_dir=tmp_path, fmt="jsonl")
         header, rows = read_table(tmp_path / "spectrum_mu0.00.jsonl")
         assert header
         parsed = json.loads(rows[0])
         assert set(parsed) == {"omega", "power"}
 
-    def test_parallel_pool_matches_serial(self, tmp_path):
-        sc = small_scenario("spectrum_sweep", sweep=[0.0, 1.0], n_samples=200)
-        run_spectrum_sweep(sc, out_dir=tmp_path / "serial", deterministic=True)
-        run_spectrum_sweep(sc, out_dir=tmp_path / "pool", deterministic=False, jobs=2)
-        import filecmp
 
-        names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
-        match, mismatch, errors = filecmp.cmpfiles(
-            tmp_path / "serial", tmp_path / "pool", names, shallow=False
-        )
-        assert mismatch == [] and errors == []
+POOL_SCENARIOS = {
+    "spectrum_sweep": {"sweep": [0.0, 1.0], "n_samples": 200},
+    "entanglement_sweep": {"sweep": [0.0, 1.0], "duration": 2.0, "trace_step_cycles": 0.05},
+    "bound_compare": {"sweep": [0.0, 1.0], "duration": 2.0, "trace_step_cycles": 0.05},
+    "bell_decay": {"bell": "phi+", "duration": 5.0, "bell_step_cycles": 0.1},
+    "gate": {"gate": {"kind": "xxyy"}, "duration": 2.0, "trace_step_cycles": 0.05},
+}
+
+
+@pytest.mark.parametrize("kind", list(POOL_SCENARIOS))
+def test_parallel_pool_matches_serial(kind, tmp_path):
+    import filecmp
+
+    sc = small_scenario(kind, **POOL_SCENARIOS[kind])
+    serial = run_scenario(sc, out_dir=tmp_path / "serial", jobs=1)
+    pooled = run_scenario(sc, out_dir=tmp_path / "pool", jobs=2)
+    names = sorted(p.name for p in (tmp_path / "serial").glob("*.csv"))
+    assert len(names) >= 2
+    match, mismatch, errors = filecmp.cmpfiles(
+        tmp_path / "serial", tmp_path / "pool", names, shallow=False
+    )
+    assert mismatch == [] and errors == []
+    assert serial.files == pooled.files and serial.summary == pooled.summary
+    assert (serial.jobs, pooled.jobs) == (1, 2)
 
 
 class TestEntanglementSweep:
     def test_traces_and_summary(self, tmp_path):
         sc = small_scenario("entanglement_sweep", sweep=[0.0, 1.0], duration=10.0,
                             trace_step_cycles=0.05)
-        record = run_entanglement_sweep(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         header, rows = read_table(tmp_path / "entanglement_mu0.00.csv")
         assert rows[0] == "t,E_P,C2prime"
         first = rows[1].split(",")
@@ -201,7 +206,7 @@ class TestEntanglementSweep:
 class TestBellDecay:
     def test_phi_plus_decays_with_lifetimes(self, tmp_path):
         sc = small_scenario("bell_decay", bell="phi+", duration=80.0, bell_step_cycles=0.1)
-        record = run_bell_decay(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         assert (tmp_path / "bell_phi_plus_mu0.00.csv").exists()
         header, rows = read_table(tmp_path / "decay_phi_plus_mu0.00.csv")
         assert rows[0] == "epsilon,t_eps,p_t_eps,neg_log_eps"
@@ -213,7 +218,7 @@ class TestBellDecay:
 
     def test_psi_plus_never_decays(self, tmp_path):
         sc = small_scenario("bell_decay", bell="psi+", duration=5.0, bell_step_cycles=0.1)
-        record = run_bell_decay(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         _, rows = read_table(tmp_path / "decay_psi_plus_mu1.00.csv")
         for row in rows[1:]:
             fields = row.split(",")
@@ -226,7 +231,7 @@ class TestGate:
     def test_ideal_beats_noisy(self, tmp_path):
         sc = small_scenario("gate", gate={"kind": "zz"}, duration=10.0,
                             trace_step_cycles=0.05)
-        record = run_gate(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         for name in ("gate_zz_ideal.csv", "gate_zz_mu0.00.csv", "gate_zz_mu1.00.csv"):
             assert (tmp_path / name).exists()
         first_max = record.summary["first_max"]
@@ -238,7 +243,7 @@ class TestGate:
     def test_gate_trace_starts_separable(self, tmp_path):
         sc = small_scenario("gate", gate={"kind": "xxyy", "strength": 0.25}, duration=5.0,
                             trace_step_cycles=0.05)
-        record = run_gate(sc, out_dir=tmp_path)
+        record = run_scenario(sc, out_dir=tmp_path)
         _, rows = read_table(tmp_path / "gate_xxyy_ideal.csv")
         assert float(rows[1].split(",")[1]) == 0.0
         assert record.summary["gate_strength"] == 0.25
@@ -339,7 +344,7 @@ def test_bell_decay_epsilon_one_row(tmp_path):
         "bell_decay", bell="phi+", duration=30.0, bell_step_cycles=0.1,
         epsilons=[1.0, 0.5],
     )
-    record = run_bell_decay(sc, out_dir=tmp_path)
+    record = run_scenario(sc, out_dir=tmp_path)
     header, rows = read_table(tmp_path / "decay_phi_plus_mu0.00.csv")
     first = rows[1].split(",")
     assert float(first[0]) == 1.0
