@@ -8,6 +8,7 @@ All functions are pure; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -39,7 +40,7 @@ class SubsystemLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_sites(self) -> int:
@@ -116,13 +117,12 @@ def partial_trace(rho: np.ndarray, keep, layout: SubsystemLayout) -> np.ndarray:
     if rho.shape != (layout.total_dim, layout.total_dim):
         raise ValueError(f"state shape {rho.shape} != layout dim {layout.total_dim}")
     traced = [s for s in range(n) if s not in keep]
-    t = rho.reshape(layout.dims + layout.dims)
-    n_left = n
-    for removed, site in enumerate(sorted(traced)):
-        ax = site - removed
-        t = np.trace(t, axis1=ax, axis2=ax + n_left - removed)
-    kept_dim = int(np.prod([layout.dims[k] for k in keep]))
-    return t.reshape(kept_dim, kept_dim)
+    k = math.prod(layout.dims[s] for s in keep)
+    r = math.prod(layout.dims[s] for s in traced)
+    # (rows, cols) -> (kept, traced, kept', traced'), then one trace over traced
+    order = keep + traced + [n + s for s in keep] + [n + s for s in traced]
+    t = rho.reshape(layout.dims + layout.dims).transpose(order).reshape(k, r, k, r)
+    return np.trace(t, axis1=1, axis2=3)
 
 
 def partial_transpose(rho: np.ndarray, part: int, layout: SubsystemLayout) -> np.ndarray:

@@ -5,6 +5,10 @@ periodogram, two-qubit logarithmic negativity, the 3x3 Pauli correlation
 matrix with its entanglement lower bound, threshold-crossing entanglement
 lifetimes, and the energy-exchange probability map used to parameterize
 entanglement decay.
+
+The entanglement quantities are computed over a whole (n, 4, 4) stack of
+probe marginals at once; the single-state functions are the same kernels
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -15,22 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PropagationError
-from .linalg import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    SubsystemLayout,
-    dag,
-    is_hermitian,
-    kron,
-    partial_trace,
-    partial_transpose,
-    trace_norm,
-)
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, partial_trace
 
-PROBE_LAYOUT = SubsystemLayout((2, 2))
-_PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-M_X_PROBE = kron(SIGMA_X, np.eye(2)) + kron(np.eye(2), SIGMA_X)
+M_X_PROBE = np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X)
+# _PAULI_PAIRS[i, j] = s_i kron s_j for s = (x, y, z)
+_PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(3, 3, 4, 4)
 
 EIG_CLIP_FLOOR = -1e-7
 
@@ -133,81 +127,102 @@ def power_spectrum(series: TimeSeries, window: str | None = None) -> SpectrumEst
     )
 
 
-def _clip_small_negatives(rho: np.ndarray) -> np.ndarray:
-    """Zero out tiny negative populations from rounding; renormalize."""
-    w, v = np.linalg.eigh(0.5 * (rho + dag(rho)))
-    if np.min(w) < EIG_CLIP_FLOOR:
-        raise PropagationError(f"state has negative population {np.min(w):.3e}")
-    if np.min(w) >= 0:
-        return rho
-    w = np.clip(w, 0.0, None)
-    rho = (v * w) @ dag(v)
-    return rho / np.trace(rho).real
+def _one(a, shape: tuple, message: str, dtype=complex) -> np.ndarray:
+    """``a`` as a stack of one, after checking that it has ``shape``."""
+    a = np.asarray(a, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(message)
+    return a[None]
+
+
+def _log_negativities(states: np.ndarray) -> np.ndarray:
+    """log2 trace norm of the partial transpose of each state of an (n, 4, 4) stack.
+
+    Tiny negative populations from rounding are zeroed and those states
+    renormalized. The first sample whose trace is off one, or whose
+    smallest population lies below ``EIG_CLIP_FLOOR``, raises.
+    """
+    dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
+    herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
+    w, v = np.linalg.eigh(herm)
+    bad = (dev > 1e-6) | (w[:, 0] < EIG_CLIP_FLOOR)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if dev[i] > 1e-6:
+            raise PropagationError("probe state trace deviates from one")
+        raise PropagationError(f"state has negative population {w[i, 0]:.3e}")
+    clip = w[:, 0] < 0
+    if clip.any():
+        vc = v[clip]
+        rho = (vc * np.clip(w[clip], 0.0, None)[:, None, :]) @ np.conj(np.swapaxes(vc, 1, 2))
+        herm[clip] = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    # transpose the first qubit: (n, a, b, a', b') -> (n, a', b, a, b')
+    pt = herm.reshape(-1, 2, 2, 2, 2).swapaxes(1, 3).reshape(-1, 4, 4)
+    # the partial transpose is Hermitian, so its trace norm is the sum of |eigenvalues|
+    norms = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=1)
+    return np.maximum(0.0, np.log2(norms))
+
+
+def _correlators(states: np.ndarray) -> np.ndarray:
+    """(n, 3, 3) Pauli correlators <s_i^A s_j^B> of an (n, 4, 4) stack."""
+    corr = np.einsum("ijab,nba->nij", _PAULI_PAIRS, states)
+    bad = np.abs(corr.imag) > 1e-10
+    if bad.any():
+        n, i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise PropagationError(
+            f"correlator <{'xyz'[i]}{'xyz'[j]}> has imaginary part {corr.imag[n, i, j]:.3e}"
+        )
+    return corr.real.copy()
+
+
+def _c2primes(lam: np.ndarray) -> np.ndarray:
+    """Entanglement lower bound of each correlator matrix of an (n, 3, 3) stack.
+
+    The matrices are symmetric for the states produced here; mild asymmetry
+    is symmetrized away. Samples with more fall back to singular values,
+    with one warning for the stack.
+    """
+    lam_t = np.swapaxes(lam, 1, 2)
+    eigs = np.abs(np.linalg.eigvalsh(0.5 * (lam + lam_t)))
+    asym = np.max(np.abs(lam - lam_t), axis=(1, 2))
+    skew = asym > 1e-8
+    if skew.any():
+        warnings.warn(
+            f"correlator matrix asymmetry {np.max(asym):.3e}; using singular values",
+            RuntimeWarning,
+        )
+        eigs[skew] = np.linalg.svd(lam[skew], compute_uv=False)
+    return np.maximum(0.0, np.log2(1.0 + np.sum(eigs, axis=1)) - 1.0)
 
 
 def log_negativity(rho_p: np.ndarray) -> float:
     """log2 of the trace norm of the partially transposed two-qubit state."""
-    rho_p = np.asarray(rho_p, dtype=complex)
-    if rho_p.shape != (4, 4):
-        raise ValueError("log-negativity expects a 4x4 probe state")
-    if abs(np.trace(rho_p).real - 1.0) > 1e-6:
-        raise PropagationError("probe state trace deviates from one")
-    rho_p = _clip_small_negatives(rho_p)
-    value = np.log2(trace_norm(partial_transpose(rho_p, 0, PROBE_LAYOUT)))
-    return max(0.0, float(value))
+    rho = _one(rho_p, (4, 4), "log-negativity expects a 4x4 probe state")
+    return float(_log_negativities(rho)[0])
 
 
 def correlation_matrix(rho_p: np.ndarray) -> np.ndarray:
     """3x3 matrix of two-qubit Pauli correlators <s_i^A s_j^B>."""
-    rho_p = np.asarray(rho_p, dtype=complex)
-    if rho_p.shape != (4, 4):
-        raise ValueError("correlation matrix expects a 4x4 probe state")
-    out = np.empty((3, 3))
-    for i, si in enumerate("xyz"):
-        for j, sj in enumerate("xyz"):
-            val = np.einsum("ij,ji->", kron(_PAULIS[si], _PAULIS[sj]), rho_p)
-            if abs(val.imag) > 1e-10:
-                raise PropagationError(
-                    f"correlator <{si}{sj}> has imaginary part {val.imag:.3e}"
-                )
-            out[i, j] = val.real
-    return out
+    rho = _one(rho_p, (4, 4), "correlation matrix expects a 4x4 probe state")
+    return _correlators(rho)[0]
 
 
 def lower_bound_c2prime(lambda_mat: np.ndarray) -> float:
-    """Entanglement lower bound from the correlator matrix eigenvalues.
-
-    The matrix is symmetric for the states produced here; mild asymmetry is
-    symmetrized away, anything larger falls back to singular values with a
-    warning.
-    """
-    lam = np.asarray(lambda_mat, dtype=float)
-    if lam.shape != (3, 3):
-        raise ValueError("expected a 3x3 correlator matrix")
-    asym = float(np.max(np.abs(lam - lam.T)))
-    if asym <= 1e-8:
-        eigs = np.linalg.eigvalsh(0.5 * (lam + lam.T))
-    else:
-        warnings.warn(
-            f"correlator matrix asymmetry {asym:.3e}; using singular values",
-            RuntimeWarning,
-        )
-        eigs = np.linalg.svd(lam, compute_uv=False)
-    return max(0.0, float(np.log2(1.0 + np.sum(np.abs(eigs))) - 1.0))
+    """Entanglement lower bound from the correlator matrix eigenvalues."""
+    lam = _one(lambda_mat, (3, 3), "expected a 3x3 correlator matrix", dtype=float)
+    return float(_c2primes(lam)[0])
 
 
-def entanglement_trace(t_grid: np.ndarray, marginals: np.ndarray, step: float | None = None) -> EntanglementTrace:
-    """Per-sample log-negativity, correlators and lower bound from marginals."""
-    n = len(t_grid)
-    e_p = np.empty(n)
-    c2 = np.empty(n)
-    corr = np.empty((n, 3, 3))
-    for i in range(n):
-        rho_p = marginals[i]
-        e_p[i] = log_negativity(rho_p)
-        corr[i] = correlation_matrix(rho_p)
-        c2[i] = lower_bound_c2prime(corr[i])
-    return EntanglementTrace(t_grid=np.asarray(t_grid), log_negativity=e_p, c2prime=c2, correlators=corr)
+def entanglement_trace(t_grid: np.ndarray, marginals: np.ndarray) -> EntanglementTrace:
+    """Log-negativity, correlators and lower bound of every probe marginal, in one pass."""
+    states = np.asarray(marginals, dtype=complex)
+    if states.shape != (len(t_grid), 4, 4):
+        raise ValueError("entanglement trace expects one 4x4 probe marginal per time")
+    e_p = _log_negativities(states)
+    corr = _correlators(states)
+    return EntanglementTrace(
+        t_grid=np.asarray(t_grid), log_negativity=e_p, c2prime=_c2primes(corr), correlators=corr
+    )
 
 
 def entanglement_lifetime(trace: EntanglementTrace, epsilon: float) -> float | None:

@@ -211,10 +211,13 @@ class Scenario:
             "trace_step_cycles": self.trace_step_cycles,
             "bell_step_cycles": self.bell_step_cycles,
         }
+        if self.kind == "spectrum_sweep":
+            del out["duration"]  # n_samples and sample_step set it; from_dict rejects the key
         return out
 
     def hash(self) -> str:
         payload = self.canonical_dict()
+        payload["duration"] = self.resolved_duration()  # every kind hashes it, as it always has
         payload.pop("output", None)  # relocating a run keeps its identity
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]

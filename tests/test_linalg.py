@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,25 @@ class TestPartialTrace:
             for keep in ((0,), (1, 2), (0, 2)):
                 reduced = partial_trace(rho, keep, layout)
                 assert abs(np.trace(reduced) - np.trace(rho)) < 1e-12
+
+    @pytest.mark.parametrize("keep", [(0, 2), (1,), (0, 1), (0, 1, 2)])
+    def test_matches_index_sum(self, keep):
+        dims = (2, 3, 2)
+        rho = random_density(np.random.default_rng(4), 12).reshape(dims + dims)
+        traced = [s for s in range(3) if s not in keep]
+        kept_dims = [dims[s] for s in keep]
+        expected = np.zeros((int(np.prod(kept_dims)),) * 2, dtype=complex)
+        for row, col in itertools.product(np.ndindex(*kept_dims), repeat=2):
+            for env in np.ndindex(*[dims[s] for s in traced]):
+                r, c = [0] * 3, [0] * 3
+                for s, i, j in zip(keep, row, col):
+                    r[s], c[s] = i, j
+                for s, e in zip(traced, env):
+                    r[s] = c[s] = e
+                at = np.ravel_multi_index(row, kept_dims), np.ravel_multi_index(col, kept_dims)
+                expected[at] += rho[tuple(r + c)]
+        reduced = partial_trace(rho.reshape(12, 12), keep, SubsystemLayout(dims))
+        assert np.allclose(reduced, expected, atol=1e-15, rtol=0)
 
     def test_errors(self):
         rho = np.eye(4) / 4

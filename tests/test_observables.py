@@ -1,7 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, herm_eig, kron
+from tlfsim.linalg import (
+    I2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    SubsystemLayout,
+    herm_eig,
+    kron,
+    partial_transpose,
+    trace_norm,
+)
 from tlfsim.dynamics import LindbladGenerator, PropagationError, propagate
 from tlfsim.model import ModelConfig, build_operators, initial_state, probe_only_operators, probe_state_vector, sample_ensemble, tlf_ground_state
 from tlfsim.observables import (
@@ -230,6 +242,111 @@ class TestLowerBound:
                          marginal_keep=(0, 1), layout=ops.layout)
         et = entanglement_trace(traj.t_grid, traj.marginals)
         assert np.all(et.c2prime <= et.log_negativity + 1e-8)
+
+
+def reference_trace(marginals):
+    """Per-sample oracle: eigh clip, SVD trace norm of the partial transpose, kron correlators."""
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    e_p, corr, c2 = [], [], []
+    for rho in marginals:
+        lam = np.array([[np.trace(kron(a, b) @ rho).real for b in paulis] for a in paulis])
+        w, v = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+        if w.min() < 0:
+            rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
+            rho = rho / np.trace(rho).real
+        pt = partial_transpose(rho, 0, SubsystemLayout((2, 2)))
+        e_p.append(max(0.0, np.log2(trace_norm(pt))))
+        if np.max(np.abs(lam - lam.T)) <= 1e-8:
+            eigs = np.linalg.eigvalsh(0.5 * (lam + lam.T))
+        else:
+            eigs = np.linalg.svd(lam, compute_uv=False)
+        corr.append(lam)
+        c2.append(max(0.0, np.log2(1.0 + np.sum(np.abs(eigs))) - 1.0))
+    return np.array(e_p), np.array(corr), np.array(c2)
+
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def random_probe_states(rng, n):
+    """Swap-symmetrized random states, so each correlator matrix is symmetric."""
+    out = []
+    for i in range(n):
+        a = rng.normal(size=(4, 1 + i % 4)) + 1j * rng.normal(size=(4, 1 + i % 4))
+        rho = a @ a.conj().T
+        rho = rho + SWAP @ rho @ SWAP
+        out.append(rho / np.trace(rho).real)
+    return np.array(out)
+
+
+def probe_batch(n=9):
+    return np.array([0.5 * dm(PHI_PLUS) + 0.5 * dm(PLUS_PLUS)] * n)
+
+
+class TestBatchedEntanglement:
+    def test_matches_per_sample_oracle(self):
+        rng = np.random.default_rng(40)
+        states = random_probe_states(rng, 240)
+        # rounding-level negative populations that must be clipped
+        for i in range(0, 240, 8):
+            states[i] = (1 + 4e-9) * dm(PHI_PLUS if i % 16 else PLUS_PLUS) - 1e-9 * np.eye(4)
+        # one state whose correlator matrix is asymmetric
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states[101] = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        e_ref, corr_ref, c2_ref = reference_trace(states)
+        assert np.max(np.abs(corr_ref[101] - corr_ref[101].T)) > 1e-8
+        assert np.sum(e_ref > 0.1) > 40 and np.sum(e_ref == 0.0) > 40
+        with pytest.warns(RuntimeWarning):
+            et = entanglement_trace(np.arange(240.0), states)
+        assert np.max(np.abs(et.log_negativity - e_ref)) <= 1e-12
+        assert np.max(np.abs(et.correlators - corr_ref)) <= 1e-12
+        assert np.max(np.abs(et.c2prime - c2_ref)) <= 1e-12
+
+    def test_single_sample_views_match_batch(self):
+        states = random_probe_states(np.random.default_rng(41), 20)
+        et = entanglement_trace(np.arange(20.0), states)
+        for i, rho in enumerate(states):
+            assert log_negativity(rho) == et.log_negativity[i]
+            assert np.array_equal(correlation_matrix(rho), et.correlators[i])
+            assert lower_bound_c2prime(et.correlators[i]) == et.c2prime[i]
+
+    @pytest.mark.parametrize(
+        "bad, single",
+        [
+            (1.01 * dm(PHI_PLUS), log_negativity),
+            (dm(PHI_PLUS) - 1e-5 * np.diag([1.0, -1.0 / 3, -1.0 / 3, -1.0 / 3]), log_negativity),
+            (dm(PHI_PLUS) + 1e-6j * kron(SIGMA_X, SIGMA_X), correlation_matrix),
+        ],
+        ids=["trace", "population", "imaginary"],
+    )
+    def test_guard_fires_mid_batch(self, bad, single):
+        with pytest.raises(PropagationError) as alone:
+            single(bad)
+        states = probe_batch()
+        states[4] = bad
+        with pytest.raises(PropagationError) as batched:
+            entanglement_trace(np.arange(9.0), states)
+        assert str(batched.value) == str(alone.value)
+
+    def test_asymmetry_fallback_changes_only_flagged_sample(self):
+        states = random_probe_states(np.random.default_rng(42), 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clean = entanglement_trace(np.arange(9.0), states)
+        a = np.random.default_rng(43).normal(size=(4, 4))
+        states[4] = a @ a.T / np.trace(a @ a.T)
+        with pytest.warns(RuntimeWarning, match="asymmetry"):
+            mixed = entanglement_trace(np.arange(9.0), states)
+        others = np.arange(9) != 4
+        assert np.array_equal(mixed.c2prime[others], clean.c2prime[others])
+        lam = mixed.correlators[4]
+        assert np.max(np.abs(lam - lam.T)) > 1e-8
+        sv = np.linalg.svd(lam, compute_uv=False)
+        assert np.isclose(mixed.c2prime[4], max(0.0, np.log2(1.0 + sv.sum()) - 1.0), atol=1e-15)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            entanglement_trace(np.arange(3.0), probe_batch(4))
 
 
 class TestLifetime:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import yaml
 
 from tlfsim.model import ConfigurationError, ModelConfig
 from tlfsim.observables import SpectrumEstimate
-from tlfsim.scenarios import GateSpec, Scenario, detect_peaks, run_scenario
+from tlfsim.scenarios import (
+    KINDS,
+    GateSpec,
+    Scenario,
+    detect_peaks,
+    load_scenario_file,
+    run_scenario,
+)
 
 SMALL_MODEL = {"n_tlf": 2, "ratio_eps": 3.0, "tan_theta_bar": 1.0 / 3.0, "seed": 5}
 
@@ -77,6 +85,35 @@ class TestScenarioValidation:
         model = dict(SMALL_MODEL, seed=6)
         b = Scenario.from_dict({"schema_version": 1, "kind": "spectrum_sweep", "model": model})
         assert a.hash() != b.hash()
+
+
+SHIPPED = sorted((Path(__file__).parent.parent / "scenarios").glob("*.yaml"))
+KIND_EXTRAS = {"bell_decay": {"bell": "phi-"}, "gate": {"gate": {"kind": "zz"}}}
+
+
+def _round_trips(sc):
+    back = Scenario.from_dict(sc.canonical_dict())
+    assert back.canonical_dict() == sc.canonical_dict()
+    assert back.hash() == sc.hash()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_canonical_dict_round_trips_per_kind(kind):
+    raw = {"schema_version": 1, "kind": kind, **KIND_EXTRAS.get(kind, {})}
+    _round_trips(Scenario.from_dict(raw))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_canonical_dict_round_trips_shipped(path):
+    for _, sc in load_scenario_file(path):
+        _round_trips(sc)
+
+
+def test_spectrum_hash_keeps_duration():
+    # canonical_dict omits the derived duration of a spectrum sweep; its hash still covers it
+    sc = small_scenario("spectrum_sweep", n_samples=64)
+    assert "duration" not in sc.canonical_dict()
+    assert sc.hash() == "8d456c9437fdd9cf"  # the hash before the key was dropped
 
 
 class TestPeakDetection:
