@@ -159,12 +159,12 @@ def trace_norm(a: np.ndarray) -> float:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade core)."""
+    """Matrix exponential (scaling-and-squaring with Pade core); real input stays real."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm expects a square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("expm input has non-finite entries")
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
+    return scipy.linalg.expm(np.asarray(a, dtype=complex if np.iscomplexobj(a) else float))
 
 
 def vec(a: np.ndarray) -> np.ndarray:

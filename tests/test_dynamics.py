@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlfsim.linalg import (
     I2,
@@ -15,6 +18,10 @@ from tlfsim.linalg import (
 from tlfsim.dynamics import (
     LindbladGenerator,
     PropagationError,
+    _block_propagator,
+    _hermitian_basis,
+    _liouvillian_block,
+    _make_stepper,
     build_liouvillian,
     find_invariant_sectors,
     propagate,
@@ -45,6 +52,30 @@ def random_two_qubit_generator(seed=0):
     h = (a + a.conj().T) / 2
     j1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return LindbladGenerator(h=h, jumps=[(0.3, j1), (0.1, kron(SIGMA_Z, I2))])
+
+
+def kron_liouvillian_block(h_row, h_col, jumps_row_col):
+    """Oracle: the block Liouvillian summed term by term from identity Kronecker products."""
+    nr, nc = h_row.shape[0], h_col.shape[0]
+    ir = np.eye(nr, dtype=complex)
+    ic = np.eye(nc, dtype=complex)
+    l = -1j * (np.kron(ic, h_row) - np.kron(h_col.T, ir))
+    for rate, j_row, j_col in jumps_row_col:
+        k_row = j_row.conj().T @ j_row
+        k_col = j_col.conj().T @ j_col
+        l += rate * (
+            np.kron(j_col.conj(), j_row)
+            - 0.5 * np.kron(ic, k_row)
+            - 0.5 * np.kron(k_col.T, ir)
+        )
+    return l
+
+
+def random_block_ops(rng, n, n_jumps):
+    """Restricted (H, stacked jumps) of one random n-dimensional sector."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    jumps = rng.normal(size=(n_jumps, n, n)) + 1j * rng.normal(size=(n_jumps, n, n))
+    return 0.5 * (a + a.conj().T), 0.5 * jumps
 
 
 class TestGenerator:
@@ -84,6 +115,74 @@ class TestLiouvillian:
         traj = propagate(gen, np.outer(PLUS, PLUS.conj()), 5.0, dt=0.01, keep_states=True)
         coh = traj.states[:, 0, 1]
         assert np.max(np.abs(coh - 0.5 * np.exp(-2 * rate * traj.t_grid))) < 1e-8
+
+
+class TestBlockAssembly:
+    """The effective-Hamiltonian assembly and the real-basis exponential against the kron oracle."""
+
+    @pytest.mark.parametrize("nr, nc, n_jumps", [(3, 5, 0), (5, 3, 0), (2, 6, 3), (6, 4, 5)])
+    def test_matches_kron_oracle(self, nr, nc, n_jumps):
+        rng = np.random.default_rng(nr * 100 + nc * 10 + n_jumps)
+        h_r, j_r = random_block_ops(rng, nr, n_jumps)
+        h_c, j_c = random_block_ops(rng, nc, n_jumps)
+        rates = rng.uniform(0.1, 1.0, size=n_jumps)
+        l = _liouvillian_block(h_r, h_c, rates, j_r, j_c)
+        oracle = kron_liouvillian_block(h_r, h_c, list(zip(rates, j_r, j_c)))
+        assert l.shape == (nr * nc, nr * nc)
+        assert np.max(np.abs(l - oracle)) < 1e-14
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_hermitian_basis_is_unitary_and_hermitian(self, n):
+        w = _hermitian_basis(n).toarray()
+        assert np.max(np.abs(w.conj().T @ w - np.eye(n * n))) < 1e-15
+        for col in w.T:
+            b = col.reshape((n, n), order="F")
+            assert np.array_equal(b, b.conj().T)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_real_basis_propagator(self, n):
+        rng = np.random.default_rng(40 + n)
+        ops = random_block_ops(rng, n, 3)
+        rates = np.array([0.7, 0.2, 0.4])
+        dt = 0.3
+        prop = _block_propagator(ops, ops, rates, dt, self_adjoint=True)
+        jumps = list(zip(rates, ops[1], ops[1]))
+        exact = scipy.linalg.expm(kron_liouvillian_block(ops[0], ops[0], jumps) * dt)
+        assert np.max(np.abs(prop - exact)) < 1e-13
+        # a non-Hermitian block is mapped by the same complex-linear propagator
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert np.max(np.abs(prop @ vec(x) - exact @ vec(x))) < 1e-13
+
+    def test_complex_block_propagator(self):
+        rng = np.random.default_rng(50)
+        ops_r, ops_c = random_block_ops(rng, 3, 2), random_block_ops(rng, 4, 2)
+        rates = np.array([0.5, 0.3])
+        prop = _block_propagator(ops_r, ops_c, rates, 0.2, self_adjoint=False)
+        jumps = list(zip(rates, ops_r[1], ops_c[1]))
+        exact = scipy.linalg.expm(kron_liouvillian_block(ops_r[0], ops_c[0], jumps) * 0.2)
+        assert np.max(np.abs(prop - exact)) < 1e-13
+
+    def test_mismatched_operators_are_not_self_adjoint(self):
+        rng = np.random.default_rng(51)
+        ops_r, ops_c = random_block_ops(rng, 3, 1), random_block_ops(rng, 3, 1)
+        with pytest.raises(PropagationError):
+            _block_propagator(ops_r, ops_c, np.array([0.5]), 0.2, self_adjoint=True)
+
+    @pytest.mark.parametrize("n_tlf", [1, 2])
+    def test_same_class_off_diagonal_pair(self, n_tlf):
+        # under psi+ the |01> and |10> sectors share a class, so the (|01>, |10>)
+        # pair is stepped by the real-basis propagator; feed it a non-Hermitian block
+        gen, rho0 = probe_tlf_system(n_tlf, "psi+")
+        dt = 0.05
+        stepper = _make_stepper(gen, dt, "sector", rho0)
+        assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
+        d = 2**n_tlf
+        rng = np.random.default_rng(52)
+        x = np.zeros((gen.dim, gen.dim), dtype=complex)
+        x[d : 2 * d, 2 * d : 3 * d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        jumps = [(rate, op, op) for rate, op in gen.jumps]
+        exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
+        assert np.max(np.abs(vec(stepper.step(x)) - exact)) < 1e-13
 
 
 class TestStepPropagator:
@@ -217,7 +316,7 @@ def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21):
 
 
 class TestBlockEngine:
-    """The live-pair, class-shared block engine against the dense propagator."""
+    """The live-pair, class-shared block engine against the dense propagator and RK4."""
 
     @pytest.mark.parametrize(
         "n_tlf, state, gate, variant",
@@ -237,6 +336,13 @@ class TestBlockEngine:
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
         assert (dense.stats["sectors"], dense.stats["propagators"]) == (1, 1)
 
+    # (propagators_real, block_dim_max) of the counter cases below
+    REAL_AND_DIM = {
+        ("plus_plus", None): (3, 256),
+        ("phi+", None): (2, 256),
+        ("plus_plus", "xxyy"): (3, 1024),
+    }
+
     @pytest.mark.parametrize(
         "state, gate, sectors, pairs_live, propagators",
         [
@@ -251,11 +357,33 @@ class TestBlockEngine:
     def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
         gen, rho0 = probe_tlf_system(4, state, gate)
         traj = propagate(gen, rho0, 0.1, dt=0.05)
-        counters = {k: traj.stats[k] for k in ("sectors", "pairs_live", "propagators")}
+        names = ("sectors", "pairs_live", "propagators", "propagators_real", "block_dim_max")
+        counters = {k: traj.stats[k] for k in names}
+        # diagonal class pairs take the real basis; 16-dim sectors give 256-dim
+        # blocks, the XX+YY-merged 32-dim sector a 1024-dim one
+        real, dim_max = self.REAL_AND_DIM[(state, gate)]
         assert counters == {
-            "sectors": sectors, "pairs_live": pairs_live, "propagators": propagators
+            "sectors": sectors,
+            "pairs_live": pairs_live,
+            "propagators": propagators,
+            "propagators_real": real,
+            "block_dim_max": dim_max,
         }
         assert all(type(v) is int for v in counters.values())
+
+    @given(
+        n_tlf=st.sampled_from([1, 2]),
+        state=st.sampled_from(PROBE_STATES),
+        gate=st.sampled_from([None, "zz", "xxyy"]),
+        variant=st.sampled_from(list(MODEL_VARIANTS)),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    def test_matches_rk4(self, n_tlf, state, gate, variant, seed):
+        gen, rho0 = probe_tlf_system(n_tlf, state, gate, variant, seed)
+        a = propagate(gen, rho0, 2.0, dt=0.02, keep_states=True)
+        b = rk4_reference(gen, rho0, 2.0, dt=0.002, keep_states=True, record_every=10)
+        assert np.max(np.abs(a.states - b.states)) < 1e-7
 
 
 class TestStationaryBellStates:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tlfsim.linalg import (
     I2,
@@ -244,6 +245,27 @@ class TestExpm:
 
     def test_non_finite_rejected(self):
         bad = np.array([[np.inf, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            expm(bad)
+
+    def test_real_input_stays_real(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(6, 6))
+        out = expm(a)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, scipy.linalg.expm(a))
+
+    def test_complex_input_unchanged(self):
+        rng = np.random.default_rng(14)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        out = expm(a)
+        assert out.dtype == np.complex128
+        assert np.array_equal(out, scipy.linalg.expm(a))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_non_finite_rejected_for_both_dtypes(self, dtype):
+        bad = np.zeros((3, 3), dtype=dtype)
+        bad[1, 2] = np.nan
         with pytest.raises(ValueError):
             expm(bad)
 

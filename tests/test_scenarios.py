@@ -181,9 +181,11 @@ class TestSpectrumSweep:
         ens = manifest["ensembles"]["mu0.50"]
         assert len(ens["eps"]) == 2
         assert manifest["library_version"]
-        for label in ("mu0.50", "control"):
+        # two fluctuators give 4-dim sectors; the isolated probe has 1-dim ones
+        for label, dim_max in (("mu0.50", 16), ("control", 1)):
             cptp = manifest["summary"]["cptp"][label]
             assert (cptp["sectors"], cptp["pairs_live"], cptp["propagators"]) == (4, 16, 6)
+            assert (cptp["propagators_real"], cptp["block_dim_max"]) == (3, dim_max)
 
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
