@@ -14,7 +14,7 @@ Subcommands
 Global flags: ``--seed`` (override the scenario seed), ``--out-dir``
 (override the scenario output directory; falls back to the
 ``SPINBOSON_OUT_DIR`` environment variable), ``--jobs N`` (run the
-scenario's points in a worker pool N wide; 1 runs them one after another in
+scenario's points in a worker pool N >= 1 wide; 1 runs them one after another in
 this process, and the default sizes the pool to the CPU count; tables are
 byte-identical either way), ``--deterministic`` (the same as ``--jobs 1``),
 ``--format {csv|jsonl}``.
@@ -78,6 +78,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_global_flags(parser) -> None:
     # SUPPRESS keeps subcommand-level occurrences from clobbering values
     # parsed before the subcommand; real defaults live in set_defaults below.
@@ -96,7 +103,7 @@ def _add_global_flags(parser) -> None:
         help="run the points serially, the same as --jobs 1",
     )
     parser.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS, help="worker-pool width"
+        "--jobs", type=positive_int, default=argparse.SUPPRESS, help="worker-pool width (>= 1)"
     )
     parser.add_argument(
         "--format", choices=FORMATS, default=argparse.SUPPRESS, help="output table format"

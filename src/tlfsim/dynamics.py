@@ -21,14 +21,16 @@ test suite:
   sum_k rate_k conj(J_col,k) kron J_row,k. A (c, c) pair has the same
   operators on both sides, so its flow preserves Hermiticity and L is real
   in an orthonormal Hermitian basis; its exponential is taken there in real
-  arithmetic and mapped back. ``method="dense"`` takes the one-sector route
-  through the same engine;
+  arithmetic and mapped back. This is ``method="sector"``, the default;
+  ``method="dense"`` takes the one-sector route through the same engine and
+  is the sector route's oracle;
 * a classic fixed-step fourth-order Runge-Kutta integrator acting on the
   operator form of the equation of motion, kept as an independent oracle.
 
 Recorded states are lightly repaired each step (re-Hermitized, and trace
 renormalized only when the drift is within the repair tolerance); positivity
-is never enforced here. ``Trajectory.stats`` carries these hygiene figures
+is never enforced here, only checked every ``EIG_CHECK_STRIDE`` steps and at
+the end. ``Trajectory.stats`` carries these hygiene figures
 and, from :func:`propagate`, the engine's counters: ``sectors``,
 ``pairs_live``, ``propagators`` built, ``propagators_real`` (those taken in
 the real basis) and ``block_dim_max`` (the largest block Liouvillian's
@@ -50,6 +52,7 @@ TRACE_REPAIR_TOL = 1e-9
 TRACE_ABORT_TOL = 1e-6
 HERM_ABORT_TOL = 1e-6
 EIG_ABORT_TOL = -1e-5
+EIG_CHECK_STRIDE = 100  # steps between full-state eigenvalue checks
 
 
 class PropagationError(RuntimeError):
@@ -62,7 +65,6 @@ class LindbladGenerator:
 
     h: np.ndarray
     jumps: list  # (rate, operator) pairs
-    dim: int = 0
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -70,7 +72,6 @@ class LindbladGenerator:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
         dim = h.shape[0]
-        object.__setattr__(self, "dim", dim)
         if not is_hermitian(h):
             raise ValueError("Hamiltonian is not Hermitian")
         cleaned = []
@@ -83,9 +84,13 @@ class LindbladGenerator:
             cleaned.append((float(rate), op))
         object.__setattr__(self, "jumps", cleaned)
 
+    @property
+    def dim(self) -> int:
+        return self.h.shape[0]
+
     @classmethod
     def from_system(cls, ops) -> "LindbladGenerator":
-        return cls(h=ops.hamiltonian, jumps=list(ops.jumps), dim=ops.hamiltonian.shape[0])
+        return cls(h=ops.hamiltonian, jumps=list(ops.jumps))
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the superoperator spectral norm."""
@@ -298,15 +303,6 @@ class _BlockStepper:
         return out.reshape(rho.shape)
 
 
-def _make_stepper(
-    gen: LindbladGenerator, dt: float, method: str, rho0: np.ndarray
-) -> _BlockStepper:
-    if method not in ("auto", "dense", "sector"):
-        raise ValueError(f"unknown propagation method {method!r}")
-    sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
-    return _BlockStepper(gen, dt, sectors, rho0)
-
-
 @dataclass
 class Trajectory:
     """Uniformly sampled propagation record."""
@@ -318,10 +314,6 @@ class Trajectory:
     states: np.ndarray | None = None
     final_state: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.t_grid)
 
 
 def _validate_initial_state(rho0: np.ndarray, dim: int) -> np.ndarray:
@@ -416,8 +408,7 @@ def propagate(
     marginal_keep=None,
     layout: SubsystemLayout | None = None,
     keep_states: bool = False,
-    method: str = "auto",
-    check_stride: int = 100,
+    method: str = "sector",
 ) -> Trajectory:
     """Propagate on the grid 0, dt, ..., t_end with a precomputed step map.
 
@@ -425,16 +416,21 @@ def propagate(
     contracted on the fly; ``marginal_keep`` (with ``layout``) additionally
     records the reduced state on the kept sites at every grid point. Full
     states are retained only on request (memory grows with the grid).
+    ``method="sector"`` steps the invariant sector pairs; ``"dense"`` steps
+    the whole state as one sector, the oracle of the sector route.
     """
+    if method not in ("dense", "sector"):
+        raise ValueError(f"unknown propagation method {method!r}")
     rho = _validate_initial_state(rho0, gen.dim)
     n_steps = _grid_steps(t_end, dt)
-    stepper = _make_stepper(gen, dt, method, rho)
+    sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
+    stepper = _BlockStepper(gen, dt, sectors, rho)
 
     rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
     t_grid = dt * np.arange(n_steps + 1)
     for i in range(n_steps + 1):
         rec.take(i, rho)
-        if check_stride and i % check_stride == 0:
+        if i % EIG_CHECK_STRIDE == 0:
             rec.check_eigs(rho, t_grid[i])
         if i < n_steps:
             rho = stepper.step(rho)

@@ -2,7 +2,6 @@
 
 Operators are plain complex ndarrays. Composite Hilbert spaces are
 described by a :class:`SubsystemLayout` (ordered subsystem dimensions).
-Vectorization is column-stacking throughout: vec(A X B) = (B^T kron A) vec(X).
 All functions are pure; nothing here mutates its inputs.
 """
 
@@ -46,26 +45,6 @@ class SubsystemLayout:
     def n_sites(self) -> int:
         return len(self.dims)
 
-    def flatten_index(self, multi: tuple[int, ...]) -> int:
-        """Row-major flat index of a per-site multi-index."""
-        if len(multi) != self.n_sites:
-            raise ValueError("multi-index length mismatch")
-        flat = 0
-        for d, i in zip(self.dims, multi):
-            if not 0 <= i < d:
-                raise ValueError(f"index {i} out of range for dim {d}")
-            flat = flat * d + i
-        return flat
-
-    def unflatten_index(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total_dim:
-            raise ValueError(f"flat index {flat} out of range")
-        out = []
-        for d in reversed(self.dims):
-            out.append(flat % d)
-            flat //= d
-        return tuple(reversed(out))
-
 
 def dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
@@ -74,11 +53,6 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def is_hermitian(a: np.ndarray, atol: float = HERM_ATOL) -> bool:
     return bool(np.max(np.abs(a - dag(a))) <= atol)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product (dimensions multiply)."""
-    return np.kron(a, b)
 
 
 def pauli_string(label: str) -> np.ndarray:
@@ -125,18 +99,6 @@ def partial_trace(rho: np.ndarray, keep, layout: SubsystemLayout) -> np.ndarray:
     return np.trace(t, axis1=1, axis2=3)
 
 
-def partial_transpose(rho: np.ndarray, part: int, layout: SubsystemLayout) -> np.ndarray:
-    """Transpose the row/column indices of site ``part`` only."""
-    if not 0 <= part < layout.n_sites:
-        raise ValueError(f"site {part} out of range")
-    if rho.shape != (layout.total_dim, layout.total_dim):
-        raise ValueError(f"state shape {rho.shape} != layout dim {layout.total_dim}")
-    n = layout.n_sites
-    t = rho.reshape(layout.dims + layout.dims)
-    t = np.swapaxes(t, part, part + n)
-    return t.reshape(layout.total_dim, layout.total_dim)
-
-
 def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -151,13 +113,6 @@ def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("trace norm expects a square matrix")
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring with Pade core); real input stays real."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -166,20 +121,3 @@ def expm(a: np.ndarray) -> np.ndarray:
         raise ValueError("expm input has non-finite entries")
     return scipy.linalg.expm(np.asarray(a, dtype=complex if np.iscomplexobj(a) else float))
 
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(a).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`. Square by default."""
-    v = np.asarray(v)
-    if rows is None:
-        rows = int(round(np.sqrt(v.size)))
-        cols = rows
-    elif cols is None:
-        cols = v.size // rows
-    if rows * cols != v.size:
-        raise ValueError("vector length incompatible with requested shape")
-    return v.reshape((rows, cols), order="F")

@@ -16,8 +16,9 @@ the second basis vector. The charge operator of a TLF with mixing angle
 
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,13 +27,11 @@ from .linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     SubsystemLayout,
     embed,
     herm_eig,
     is_hermitian,
-    kron,
     pauli_string,
 )
 
@@ -40,10 +39,8 @@ GAMMA_PLUS_MODES = ("scaled-by-nbar", "sampled")
 
 PROBE_STATES = ("plus_plus", "phi+", "phi-", "psi+", "psi-")
 
-GATE_GENERATORS = {
-    "zz": kron(SIGMA_Z, SIGMA_Z),
-    "xxyy": kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y),
-}
+# two-qubit Pauli terms of each gate Hamiltonian, on the probe pair
+GATE_TERMS = {"zz": ("ZZ",), "xxyy": ("XX", "YY")}
 
 
 class ConfigurationError(ValueError):
@@ -52,6 +49,27 @@ class ConfigurationError(ValueError):
 
 class GroundStateDegeneracyError(RuntimeError):
     """The fluctuator register has a (near-)degenerate ground space."""
+
+
+_FIELD_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "float | None": ((numbers.Real, type(None)), "a number or null"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ConfigurationError unless each int, float, bool or str field (or
+    optional float or str field) of the dataclass ``obj`` holds that kind of
+    value; a bool is not taken for a number."""
+    for f in fields(obj):
+        kind, what = _FIELD_KINDS.get(f.type, (object, ""))
+        v = getattr(obj, f.name)
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigurationError(f"{f.name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,7 @@ class ModelConfig:
     halve_couplings: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.omega_p <= 0:
             raise ConfigurationError("omega_p must be positive")
         if self.n_tlf < 1:
@@ -351,9 +370,7 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
     n = ens.n_tlf
     layout = SubsystemLayout((2,) * (2 + n))
     terms = hamiltonian_terms(ens, cfg)
-    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for coeff, lab in terms:
-        h += coeff * pauli_string(lab)
+    h = _plus_terms(np.zeros((layout.total_dim, layout.total_dim), dtype=complex), terms)
     if not is_hermitian(h):
         raise RuntimeError("assembled Hamiltonian is not Hermitian")
 
@@ -430,7 +447,21 @@ def initial_state(probe: str, tlf: np.ndarray, layout: SubsystemLayout) -> np.nd
         raise ValueError("TLF state is not positive semidefinite")
     psi = probe_state_vector(probe)
     probe_dm = np.outer(psi, psi.conj())
-    return kron(probe_dm, tlf)
+    return np.kron(probe_dm, tlf)
+
+
+def _plus_terms(h: np.ndarray, terms) -> np.ndarray:
+    """``h`` plus each scaled Pauli string of ``terms``, added one at a time."""
+    for coeff, lab in terms:
+        h = h + coeff * pauli_string(lab)
+    return h
+
+
+def _gate_terms(gate: str, gate_strength: float, n_sites: int) -> list[tuple[float, str]]:
+    """Scaled Pauli terms of ``gate`` on the probe pair of an ``n_sites`` register."""
+    if gate not in GATE_TERMS:
+        raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
+    return [(gate_strength, lab + "I" * (n_sites - 2)) for lab in GATE_TERMS[gate]]
 
 
 def probe_only_operators(
@@ -438,34 +469,21 @@ def probe_only_operators(
 ) -> SystemOperators:
     """Isolated two-qubit probe (no fluctuators), optionally with a gate term."""
     layout = SubsystemLayout((2, 2))
-    h = (cfg.omega_p / 2.0) * (embed(SIGMA_Z, 0, layout) + embed(SIGMA_Z, 1, layout))
     terms = [(cfg.omega_p / 2.0, "ZI"), (cfg.omega_p / 2.0, "IZ")]
     if gate is not None:
-        if gate not in GATE_GENERATORS:
-            raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_GENERATORS)}")
-        h = h + gate_strength * GATE_GENERATORS[gate]
         terms += _gate_terms(gate, gate_strength, n_sites=2)
+    h = _plus_terms(np.zeros((4, 4), dtype=complex), terms)
     m_x = embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout)
     return SystemOperators(hamiltonian=h, jumps=[], m_x=m_x, layout=layout, terms=terms)
 
 
-def _gate_terms(gate: str, gate_strength: float, n_sites: int) -> list[tuple[float, str]]:
-    tail = "I" * (n_sites - 2)
-    if gate == "zz":
-        return [(gate_strength, "ZZ" + tail)]
-    return [(gate_strength, "XX" + tail), (gate_strength, "YY" + tail)]
-
-
 def add_gate(ops: SystemOperators, gate: str, gate_strength: float) -> SystemOperators:
     """Return a copy of the system with a static two-qubit gate term added."""
-    if gate not in GATE_GENERATORS:
-        raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_GENERATORS)}")
-    tlf_dim = int(np.prod(ops.layout.dims[2:]))
-    g_full = kron(GATE_GENERATORS[gate], np.eye(tlf_dim, dtype=complex))
+    terms = _gate_terms(gate, gate_strength, ops.layout.n_sites)
     return SystemOperators(
-        hamiltonian=ops.hamiltonian + gate_strength * g_full,
+        hamiltonian=_plus_terms(ops.hamiltonian, terms),
         jumps=ops.jumps,
         m_x=ops.m_x,
         layout=ops.layout,
-        terms=list(ops.terms) + _gate_terms(gate, gate_strength, ops.layout.n_sites),
+        terms=list(ops.terms) + terms,
     )

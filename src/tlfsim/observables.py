@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import PropagationError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, partial_trace
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 M_X_PROBE = np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X)
 # _PAULI_PAIRS[i, j] = s_i kron s_j for s = (x, y, z)
@@ -71,40 +71,29 @@ class EntanglementTrace:
     correlators: np.ndarray | None = None  # (n, 3, 3)
 
 
-def magnetization_series(traj, layout: SubsystemLayout | None = None) -> TimeSeries:
+def magnetization_series(traj) -> TimeSeries:
     """Transverse probe magnetization <X_A + X_B> along a trajectory.
 
     Uses a recorded "M_x" expectation channel when present, otherwise
-    contracts recorded probe marginals, otherwise retained full states
-    (which then require the trajectory's layout).
+    contracts recorded probe marginals.
     """
     if "M_x" in traj.expectations:
         values = np.asarray(traj.expectations["M_x"], dtype=float)
     elif traj.marginals is not None and traj.marginals.shape[1] == 4:
         values = np.einsum("ij,nji->n", M_X_PROBE, traj.marginals).real
-    elif traj.states is not None:
-        if layout is None:
-            raise ValueError("magnetization from full states requires a layout")
-        values = np.array(
-            [
-                np.einsum("ij,ji->", M_X_PROBE, partial_trace(s, (0, 1), layout)).real
-                for s in traj.states
-            ]
-        )
     else:
         raise ValueError("trajectory carries no magnetization record")
     return TimeSeries(t_grid=np.asarray(traj.t_grid), values=values, step=float(traj.step))
 
 
-def power_spectrum(series: TimeSeries, window: str | None = None) -> SpectrumEstimate:
+def power_spectrum(series: TimeSeries) -> SpectrumEstimate:
     """Mean-removed periodogram of a uniform real time series.
 
     S(omega_k) = (ts / N) |sum_n (x_n - mean) exp(-i omega_k n ts)|^2 at
     omega_k = 2 pi k / (N ts), reported one-sided for k = 0..N/2. Summing
     S * d_omega over the full two-sided grid gives 2 pi times the sample
     variance (the one-sided sum carries half of that, plus edge bins).
-    No window is applied by default; ``window="hann"`` is available for
-    qualitative leakage suppression.
+    No window is applied, so an on-grid sinusoid lands in a single bin.
     """
     values = np.asarray(series.values, dtype=float)
     n = len(values)
@@ -112,10 +101,6 @@ def power_spectrum(series: TimeSeries, window: str | None = None) -> SpectrumEst
         raise ValueError("need at least 16 samples for a spectrum estimate")
     ts = float(series.step)
     x = values - values.mean()
-    if window is not None:
-        if window != "hann":
-            raise ValueError(f"unknown window {window!r}")
-        x = x * np.hanning(n)
     spec = np.fft.rfft(x)
     power = (ts / n) * np.abs(spec) ** 2
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=ts)

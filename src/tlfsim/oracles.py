@@ -20,7 +20,6 @@ from .linalg import (
     SubsystemLayout,
     embed,
     expm,
-    kron,
 )
 from .model import ModelConfig, sample_ensemble
 from .dynamics import LindbladGenerator, propagate, rk4_reference
@@ -94,7 +93,7 @@ def ideal_zz_gate() -> OracleResult:
     omega_p = 1.0
     layout = SubsystemLayout((2, 2))
     h = 0.5 * omega_p * (embed(SIGMA_Z, 0, layout) + embed(SIGMA_Z, 1, layout))
-    h = h + g * kron(SIGMA_Z, SIGMA_Z)
+    h = h + g * np.kron(SIGMA_Z, SIGMA_Z)
     gen = LindbladGenerator(h=h, jumps=[])
     rho0 = np.outer(PLUS_PLUS, PLUS_PLUS.conj())
     t_star = (np.pi / 4.0) / g

@@ -3,9 +3,9 @@
 Every experiment kind runs one pipeline per point. :func:`simulate` samples
 the fluctuators, assembles the operators (plus a gate term), builds the
 initial state and propagates it, or does the same for the isolated probe.
-The kind's point function observes the trajectory, writes the point's
-tables and returns its manifest entries; :func:`run_scenario` runs the
-points, serially or in a worker pool, and writes the manifest. The points
+The kind's point function observes the trajectory and returns the point's
+tables and manifest entries; :func:`run_scenario` runs the points, serially
+or in a worker pool, and writes every table and the manifest. The points
 are mu/nu values of the TLF-TLF coupling:
 
 * ``spectrum_sweep``   -- magnetization time series and periodogram at each
@@ -48,10 +48,11 @@ from . import __version__
 from .dynamics import LindbladGenerator, _grid_steps, propagate
 from .model import (
     ConfigurationError,
-    GATE_GENERATORS,
+    GATE_TERMS,
     ModelConfig,
     add_gate,
     build_operators,
+    check_field_types,
     initial_state,
     probe_only_operators,
     sample_ensemble,
@@ -70,6 +71,9 @@ SCHEMA_VERSION = 1
 KINDS = ("spectrum_sweep", "entanglement_sweep", "bound_compare", "bell_decay", "gate")
 BELL_STATES = ("phi+", "phi-", "psi+", "psi-")
 FORMATS = ("csv", "jsonl")
+
+PEAK_PROMINENCE_FRAC = 0.05  # of the spectrum's global maximum
+PEAK_MIN_SEPARATION_BINS = 3
 
 DEFAULT_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -109,6 +113,7 @@ class Scenario:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
+        check_field_types(self)
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
         if len(self.sweep) == 0:
@@ -124,7 +129,7 @@ class Scenario:
         if self.kind == "gate":
             if self.gate is None:
                 raise ConfigurationError("gate scenarios need a gate section")
-            if self.gate.kind not in GATE_GENERATORS:
+            if self.gate.kind not in GATE_TERMS:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
             if self.gate.strength is not None and self.gate.strength <= 0:
                 raise ConfigurationError("gate strength must be positive")
@@ -186,10 +191,15 @@ class Scenario:
             gate_raw = data["gate"]
             if not isinstance(gate_raw, dict) or set(gate_raw) - {"kind", "strength"}:
                 raise ConfigurationError("gate section takes only kind and strength")
+            if "kind" not in gate_raw:
+                raise ConfigurationError("gate section needs a kind")
             data["gate"] = GateSpec(**gate_raw)
         for key in ("sweep", "epsilons"):
             if key in data:
-                data[key] = tuple(float(v) for v in data[key])
+                try:
+                    data[key] = tuple(float(v) for v in data[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(f"{key} must be a list of numbers") from exc
         try:
             return cls(**data)
         except TypeError as exc:
@@ -260,11 +270,9 @@ def _write_table(path, fmt: str, header_lines: list[str], columns: list[str], ro
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_format_value(v) for v in row])
-    elif fmt == "jsonl":
+    else:
         for row in rows:
             buf.write(json.dumps(dict(zip(columns, row))) + "\n")
-    else:
-        raise ConfigurationError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
@@ -280,23 +288,19 @@ def _header(scenario: Scenario, extra: dict | None = None) -> list[str]:
     return lines
 
 
-def detect_peaks(
-    spec: SpectrumEstimate,
-    prominence_frac: float = 0.05,
-    min_separation_bins: int = 3,
-) -> list[tuple[float, float]]:
+def detect_peaks(spec: SpectrumEstimate) -> list[tuple[float, float]]:
     """Local maxima above a prominence threshold, strongest first.
 
-    The threshold is a fraction of the global maximum; peaks closer than the
-    minimum separation collapse onto the stronger one.
+    The threshold is ``PEAK_PROMINENCE_FRAC`` of the global maximum; peaks
+    closer than ``PEAK_MIN_SEPARATION_BINS`` collapse onto the stronger one.
     """
     power = np.asarray(spec.power)
     if power.max() <= 0:
         return []
     idx, _ = scipy.signal.find_peaks(
         power,
-        prominence=prominence_frac * power.max(),
-        distance=min_separation_bins,
+        prominence=PEAK_PROMINENCE_FRAC * power.max(),
+        distance=PEAK_MIN_SEPARATION_BINS,
     )
     order = np.argsort(power[idx])[::-1]
     return [(float(spec.omega[i]), float(power[i])) for i in idx[order]]
@@ -350,25 +354,24 @@ def _config(scenario: Scenario, mu_over_nu: float | None) -> ModelConfig:
     return dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
 
 
-def _point_result(label: str, files: list, ens, traj, **summary) -> dict:
-    """What a point function hands back: its tables and its manifest entries."""
+def _point_result(label: str, tables: list, ens, traj, **summary) -> dict:
+    """What a point function hands back: its tables, each ``(file stem, header
+    extras, columns, rows)`` with the rows in a list, and its manifest entries."""
     return {
         "label": label,
-        "files": files,
+        "tables": tables,
         "ensemble": None if ens is None else ens.as_dict(),
         "stats": traj.stats,
         "summary": summary,
     }
 
 
-def _write_entanglement(path, fmt: str, header: list[str], et) -> None:
-    _write_table(
-        path, fmt, header, ["t", "E_P", "C2prime"],
-        zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist()),
-    )
+def _entanglement_table(stem: str, extra: dict, et) -> tuple:
+    rows = zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist())
+    return stem, extra, ["t", "E_P", "C2prime"], list(rows)
 
 
-def _spectrum_point(scenario: Scenario, mu_over_nu: float | None, out: Path, fmt: str) -> dict:
+def _spectrum_point(scenario: Scenario, mu_over_nu: float | None) -> dict:
     """Magnetization series and spectrum; ``None`` is the isolated-probe control."""
     control = mu_over_nu is None
     ens, traj = simulate(
@@ -379,32 +382,26 @@ def _spectrum_point(scenario: Scenario, mu_over_nu: float | None, out: Path, fmt
     spec = power_spectrum(series)
     label = "control" if control else _mu_label(mu_over_nu)
     point = {"control": "isolated probe"} if control else {"mu_over_nu": mu_over_nu}
-    header = _header(scenario, {**point, "time_unit": "1/omega_p"})
-    ts_file = f"timeseries_{label}.{fmt}"
-    sp_file = f"spectrum_{label}.{fmt}"
-    _write_table(
-        out / ts_file, fmt, header, ["t", "value"],
-        zip(series.t_grid.tolist(), series.values.tolist()),
-    )
-    _write_table(
-        out / sp_file, fmt, header, ["omega", "power"],
-        zip(spec.omega.tolist(), spec.power.tolist()),
-    )
-    return _point_result(label, [ts_file, sp_file], ens, traj, peaks=detect_peaks(spec))
+    extra = {**point, "time_unit": "1/omega_p"}
+    tables = [
+        (f"timeseries_{label}", extra, ["t", "value"],
+         list(zip(series.t_grid.tolist(), series.values.tolist()))),
+        (f"spectrum_{label}", extra, ["omega", "power"],
+         list(zip(spec.omega.tolist(), spec.power.tolist()))),
+    ]
+    return _point_result(label, tables, ens, traj, peaks=detect_peaks(spec))
 
 
-def _entanglement_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> dict:
+def _entanglement_point(scenario: Scenario, mu_over_nu: float) -> dict:
     """Probe entanglement trace from a separable start (also the bound comparison)."""
     ens, traj = simulate(_config(scenario, mu_over_nu), *scenario.time_grid())
     et = entanglement_trace(traj.t_grid, traj.marginals)
     label = _mu_label(mu_over_nu)
-    fname = f"entanglement_{label}.{fmt}"
-    header = _header(scenario, {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"})
-    _write_entanglement(out / fname, fmt, header, et)
+    extra = {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"}
     gap = et.log_negativity - et.c2prime
     i_max = int(np.argmax(et.log_negativity))
     return _point_result(
-        label, [fname], ens, traj,
+        label, [_entanglement_table(f"entanglement_{label}", extra, et)], ens, traj,
         max_E_P=float(et.log_negativity[i_max]),
         t_at_max=float(et.t_grid[i_max]),
         mean_bound_gap=float(np.mean(gap)),
@@ -421,7 +418,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
 
 
-def _bell_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> dict:
+def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
     """Entanglement decay of a register Bell state, with lifetimes and the
     exchange-probability law.
 
@@ -441,17 +438,12 @@ def _bell_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> d
             f"initial register entanglement is {et.log_negativity[0]!r}, not 1"
         )
     label = _mu_label(mu_over_nu)
-    header = _header(
-        scenario,
-        {
-            "bell_state": state,
-            "mu_over_nu": mu_over_nu,
-            "time_unit": "1/omega_p",
-            "t_eps_resolution": dt,
-        },
-    )
-    trace_file = f"bell_{state_tag}_{label}.{fmt}"
-    _write_entanglement(out / trace_file, fmt, header, et)
+    extra = {
+        "bell_state": state,
+        "mu_over_nu": mu_over_nu,
+        "time_unit": "1/omega_p",
+        "t_eps_resolution": dt,
+    }
     gamma_char = float(np.mean(ens.Gamma_minus))
     t_eps = [entanglement_lifetime(et, eps) for eps in scenario.epsilons]
     p_t_eps = [None if t is None else p_of_t(t, gamma=gamma_char, nbar=cfg.nbar) for t in t_eps]
@@ -459,22 +451,23 @@ def _bell_point(scenario: Scenario, mu_over_nu: float, out: Path, fmt: str) -> d
         (eps, "" if t is None else t, "" if p is None else p, float(-np.log(eps)))
         for eps, t, p in zip(scenario.epsilons, t_eps, p_t_eps)
     ]
-    decay_file = f"decay_{state_tag}_{label}.{fmt}"
-    decay_header = header + [
-        f"gamma_char: {gamma_char!r} (mean dressed emission rate; "
-        "p = 1 - exp(-gamma_char (2 nbar + 1) t_eps / 2))"
+    decay_extra = {
+        **extra,
+        "gamma_char": f"{gamma_char!r} (mean dressed emission rate; "
+        "p = 1 - exp(-gamma_char (2 nbar + 1) t_eps / 2))",
+    }
+    tables = [
+        _entanglement_table(f"bell_{state_tag}_{label}", extra, et),
+        (f"decay_{state_tag}_{label}", decay_extra,
+         ["epsilon", "t_eps", "p_t_eps", "neg_log_eps"], rows),
     ]
-    _write_table(
-        out / decay_file, fmt, decay_header,
-        ["epsilon", "t_eps", "p_t_eps", "neg_log_eps"], rows,
-    )
     fit = fit_raw = None
     if None not in t_eps:
         x = -np.log(np.asarray(scenario.epsilons))
         fit = _linear_fit(x, np.array(p_t_eps))
         fit_raw = _linear_fit(x, np.array(t_eps))
     return _point_result(
-        label, [trace_file, decay_file], ens, traj,
+        label, tables, ens, traj,
         lifetimes=t_eps, fits=fit, fits_raw_lifetime=fit_raw, gamma_char=gamma_char,
     )
 
@@ -501,9 +494,7 @@ def _plateau_report(t: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
-def _gate_point(
-    scenario: Scenario, mu_over_nu: float | None, out: Path, fmt: str, g: float
-) -> dict:
+def _gate_point(scenario: Scenario, mu_over_nu: float | None, g: float) -> dict:
     """Entangling gate of strength ``g`` among the fluctuators; ``None`` is the
     ideal register, with no fluctuators at all."""
     gate = scenario.gate.kind
@@ -513,15 +504,10 @@ def _gate_point(
     )
     et = entanglement_trace(traj.t_grid, traj.marginals)
     label = "ideal" if mu_over_nu is None else _mu_label(mu_over_nu)
-    fname = f"gate_{gate}_{label}.{fmt}"
-    header = _header(
-        scenario,
-        {"gate": gate, "gate_strength": g, "run": label, "time_unit": "1/omega_p"},
-    )
-    _write_entanglement(out / fname, fmt, header, et)
+    extra = {"gate": gate, "gate_strength": g, "run": label, "time_unit": "1/omega_p"}
     t_max, v_max = _first_local_max(et.t_grid, et.log_negativity)
     return _point_result(
-        label, [fname], ens, traj,
+        label, [_entanglement_table(f"gate_{gate}_{label}", extra, et)], ens, traj,
         first_max={"t": t_max, "E_P": v_max},
         plateau=_plateau_report(et.t_grid, et.log_negativity),
     )
@@ -561,15 +547,19 @@ def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
     if bad:
         raise ConfigurationError(f"unknown grid keys: {sorted(bad)}")
     keys = sorted(grid)
-    combos = itertools.product(*(grid[k] for k in keys))
+    if any(not isinstance(grid[k], list) or not grid[k] for k in keys):
+        raise ConfigurationError("grid values must be non-empty lists")
     out = []
-    for combo in combos:
+    for combo in itertools.product(*(grid[k] for k in keys)):
         entry = dict(data)
         model = dict(entry.get("model") or {})
         model.update(dict(zip(keys, combo)))
         entry["model"] = model
-        label = "__".join(f"{k}={v:g}" for k, v in zip(keys, combo))
-        out.append((label, Scenario.from_dict(entry)))
+        scenario = Scenario.from_dict(entry)
+        label = "__".join(
+            f"{k}={v}" if isinstance(v, str) else f"{k}={v:g}" for k, v in zip(keys, combo)
+        )
+        out.append((label, scenario))
     return out
 
 
@@ -592,8 +582,11 @@ def run_scenario(
     """Run every point of the scenario, write its tables and its manifest.
 
     ``jobs`` is the worker-pool width (see :func:`_run_points`); the default
-    of 1 runs the points one after another in this process.
+    of 1 runs the points one after another in this process. Each table is
+    written as ``<stem>.<fmt>`` under the output directory.
     """
+    if fmt not in FORMATS:
+        raise ConfigurationError(f"unknown output format {fmt!r}")
     t0 = time.monotonic()
     out = Path(out_dir if out_dir is not None else scenario.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -614,21 +607,20 @@ def run_scenario(
         head = {"gate": gate.kind, "gate_strength": g}
     else:
         point, mus = _entanglement_point, [float(mu) for mu in scenario.sweep]
-    results = _run_points(point, [(scenario, mu, out, fmt) for mu in mus], jobs)
+    results = _run_points(point, [(scenario, mu) for mu in mus], jobs)
 
-    files = sorted(f for r in results for f in r["files"])
+    tables = sorted((t for r in results for t in r["tables"]), key=lambda t: f"{t[0]}.{fmt}")
     if scenario.kind == "spectrum_sweep":
         peak_rows = [
             (r["label"], mu, omega, power)
             for mu, r in zip(mus, results)
             for omega, power in r["summary"]["peaks"]
         ]
-        peaks_file = f"peaks.{fmt}"
-        files.append(peaks_file)
-        _write_table(
-            out / peaks_file, fmt, _header(scenario),
-            ["run", "mu_over_nu", "omega", "power"], peak_rows,
-        )
+        tables.append(("peaks", {}, ["run", "mu_over_nu", "omega", "power"], peak_rows))
+    files = []
+    for stem, extra, columns, rows in tables:
+        files.append(f"{stem}.{fmt}")
+        _write_table(out / files[-1], fmt, _header(scenario, extra), columns, rows)
     summary = dict(head)
     for r in results:
         for key, value in r["summary"].items():

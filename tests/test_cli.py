@@ -186,3 +186,52 @@ def test_negative_population_is_numerical_failure(jobs, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert "numerical failure" in err and "negative population" in err
     assert "Traceback" not in err
+
+
+MALFORMED_VALUES = {
+    "grid-scalar": "kind: entanglement_sweep\ngrid: {n_tlf: 1}\n",
+    "sweep-scalar": "kind: entanglement_sweep\nsweep: 0.5\n",
+    "sweep-word": "kind: entanglement_sweep\nsweep: [a]\n",
+    "epsilons-scalar": "kind: bell_decay\nbell: phi+\nepsilons: 0.1\n",
+    "gate-without-kind": "kind: gate\ngate: {strength: 0.1}\n",
+    "n_tlf-word": "kind: entanglement_sweep\nmodel: {n_tlf: four}\n",
+    "n_tlf-fraction": "kind: entanglement_sweep\nmodel: {n_tlf: 2.5}\n",
+    "seed-fraction": "kind: entanglement_sweep\nmodel: {seed: 0.5}\n",
+    "n_samples-fraction": "kind: spectrum_sweep\nn_samples: 64.5\n",
+    "duration-word": "kind: entanglement_sweep\nduration: long\n",
+    "bell-number": "kind: entanglement_sweep\nbell: 5\n",
+    # YAML 1.1 reads an exponent without a decimal point as a string
+    "ratio_eps-string": "kind: entanglement_sweep\nmodel: {ratio_eps: 1e-3}\n",
+    "halve_couplings-string": "kind: entanglement_sweep\nmodel: {halve_couplings: 'false'}\n",
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", list(MALFORMED_VALUES))
+def test_malformed_value_is_config_error(case, command, tmp_path, capsys):
+    path = tmp_path / "malformed.yaml"
+    path.write_text(
+        "schema_version: 1\n" + MALFORMED_VALUES[case] + f"output: {tmp_path / 'out'}\n"
+    )
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_string_output_is_config_error(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "output_number.yaml"
+    path.write_text("schema_version: 1\nkind: entanglement_sweep\noutput: 5\n")
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "output" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs, scenario_file, tmp_path, capsys):
+    out = tmp_path / "jobs_out"
+    assert cli_main(["run", str(scenario_file), "--jobs", jobs, "--out-dir", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()

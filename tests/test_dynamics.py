@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy import kron
 
 from tlfsim.linalg import (
     I2,
@@ -12,16 +13,15 @@ from tlfsim.linalg import (
     SubsystemLayout,
     embed,
     expm,
-    kron,
-    vec,
 )
+from tlfsim import dynamics
 from tlfsim.dynamics import (
     LindbladGenerator,
     PropagationError,
     _block_propagator,
+    _BlockStepper,
     _hermitian_basis,
     _liouvillian_block,
-    _make_stepper,
     build_liouvillian,
     find_invariant_sectors,
     propagate,
@@ -40,6 +40,11 @@ from tlfsim.model import (
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def vec(m):
+    """Column stacking, the convention of tlfsim.dynamics."""
+    return np.asarray(m).reshape(-1, order="F")
 
 
 def damping_generator(rate=1.0):
@@ -174,7 +179,7 @@ class TestBlockAssembly:
         # pair is stepped by the real-basis propagator; feed it a non-Hermitian block
         gen, rho0 = probe_tlf_system(n_tlf, "psi+")
         dt = 0.05
-        stepper = _make_stepper(gen, dt, "sector", rho0)
+        stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), rho0)
         assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
         d = 2**n_tlf
         rng = np.random.default_rng(52)
@@ -250,10 +255,11 @@ class TestPropagate:
         direct = np.einsum("ij,nji->n", obs, traj.states).real
         assert np.allclose(traj.expectations["xx"], direct, atol=1e-12)
 
-    def test_cptp_stats_clean(self):
+    def test_cptp_stats_clean(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", 50)
         gen = random_two_qubit_generator(5)
         rho0 = np.eye(4, dtype=complex) / 4
-        traj = propagate(gen, rho0, 5.0, dt=0.01, check_stride=50)
+        traj = propagate(gen, rho0, 5.0, dt=0.01)
         assert traj.stats["max_trace_drift"] <= 1e-9
         assert traj.stats["max_herm_dev"] <= 1e-9
         assert traj.stats["min_eigenvalue"] >= -1e-7

@@ -4,8 +4,9 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from numpy import kron
 
-from tlfsim.linalg import I2, SIGMA_X, SIGMA_Z, SubsystemLayout, kron
+from tlfsim.linalg import I2, SIGMA_X, SIGMA_Z, SubsystemLayout
 from tlfsim.model import (
     ConfigurationError,
     GroundStateDegeneracyError,

@@ -2,7 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy import kron
 
+from test_linalg import partial_transpose, trace_norm
 from tlfsim.linalg import (
     I2,
     SIGMA_X,
@@ -10,9 +12,6 @@ from tlfsim.linalg import (
     SIGMA_Z,
     SubsystemLayout,
     herm_eig,
-    kron,
-    partial_transpose,
-    trace_norm,
 )
 from tlfsim.dynamics import LindbladGenerator, PropagationError, propagate
 from tlfsim.model import ModelConfig, build_operators, initial_state, probe_only_operators, probe_state_vector, sample_ensemble, tlf_ground_state
@@ -137,15 +136,6 @@ class TestPowerSpectrum:
         assert np.isclose(spec.resolution_df, 1.0 / 200.0)
         assert np.isclose(spec.nyquist_f, 10.0)
         assert len(spec.power) == n // 2 + 1
-
-    def test_hann_window_option(self):
-        n, ts = 128, 0.05
-        t = ts * np.arange(n)
-        series = TimeSeries(t_grid=t, values=np.cos(1.3 * t), step=ts)
-        spec = power_spectrum(series, window="hann")
-        assert np.all(spec.power >= 0)
-        with pytest.raises(ValueError):
-            power_spectrum(series, window="hamming")
 
     def test_too_short_rejected(self):
         series = TimeSeries(t_grid=0.1 * np.arange(8), values=np.zeros(8), step=0.1)

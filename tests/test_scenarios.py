@@ -320,6 +320,20 @@ class TestGridExpansion:
         for _, sc in entries:
             assert sc.model.n_tlf == 2
 
+    def test_labels_name_strings_as_is_and_numbers_with_g(self):
+        from tlfsim.scenarios import expand_grid
+
+        raw = {
+            "schema_version": 1,
+            "kind": "spectrum_sweep",
+            "grid": {"gamma_plus_mode": ["sampled", "scaled-by-nbar"], "ratio_eps": [3.0]},
+        }
+        labels = [label for label, _ in expand_grid(raw)]
+        assert labels == [
+            "gamma_plus_mode=sampled__ratio_eps=3",
+            "gamma_plus_mode=scaled-by-nbar__ratio_eps=3",
+        ]
+
     def test_no_grid_is_single_anonymous(self):
         from tlfsim.scenarios import expand_grid
 
