@@ -448,13 +448,6 @@ def propagate(
     )
 
 
-def _lindblad_rhs(h: np.ndarray, jumps_pre: list, rho: np.ndarray) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    for rate, op, op_dag, op_sq in jumps_pre:
-        out += rate * (op @ rho @ op_dag - 0.5 * (op_sq @ rho + rho @ op_sq))
-    return out
-
-
 def rk4_reference(
     gen: LindbladGenerator,
     rho0: np.ndarray,
@@ -481,7 +474,16 @@ def rk4_reference(
             "RK4 step looks too coarse for this generator (||L|| dt > 0.1)",
             RuntimeWarning,
         )
-    jumps_pre = [(rate, op, dag(op), dag(op) @ op) for rate, op in gen.jumps]
+    # the operator form G rho + rho G^dagger + sum_k J_k rho J_k^dagger, with
+    # sqrt(rate_k) folded into the stacked J_k and G = -iH - 1/2 sum_k J_k^dagger J_k
+    jumps = np.array([np.sqrt(rate) * op for rate, op in gen.jumps], dtype=complex)
+    jumps = jumps.reshape(-1, gen.dim, gen.dim)
+    jumps_dag = jumps.conj().transpose(0, 2, 1)
+    g = -1j * gen.h - 0.5 * (jumps_dag @ jumps).sum(axis=0)
+    g_dag = dag(g)
+
+    def rhs(r: np.ndarray) -> np.ndarray:
+        return g @ r + r @ g_dag + (jumps @ r @ jumps_dag).sum(axis=0)
 
     n_rec = n_steps // record_every + 1
     rec = _Recorder(n_rec, record, marginal_keep, layout, keep_states, gen.dim)
@@ -489,10 +491,10 @@ def rk4_reference(
     rec.take(0, rho)
     rec.check_eigs(rho, 0.0)
     for i in range(1, n_steps + 1):
-        k1 = _lindblad_rhs(gen.h, jumps_pre, rho)
-        k2 = _lindblad_rhs(gen.h, jumps_pre, rho + 0.5 * dt * k1)
-        k3 = _lindblad_rhs(gen.h, jumps_pre, rho + 0.5 * dt * k2)
-        k4 = _lindblad_rhs(gen.h, jumps_pre, rho + dt * k3)
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * dt * k1)
+        k3 = rhs(rho + 0.5 * dt * k2)
+        k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rho = rec.hygiene(rho, i * dt)
         if i % record_every == 0:
