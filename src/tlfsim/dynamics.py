@@ -13,9 +13,9 @@ test suite:
   pairs that are nonzero in the initial state are built and stepped (the
   rest stay exactly zero). Sectors whose restricted H and jumps agree to a
   few ulps form a class, and one propagator serves every pair with the
-  same pair of classes. Since the flow commutes with the adjoint, the
-  (c2, c1) propagator is never built: those pairs are stepped as adjoints
-  under the (c1, c2) one. Each block Liouvillian is assembled from the
+  same pair of classes. Block (b, a) of the state (Hermitized on entry)
+  stays the adjoint of block (a, b): each unordered pair is stepped once
+  and mirrored. Each block Liouvillian is assembled from the
   effective Hamiltonians G = -iH - 1/2 sum_k rate_k J_k^dagger J_k of its
   row and column sectors, L = I kron G_row + conj(G_col) kron I +
   sum_k rate_k conj(J_col,k) kron J_row,k. A (c, c) pair has the same
@@ -32,9 +32,9 @@ renormalized only when the drift is within the repair tolerance); positivity
 is never enforced here, only checked every ``EIG_CHECK_STRIDE`` steps and at
 the end. ``Trajectory.stats`` carries these hygiene figures
 and, from :func:`propagate`, the engine's counters: ``sectors``,
-``pairs_live``, ``propagators`` built, ``propagators_real`` (those taken in
-the real basis) and ``block_dim_max`` (the largest block Liouvillian's
-dimension).
+``pairs_live``, ``pairs_stepped``, ``propagators`` built, ``propagators_real``
+(those taken in the real basis) and ``block_dim_max`` (the largest block
+Liouvillian's dimension).
 """
 
 from __future__ import annotations
@@ -237,14 +237,15 @@ class _BlockStepper:
     the flow maps each pair into itself, so pairs that start exactly zero
     stay zero and are never built or stepped. Sectors whose restricted H and
     jumps agree share a class, and a pair's propagator depends only on its
-    pair of classes. Because Phi(X)^dagger = Phi(X^dagger), a pair whose
-    classes run (c2, c1) with c1 < c2 is stepped by the (c1, c2) propagator
-    acting on its block's adjoint, so that (c2, c1) is never built. Every
-    block is still propagated from its own current value.
+    pair of classes. Block (b, a) of the Hermitian state is block (a, b)^dagger
+    and Phi(X)^dagger = Phi(X^dagger), so each unordered pair is stepped once,
+    oriented so that its classes run (c1, c2) with c1 <= c2, and its mirror
+    is written as the conjugate: (c2, c1) is never built.
 
-    Each step is, per live pair, one gather of the block's F-order vec
-    through precomputed flat indices, one mat-vec, and one scatter back
-    through the same indices. (One matrix product per propagator over its
+    Each step is, per stepped pair, one gather of the block's F-order vec
+    through precomputed flat indices, one mat-vec, one scatter back through
+    the same indices and, off the diagonal, one conjugate scatter into the
+    mirror's C-order indices. (One matrix product per propagator over its
     pairs' stacked columns measured slower for two-column propagators, the
     common case under Bell inputs and the XX+YY gate.)
     """
@@ -266,27 +267,26 @@ class _BlockStepper:
                 classes.append(len(reps))
                 reps.append(a)
 
-        users: dict[tuple[int, int], list] = {}  # class pair -> (flat indices, adjoint?)
-        for a, rows in enumerate(sectors):
-            for b, cols in enumerate(sectors):
-                if not np.any(rho0[np.ix_(rows, cols)] != 0):
-                    continue
-                flat = rows[:, None] * dim + cols[None, :]
-                ca, cb = classes[a], classes[b]
-                if ca <= cb:
-                    users.setdefault((ca, cb), []).append((flat.reshape(-1, order="F"), False))
-                else:
-                    # vec_F(X^dagger) reads X in C order
-                    users.setdefault((cb, ca), []).append((flat.reshape(-1), True))
+        users: dict[tuple[int, int], list] = {}  # class pair -> (flat indices, mirror)
+        for a, b in zip(*np.triu_indices(len(sectors))):
+            if classes[a] > classes[b]:
+                a, b = b, a
+            rows, cols = sectors[a], sectors[b]
+            if not np.any(rho0[np.ix_(rows, cols)] != 0):
+                continue
+            flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
+            mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
+            users.setdefault((classes[a], classes[b]), []).append((flat, mirror))
 
-        self.pairs = []  # (propagator, flat indices, adjoint?), grouped by propagator
+        self.pairs = []  # (propagator, flat indices, mirror), grouped by propagator
         for (c1, c2), pairs in users.items():
             ops_r, ops_c = restricted[reps[c1]], restricted[reps[c2]]
             prop = _block_propagator(ops_r, ops_c, rates, dt, self_adjoint=c1 == c2)
-            self.pairs += [(prop, idx, adjoint) for idx, adjoint in pairs]
+            self.pairs += [(prop, idx, mirror) for idx, mirror in pairs]
         self.stats = {
             "sectors": len(sectors),
-            "pairs_live": len(self.pairs),
+            "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror in self.pairs),
+            "pairs_stepped": len(self.pairs),
             "propagators": len(users),
             "propagators_real": sum(c1 == c2 for c1, c2 in users),
             "block_dim_max": max(prop.shape[0] for prop, _, _ in self.pairs),
@@ -295,11 +295,11 @@ class _BlockStepper:
     def step(self, rho: np.ndarray) -> np.ndarray:
         flat = rho.reshape(-1)
         out = np.zeros_like(flat)
-        for prop, idx, adjoint in self.pairs:
-            if adjoint:
-                out[idx] = (prop @ flat[idx].conj()).conj()
-            else:
-                out[idx] = prop @ flat[idx]
+        for prop, idx, mirror in self.pairs:
+            y = prop @ flat[idx]
+            out[idx] = y
+            if mirror is not None:
+                out[mirror] = y.conj()
         return out.reshape(rho.shape)
 
 
@@ -322,7 +322,7 @@ def _validate_initial_state(rho0: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"initial state shape {rho0.shape} != generator dim {dim}")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or not is_hermitian(rho0, atol=1e-9):
         raise ValueError("initial state must be Hermitian with unit trace")
-    return rho0.copy()
+    return 0.5 * (rho0 + dag(rho0))  # exact, as the stepper's mirrored blocks assume
 
 
 def _grid_steps(t_end: float, dt: float) -> int:
@@ -364,7 +364,7 @@ class _Recorder:
             self.states[i] = rho
 
     def check_eigs(self, rho: np.ndarray, t: float) -> None:
-        w_min = float(np.min(np.linalg.eigvalsh(0.5 * (rho + dag(rho)))))
+        w_min = float(np.min(np.linalg.eigvalsh(rho)))
         self.min_eigenvalue = min(self.min_eigenvalue, w_min)
         self.eig_checks += 1
         if w_min < EIG_ABORT_TOL:

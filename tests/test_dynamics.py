@@ -176,7 +176,8 @@ class TestBlockAssembly:
     @pytest.mark.parametrize("n_tlf", [1, 2])
     def test_same_class_off_diagonal_pair(self, n_tlf):
         # under psi+ the |01> and |10> sectors share a class, so the (|01>, |10>)
-        # pair is stepped by the real-basis propagator; feed it a non-Hermitian block
+        # pair is stepped by the real-basis propagator; feed it a non-Hermitian
+        # block, inside a Hermitian state as the stepper requires
         gen, rho0 = probe_tlf_system(n_tlf, "psi+")
         dt = 0.05
         stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), rho0)
@@ -185,6 +186,7 @@ class TestBlockAssembly:
         rng = np.random.default_rng(52)
         x = np.zeros((gen.dim, gen.dim), dtype=complex)
         x[d : 2 * d, 2 * d : 3 * d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x = x + x.conj().T
         jumps = [(rate, op, op) for rate, op in gen.jumps]
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
         assert np.max(np.abs(vec(stepper.step(x)) - exact)) < 1e-13
@@ -255,6 +257,17 @@ class TestPropagate:
         direct = np.einsum("ij,nji->n", obs, traj.states).real
         assert np.allclose(traj.expectations["xx"], direct, atol=1e-12)
 
+    def test_near_hermitian_initial_state(self):
+        # the validator accepts a Hermiticity error up to 1e-9; it must not survive
+        # into any recorded state, the initial one included
+        gen, rho0 = probe_tlf_system(1, "plus_plus")
+        rng = np.random.default_rng(54)
+        a = rng.normal(size=rho0.shape) + 1j * rng.normal(size=rho0.shape)
+        noisy = rho0 + 1e-10 * (a - a.conj().T) / 2
+        clean = propagate(gen, rho0, 2.0, dt=0.05, keep_states=True)
+        traj = propagate(gen, noisy, 2.0, dt=0.05, keep_states=True)
+        assert np.max(np.abs(traj.states - clean.states)) < 1e-14
+
     def test_cptp_stats_clean(self, monkeypatch):
         monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", 50)
         gen = random_two_qubit_generator(5)
@@ -311,8 +324,8 @@ MODEL_VARIANTS = {
 }
 
 
-def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21):
-    cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant])
+def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, **model):
+    cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant], **model)
     ens = sample_ensemble(cfg)
     ops = build_operators(ens, cfg)
     if gate is not None:
@@ -350,20 +363,22 @@ class TestBlockEngine:
     }
 
     @pytest.mark.parametrize(
-        "state, gate, sectors, pairs_live, propagators",
+        "state, gate, sectors, pairs_live, pairs_stepped, propagators",
         [
-            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to adjoints
-            ("plus_plus", None, 4, 16, 6),
+            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to
+            # adjoints; each adjoint pair of blocks is stepped once
+            ("plus_plus", None, 4, 16, 10, 6),
             # only the |00>,|11> pairs are live
-            ("phi+", None, 4, 4, 3),
+            ("phi+", None, 4, 4, 3, 3),
             # XX+YY merges |01>,|10>; the three sectors all differ
-            ("plus_plus", "xxyy", 3, 9, 6),
+            ("plus_plus", "xxyy", 3, 9, 6, 6),
         ],
     )
-    def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
+    def test_engine_counters(self, state, gate, sectors, pairs_live, pairs_stepped, propagators):
         gen, rho0 = probe_tlf_system(4, state, gate)
         traj = propagate(gen, rho0, 0.1, dt=0.05)
-        names = ("sectors", "pairs_live", "propagators", "propagators_real", "block_dim_max")
+        names = ("sectors", "pairs_live", "pairs_stepped", "propagators", "propagators_real",
+                 "block_dim_max")
         counters = {k: traj.stats[k] for k in names}
         # diagonal class pairs take the real basis; 16-dim sectors give 256-dim
         # blocks, the XX+YY-merged 32-dim sector a 1024-dim one
@@ -371,6 +386,7 @@ class TestBlockEngine:
         assert counters == {
             "sectors": sectors,
             "pairs_live": pairs_live,
+            "pairs_stepped": pairs_stepped,
             "propagators": propagators,
             "propagators_real": real,
             "block_dim_max": dim_max,
@@ -390,6 +406,45 @@ class TestBlockEngine:
         a = propagate(gen, rho0, 2.0, dt=0.02, keep_states=True)
         b = rk4_reference(gen, rho0, 2.0, dt=0.002, keep_states=True, record_every=10)
         assert np.max(np.abs(a.states - b.states)) < 1e-7
+
+    @given(
+        n_tlf=st.sampled_from([1, 2]),
+        state=st.sampled_from(PROBE_STATES),
+        gate=st.sampled_from([None, "zz", "xxyy"]),
+        nbar=st.floats(0.05, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    def test_cptp_properties(self, n_tlf, state, gate, nbar, seed):
+        gen, rho0 = probe_tlf_system(
+            n_tlf, state, gate, seed=seed, nbar=nbar, gamma_plus_mode="sampled"
+        )
+        traj = propagate(gen, rho0, 5.0, dt=0.05, keep_states=True)
+        for s in traj.states:
+            assert abs(np.trace(s) - 1.0) <= 1e-12
+            assert np.array_equal(s, s.conj().T)
+            assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
+
+
+# each breaks the step propagators one way: (propagator fault, abort message)
+FAULTS = {
+    # an anti-Hermitian part on the real-basis (diagonal) blocks
+    "hermiticity": (lambda l, p: p + 1e-4j * np.eye(len(p)) if np.isrealobj(l) else p,
+                    "Hermiticity deviation"),
+    "trace": (lambda l, p: (1 + 1e-5) * p, "trace drift"),
+    # coherences grow while the populations hold
+    "positivity": (lambda l, p: 1.5 * p if np.iscomplexobj(l) else p, "negative population"),
+}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_trips_its_abort(fault, monkeypatch):
+    broken, message = FAULTS[fault]
+    exact = dynamics.step_propagator
+    monkeypatch.setattr(dynamics, "step_propagator", lambda l, dt: broken(l, exact(l, dt)))
+    gen, rho0 = probe_tlf_system(1, "plus_plus")
+    with pytest.raises(PropagationError, match=message):
+        propagate(gen, rho0, 1.0, dt=0.05)
 
 
 class TestStationaryBellStates:
