@@ -43,17 +43,18 @@ Scenario file schema (YAML)
                                  # not for bell_decay and gate (0 and 1)
     duration: 50.0               # probe cycles (kind-specific default);
                                  # not for spectrum_sweep (see n_samples)
-    gate: {kind: zz, strength: null}        # gate kind: zz | xxyy;
+    gate: {kind: zz, strength: null}        # gate only: zz | xxyy;
                                  # strength defaults to the sampled coupling
     bell: phi+                   # bell_decay only: phi+ | phi- | psi+ | psi-
-    epsilons: [0.1, 0.03, 0.01, 0.003, 0.001]  # lifetime thresholds
+    epsilons: [0.1, 0.03, 0.01, 0.003, 0.001]  # bell_decay only: thresholds
     output: runs/myrun           # output directory
     n_samples: 4000              # spectrum sampling: series length
     sample_step: 0.05            # spectrum sampling: t_s, 1/omega_p units
     trace_step_cycles: 0.01      # entanglement/gate trace step, cycles
-    bell_step_cycles: 0.05       # decay trace step, cycles
+    bell_step_cycles: 0.05       # bell_decay trace step, cycles
 
-Unknown keys anywhere are rejected.
+Unknown keys anywhere are rejected, and so is a key set to other than its
+default on a kind that does not read it (``scenarios.KIND_FIELDS``).
 """
 
 from __future__ import annotations

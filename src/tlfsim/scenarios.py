@@ -86,6 +86,16 @@ DEFAULT_DURATIONS = {
 
 _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
 
+# the fields each kind reads besides kind, model and output; a file may set
+# any other field only to its default, since the run would ignore it
+KIND_FIELDS = {
+    "spectrum_sweep": {"sweep", "n_samples", "sample_step"},
+    "entanglement_sweep": {"sweep", "duration", "trace_step_cycles"},
+    "bound_compare": {"sweep", "duration", "trace_step_cycles"},
+    "bell_decay": {"bell", "duration", "epsilons", "bell_step_cycles"},
+    "gate": {"gate", "duration", "trace_step_cycles"},
+}
+
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -118,12 +128,13 @@ class Scenario:
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
         if len(self.sweep) == 0:
             raise ConfigurationError("sweep must be non-empty")
-        if self.kind in ("bell_decay", "gate") and self.sweep != DEFAULT_SWEEP:
-            raise ConfigurationError(f"{self.kind} always runs mu_over_nu 0 and 1; drop sweep")
-        if self.kind == "spectrum_sweep" and self.duration is not None:
-            raise ConfigurationError(
-                "spectrum_sweep takes no duration; n_samples and sample_step set it"
-            )
+        ignored = [
+            f.name for f in dataclasses.fields(self)
+            if f.name not in ("kind", "model", "output", *KIND_FIELDS[self.kind])
+            and getattr(self, f.name) != f.default
+        ]
+        if ignored:
+            raise ConfigurationError(f"{self.kind} does not read {', '.join(ignored)}; drop it")
         if self.resolved_duration() <= 0:
             raise ConfigurationError("duration must be positive")
         if self.kind == "gate":

@@ -147,6 +147,13 @@ KEY_KIND_MISMATCHES = {
     "bell_decay-sweep": "kind: bell_decay\nbell: phi+\nsweep: [0.5]\n",
     "gate-sweep": "kind: gate\ngate: {kind: zz}\nsweep: [0.5]\n",
     "spectrum_sweep-duration": "kind: spectrum_sweep\nn_samples: 64\nduration: 99.0\n",
+    "entanglement_sweep-gate": "kind: entanglement_sweep\ngate: {kind: zz}\n",
+    "entanglement_sweep-bell": "kind: entanglement_sweep\nbell: phi+\n",
+    "entanglement_sweep-epsilons": "kind: entanglement_sweep\nepsilons: [0.1]\n",
+    "entanglement_sweep-n_samples": "kind: entanglement_sweep\nn_samples: 64\n",
+    "entanglement_sweep-bell_step_cycles": "kind: entanglement_sweep\nbell_step_cycles: 0.1\n",
+    "bell_decay-trace_step_cycles": "kind: bell_decay\nbell: phi+\ntrace_step_cycles: 0.1\n",
+    "gate-sample_step": "kind: gate\ngate: {kind: zz}\nsample_step: 0.1\n",
 }
 
 
