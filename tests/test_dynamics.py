@@ -355,26 +355,26 @@ class TestBlockEngine:
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
         assert (dense.stats["sectors"], dense.stats["propagators"]) == (1, 1)
 
-    # (propagators_real, block_dim_max) of the counter cases below
-    REAL_AND_DIM = {
-        ("plus_plus", None): (3, 256),
-        ("phi+", None): (2, 256),
-        ("plus_plus", "xxyy"): (3, 1024),
+    # (pairs_stepped, propagators_real, block_dim_max) of the counter cases below;
+    # each adjoint pair of off-diagonal blocks is stepped once
+    STEPPED_REAL_AND_DIM = {
+        ("plus_plus", None): (10, 3, 256),
+        ("phi+", None): (3, 2, 256),
+        ("plus_plus", "xxyy"): (6, 3, 1024),
     }
 
     @pytest.mark.parametrize(
-        "state, gate, sectors, pairs_live, pairs_stepped, propagators",
+        "state, gate, sectors, pairs_live, propagators",
         [
-            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to
-            # adjoints; each adjoint pair of blocks is stepped once
-            ("plus_plus", None, 4, 16, 10, 6),
+            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to adjoints
+            ("plus_plus", None, 4, 16, 6),
             # only the |00>,|11> pairs are live
-            ("phi+", None, 4, 4, 3, 3),
+            ("phi+", None, 4, 4, 3),
             # XX+YY merges |01>,|10>; the three sectors all differ
-            ("plus_plus", "xxyy", 3, 9, 6, 6),
+            ("plus_plus", "xxyy", 3, 9, 6),
         ],
     )
-    def test_engine_counters(self, state, gate, sectors, pairs_live, pairs_stepped, propagators):
+    def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
         gen, rho0 = probe_tlf_system(4, state, gate)
         traj = propagate(gen, rho0, 0.1, dt=0.05)
         names = ("sectors", "pairs_live", "pairs_stepped", "propagators", "propagators_real",
@@ -382,11 +382,11 @@ class TestBlockEngine:
         counters = {k: traj.stats[k] for k in names}
         # diagonal class pairs take the real basis; 16-dim sectors give 256-dim
         # blocks, the XX+YY-merged 32-dim sector a 1024-dim one
-        real, dim_max = self.REAL_AND_DIM[(state, gate)]
+        stepped, real, dim_max = self.STEPPED_REAL_AND_DIM[(state, gate)]
         assert counters == {
             "sectors": sectors,
             "pairs_live": pairs_live,
-            "pairs_stepped": pairs_stepped,
+            "pairs_stepped": stepped,
             "propagators": propagators,
             "propagators_real": real,
             "block_dim_max": dim_max,
