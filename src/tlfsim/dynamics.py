@@ -4,37 +4,31 @@ The generator is held as a Hamiltonian plus (rate, jump operator) pairs.
 Two independent evaluation routes are provided and cross-validated in the
 test suite:
 
-* a vectorized superoperator (column-stacking convention) whose matrix
-  exponential is computed once per (generator, step) and then applied
-  repeatedly. When the Hamiltonian and every jump operator share a common
-  block structure, the state splits into sector pairs (row sector, column
-  sector), each mapped into itself by the flow, and the exponential is
-  taken per pair; this is algebraically identical and much cheaper. Only
-  pairs that are nonzero in the initial state are built and stepped (the
-  rest stay exactly zero). Sectors whose restricted H and jumps agree to a
-  few ulps form a class, and one propagator serves every pair with the
-  same pair of classes. Block (b, a) of the state (Hermitized on entry)
-  stays the adjoint of block (a, b): each unordered pair is stepped once
-  and mirrored. Each block Liouvillian is assembled from the
-  effective Hamiltonians G = -iH - 1/2 sum_k rate_k J_k^dagger J_k of its
-  row and column sectors, L = I kron G_row + conj(G_col) kron I +
-  sum_k rate_k conj(J_col,k) kron J_row,k. A (c, c) pair has the same
-  operators on both sides, so its flow preserves Hermiticity and L is real
-  in an orthonormal Hermitian basis; its exponential is taken there in real
-  arithmetic and mapped back. This is ``method="sector"``, the default;
-  ``method="dense"`` takes the one-sector route through the same engine and
-  is the sector route's oracle;
-* a classic fixed-step fourth-order Runge-Kutta integrator acting on the
-  operator form of the equation of motion, kept as an independent oracle.
+* a vectorized superoperator (column stacking) whose exponential is computed
+  once per (generator, step) and applied repeatedly. When H and every jump
+  share a block structure, the state splits into sector pairs (row sector,
+  column sector), each mapped into itself by the flow, and the exponential
+  is taken per pair of sector classes (sectors whose restricted H and jumps
+  agree). Block Liouvillians are assembled from the effective Hamiltonians
+  G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a (c, c) pair's exponential
+  is taken in real arithmetic in a Hermitian basis. :class:`_BlockStepper`
+  holds the state as its distinct block evolutions and records every
+  observable as a linear functional of them; the full state is assembled
+  only for the strided eigenvalue check, the final state and ``keep_states``.
+  This is ``method="sector"``, the default; ``method="dense"`` takes the
+  one-sector route through the same engine and is its oracle;
+* a classic fixed-step fourth-order Runge-Kutta integrator on the operator
+  form of the equation of motion, recording from the full state, kept as an
+  independent oracle.
 
-Recorded states are lightly repaired each step (re-Hermitized, and trace
+Each step the state is lightly repaired (re-Hermitized, and its trace
 renormalized only when the drift is within the repair tolerance); positivity
 is never enforced here, only checked every ``EIG_CHECK_STRIDE`` steps and at
-the end. ``Trajectory.stats`` carries these hygiene figures
-and, from :func:`propagate`, the engine's counters: ``sectors``,
-``pairs_live``, ``pairs_stepped``, ``propagators`` built, ``propagators_real``
-(those taken in the real basis) and ``block_dim_max`` (the largest block
-Liouvillian's dimension).
+the end. ``Trajectory.stats`` carries these hygiene figures and, from
+:func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
+``pairs_stepped`` (unordered pairs), ``evolutions`` (the mat-vecs per step),
+``propagators`` built, ``propagators_real`` (those taken in the real basis)
+and ``block_dim_max`` (the largest block Liouvillian's dimension).
 """
 
 from __future__ import annotations
@@ -231,7 +225,7 @@ def _block_propagator(
 
 
 class _BlockStepper:
-    """Applies exp(L dt) over the sector pairs that are live in ``rho0``.
+    """Holds the state as the distinct block evolutions that are live in ``rho0``.
 
     A pair (a, b) is the block of rows in sector a and columns in sector b;
     the flow maps each pair into itself, so pairs that start exactly zero
@@ -240,20 +234,19 @@ class _BlockStepper:
     pair of classes. Block (b, a) of the Hermitian state is block (a, b)^dagger
     and Phi(X)^dagger = Phi(X^dagger), so each unordered pair is stepped once,
     oriented so that its classes run (c1, c2) with c1 <= c2, and its mirror
-    is written as the conjugate: (c2, c1) is never built.
+    is read as the conjugate. Pairs of one class pair whose initial blocks are
+    byte-identical share one evolution (under |++> every block is rho_tlf / 4).
 
-    Each step is, per stepped pair, one gather of the block's F-order vec
-    through precomputed flat indices, one mat-vec, one scatter back through
-    the same indices and, off the diagonal, one conjugate scatter into the
-    mirror's C-order indices. (One matrix product per propagator over its
-    pairs' stacked columns measured slower for two-column propagators, the
-    common case under Bell inputs and the XX+YY gate.)
+    The state is one vector, the evolutions' F-order vecs end to end, and a
+    step is one mat-vec per evolution on its slice. Every recorded scalar is
+    linear in the state, so it is one weight row on the vector plus one on
+    its conjugate (:meth:`weights`).
     """
 
     def __init__(
         self, gen: LindbladGenerator, dt: float, sectors: list[np.ndarray], rho0: np.ndarray
     ):
-        dim = gen.dim
+        self.dim = dim = gen.dim
         rates, jumps = _stack_jumps(gen)
         restricted = [(gen.h[np.ix_(s, s)], jumps[:, s[:, None], s]) for s in sectors]
         reps: list[int] = []  # first sector of each class
@@ -267,40 +260,86 @@ class _BlockStepper:
                 classes.append(len(reps))
                 reps.append(a)
 
-        users: dict[tuple[int, int], list] = {}  # class pair -> (flat indices, mirror)
+        props: dict[tuple[int, int], np.ndarray] = {}
+        slices: dict[tuple, slice] = {}  # (c1, c2, initial block) -> its evolution's
+        self.evolutions = []  # (propagator, slice of the state vector)
+        self.pairs = []  # (slice, flat indices, mirror) of every stepped pair
+        v0, squares, diagonal = [], {}, []
         for a, b in zip(*np.triu_indices(len(sectors))):
             if classes[a] > classes[b]:
                 a, b = b, a
-            rows, cols = sectors[a], sectors[b]
-            if not np.any(rho0[np.ix_(rows, cols)] != 0):
-                continue
+            rows, cols, c = sectors[a], sectors[b], (classes[a], classes[b])
             flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
+            block = rho0.reshape(-1)[flat]
+            if not np.any(block != 0):
+                continue
+            if c not in props:
+                ops_r, ops_c = restricted[reps[c[0]]], restricted[reps[c[1]]]
+                props[c] = _block_propagator(ops_r, ops_c, rates, dt, self_adjoint=c[0] == c[1])
+            key = (*c, block.tobytes())
+            if key not in slices:
+                start = sum(map(len, v0))
+                slices[key] = slice(start, start + len(block))
+                self.evolutions.append((props[c], slices[key]))
+                v0.append(block)
+            sl = slices[key]
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
-            users.setdefault((classes[a], classes[b]), []).append((flat, mirror))
-
-        self.pairs = []  # (propagator, flat indices, mirror), grouped by propagator
-        for (c1, c2), pairs in users.items():
-            ops_r, ops_c = restricted[reps[c1]], restricted[reps[c2]]
-            prop = _block_propagator(ops_r, ops_c, rates, dt, self_adjoint=c1 == c2)
-            self.pairs += [(prop, idx, mirror) for idx, mirror in pairs]
+            self.pairs.append((sl, flat, mirror))
+            if mirror is None:
+                squares[sl.start] = sl.start + np.arange(len(block)).reshape(len(rows), -1)
+                diagonal.append(np.diagonal(squares[sl.start]))
+        self.v0 = np.concatenate(v0)
+        # hygiene's indices: the entries of the evolutions that hold a diagonal
+        # block, their transposes', and the diagonals the trace sums, each copy once
+        none = [np.zeros(0, int)]
+        self.square = np.concatenate(none + [q.reshape(-1) for q in squares.values()])
+        self.square_t = np.concatenate(none + [q.T.reshape(-1) for q in squares.values()])
+        self.diagonal = np.concatenate(none + diagonal)
         self.stats = {
             "sectors": len(sectors),
             "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror in self.pairs),
             "pairs_stepped": len(self.pairs),
-            "propagators": len(users),
-            "propagators_real": sum(c1 == c2 for c1, c2 in users),
-            "block_dim_max": max(prop.shape[0] for prop, _, _ in self.pairs),
+            "evolutions": len(self.evolutions),
+            "propagators": len(props),
+            "propagators_real": sum(c1 == c2 for c1, c2 in props),
+            "block_dim_max": max(prop.shape[0] for prop in props.values()),
         }
 
-    def step(self, rho: np.ndarray) -> np.ndarray:
-        flat = rho.reshape(-1)
-        out = np.zeros_like(flat)
-        for prop, idx, mirror in self.pairs:
-            y = prop @ flat[idx]
-            out[idx] = y
+    def step(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        for prop, sl in self.evolutions:
+            np.matmul(prop, v[sl], out=out[sl])
+        return out
+
+    def hygiene(self, v: np.ndarray, rec: "_Recorder", t: float) -> np.ndarray:
+        """Re-Hermitize, in place, the evolutions holding a diagonal block (the
+        rest are Hermitian by construction), then audit and renormalize."""
+        x, x_dag = v[self.square], v[self.square_t].conj()
+        herm_dev = float(np.max(np.abs(x - x_dag)))
+        v[self.square] = 0.5 * (x + x_dag)
+        trace = float(np.sum(v[self.diagonal].real))
+        if rec.audit(herm_dev, trace, t):
+            v /= trace
+        return v
+
+    def weights(self, f: np.ndarray) -> np.ndarray:
+        """Rows ``(a; b)`` with sum_ij f[k, i, j] rho[i, j] = a[k] v + conj(b[k] v),
+        for a ``(k, dim, dim)`` stack ``f``; ``b`` reads the mirrored blocks."""
+        f = f.reshape(len(f), self.dim * self.dim)
+        w = np.zeros((2, len(f), len(self.v0)), dtype=complex)
+        for sl, flat, mirror in self.pairs:
+            w[0][:, sl] += f[:, flat]
             if mirror is not None:
-                out[mirror] = y.conj()
-        return out.reshape(rho.shape)
+                w[1][:, sl] += f[:, mirror].conj()
+        return w.reshape(2 * len(f), len(self.v0))
+
+    def assemble(self, v: np.ndarray) -> np.ndarray:
+        rho = np.zeros(self.dim * self.dim, dtype=complex)
+        for sl, flat, mirror in self.pairs:
+            rho[flat] = v[sl]
+            if mirror is not None:
+                rho[mirror] = v[sl].conj()
+        return rho.reshape(self.dim, self.dim)
 
 
 @dataclass
@@ -335,33 +374,69 @@ def _grid_steps(t_end: float, dt: float) -> int:
 
 
 class _Recorder:
-    """Per-step observable contraction and state hygiene bookkeeping."""
+    """A run's recorded scalars, kept states and hygiene figures, and the aborts
+    that guard the figures. The recorded scalars are the expectation of each
+    ``record`` operator, then the marginal's entries in C order."""
 
     def __init__(self, n_rec, record, marginal_keep, layout, keep_states, dim):
-        self.record = record or {}
-        self.expect = {name: np.empty(n_rec) for name in self.record}
-        self.marginal_keep = marginal_keep
-        self.layout = layout
+        self.record, self.keep, self.layout = record or {}, marginal_keep, layout
+        self.kd = 0
         if marginal_keep is not None:
             if layout is None:
                 raise ValueError("marginal recording requires a layout")
-            kd = int(np.prod([layout.dims[k] for k in marginal_keep]))
-            self.marginals = np.empty((n_rec, kd, kd), dtype=complex)
-        else:
-            self.marginals = None
+            self.kd = int(np.prod([layout.dims[k] for k in marginal_keep]))
+        self.values = np.empty((n_rec, len(self.record) + self.kd**2), dtype=complex)
         self.states = np.empty((n_rec, dim, dim), dtype=complex) if keep_states else None
-        self.max_trace_drift = 0.0
-        self.max_herm_dev = 0.0
-        self.min_eigenvalue = np.inf
-        self.eig_checks = 0
+        self.max_trace_drift, self.max_herm_dev = 0.0, 0.0
+        self.min_eigenvalue, self.eig_checks = np.inf, 0
+
+    def functionals(self) -> np.ndarray:
+        """Stack f of the recorded scalars as sum_ij f[k, i, j] rho[i, j].
+
+        tr(O rho) is sum_ij O[j, i] rho[i, j]; marginal entry (x, y) is the
+        sum over the traced sites' index z of rho[(x, z), (y, z)].
+        """
+        f = [np.asarray(op, dtype=complex).T for op in self.record.values()]
+        if self.kd:
+            keep = sorted(set(self.keep))
+            order = keep + [s for s in range(self.layout.n_sites) if s not in keep]
+            dim = self.layout.total_dim
+            full = np.arange(dim).reshape(self.layout.dims).transpose(order).reshape(self.kd, -1)
+            one_hot = np.eye(dim)[full]  # (kept x, traced z, full index)
+            f += list(np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(-1, dim, dim))
+        return np.array(f, dtype=complex)
 
     def take(self, i: int, rho: np.ndarray) -> None:
-        for name, op in self.record.items():
-            self.expect[name][i] = np.einsum("ij,ji->", op, rho).real
-        if self.marginals is not None:
-            self.marginals[i] = partial_trace(rho, self.marginal_keep, self.layout)
+        """Record from the full state, for the RK4 oracle."""
+        values = [np.einsum("ij,ji->", op, rho) for op in self.record.values()]
+        if self.kd:
+            values += list(partial_trace(rho, self.keep, self.layout).reshape(-1))
+        self.values[i] = values
         if self.states is not None:
             self.states[i] = rho
+
+    def audit(self, herm_dev: float, trace: float, t: float) -> bool:
+        """Record a step's Hermiticity deviation and trace and abort on either, in
+        that order; return whether the trace drift lies in the repair window."""
+        self.max_herm_dev = max(self.max_herm_dev, herm_dev)
+        if herm_dev > HERM_ABORT_TOL:
+            raise PropagationError(
+                f"Hermiticity deviation {herm_dev:.3e} at t={t:.6g} exceeds abort tolerance"
+            )
+        drift = abs(trace - 1.0)
+        self.max_trace_drift = max(self.max_trace_drift, drift)
+        if drift > TRACE_ABORT_TOL:
+            raise PropagationError(
+                f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
+            )
+        return drift <= TRACE_REPAIR_TOL
+
+    def hygiene(self, rho: np.ndarray, t: float) -> np.ndarray:
+        """Repair the full state, for the RK4 oracle."""
+        herm_dev = float(np.max(np.abs(rho - dag(rho))))
+        rho = 0.5 * (rho + dag(rho))
+        trace = np.trace(rho).real
+        return rho / trace if self.audit(herm_dev, trace, t) else rho
 
     def check_eigs(self, rho: np.ndarray, t: float) -> None:
         w_min = float(np.min(np.linalg.eigvalsh(rho)))
@@ -372,31 +447,24 @@ class _Recorder:
                 f"negative population {w_min:.3e} at t={t:.6g} exceeds abort tolerance"
             )
 
-    def hygiene(self, rho: np.ndarray, t: float) -> np.ndarray:
-        herm_dev = float(np.max(np.abs(rho - dag(rho))))
-        self.max_herm_dev = max(self.max_herm_dev, herm_dev)
-        if herm_dev > HERM_ABORT_TOL:
-            raise PropagationError(
-                f"Hermiticity deviation {herm_dev:.3e} at t={t:.6g} exceeds abort tolerance"
-            )
-        rho = 0.5 * (rho + dag(rho))
-        drift = abs(np.trace(rho).real - 1.0)
-        self.max_trace_drift = max(self.max_trace_drift, drift)
-        if drift > TRACE_ABORT_TOL:
-            raise PropagationError(
-                f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
-            )
-        if drift <= TRACE_REPAIR_TOL:
-            rho = rho / np.trace(rho).real
-        return rho
-
-    def stats(self) -> dict:
-        return {
-            "max_trace_drift": self.max_trace_drift,
-            "max_herm_dev": self.max_herm_dev,
-            "min_eigenvalue": None if np.isinf(self.min_eigenvalue) else self.min_eigenvalue,
-            "eig_checks": self.eig_checks,
-        }
+    def trajectory(self, t_grid, step: float, final_state, stats: dict) -> Trajectory:
+        n = len(self.record)
+        expect = {name: self.values[:, j].real.copy() for j, name in enumerate(self.record)}
+        return Trajectory(
+            t_grid=t_grid,
+            step=step,
+            expectations=expect,
+            marginals=self.values[:, n:].reshape(-1, self.kd, self.kd) if self.kd else None,
+            states=self.states,
+            final_state=final_state,
+            stats={
+                "max_trace_drift": self.max_trace_drift,
+                "max_herm_dev": self.max_herm_dev,
+                "min_eigenvalue": None if np.isinf(self.min_eigenvalue) else self.min_eigenvalue,
+                "eig_checks": self.eig_checks,
+                **stats,
+            },
+        )
 
 
 def propagate(
@@ -423,29 +491,25 @@ def propagate(
         raise ValueError(f"unknown propagation method {method!r}")
     rho = _validate_initial_state(rho0, gen.dim)
     n_steps = _grid_steps(t_end, dt)
+    rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
     stepper = _BlockStepper(gen, dt, sectors, rho)
+    weights, k = stepper.weights(rec.functionals()), rec.values.shape[1]
 
-    rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
     t_grid = dt * np.arange(n_steps + 1)
+    v = stepper.v0
     for i in range(n_steps + 1):
-        rec.take(i, rho)
+        w = weights @ v
+        rec.values[i] = w[:k] + w[k:].conj()
+        if keep_states:
+            rec.states[i] = stepper.assemble(v)
         if i % EIG_CHECK_STRIDE == 0:
-            rec.check_eigs(rho, t_grid[i])
+            rec.check_eigs(stepper.assemble(v), t_grid[i])
         if i < n_steps:
-            rho = stepper.step(rho)
-            rho = rec.hygiene(rho, t_grid[i + 1])
+            v = stepper.hygiene(stepper.step(v), rec, t_grid[i + 1])
+    rho = stepper.assemble(v)
     rec.check_eigs(rho, t_grid[-1])
-
-    return Trajectory(
-        t_grid=t_grid,
-        step=dt,
-        expectations=rec.expect,
-        marginals=rec.marginals,
-        states=rec.states,
-        final_state=rho,
-        stats={**rec.stats(), **stepper.stats},
-    )
+    return rec.trajectory(t_grid, dt, rho, stepper.stats)
 
 
 def rk4_reference(
@@ -500,13 +564,4 @@ def rk4_reference(
         if i % record_every == 0:
             rec.take(i // record_every, rho)
     rec.check_eigs(rho, t_end)
-
-    return Trajectory(
-        t_grid=t_grid,
-        step=dt * record_every,
-        expectations=rec.expect,
-        marginals=rec.marginals,
-        states=rec.states,
-        final_state=rho,
-        stats=rec.stats(),
-    )
+    return rec.trajectory(t_grid, dt * record_every, rho, {})

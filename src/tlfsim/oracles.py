@@ -97,7 +97,7 @@ def ideal_zz_gate() -> OracleResult:
     gen = LindbladGenerator(h=h, jumps=[])
     rho0 = np.outer(PLUS_PLUS, PLUS_PLUS.conj())
     t_star = (np.pi / 4.0) / g
-    traj = propagate(gen, rho0, t_star, dt=t_star / 128, keep_states=True)
+    traj = propagate(gen, rho0, t_star, dt=t_star / 128)
     e_sim = log_negativity(traj.final_state)
 
     u = expm(-1j * h * t_star)

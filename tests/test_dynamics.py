@@ -9,10 +9,12 @@ from tlfsim.linalg import (
     I2,
     SIGMA_MINUS,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     SubsystemLayout,
     embed,
     expm,
+    partial_trace,
 )
 from tlfsim import dynamics
 from tlfsim.dynamics import (
@@ -178,18 +180,19 @@ class TestBlockAssembly:
         # under psi+ the |01> and |10> sectors share a class, so the (|01>, |10>)
         # pair is stepped by the real-basis propagator; feed it a non-Hermitian
         # block, inside a Hermitian state as the stepper requires
-        gen, rho0 = probe_tlf_system(n_tlf, "psi+")
+        gen, _ = probe_tlf_system(n_tlf, "psi+")
         dt = 0.05
-        stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), rho0)
-        assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
         d = 2**n_tlf
         rng = np.random.default_rng(52)
         x = np.zeros((gen.dim, gen.dim), dtype=complex)
         x[d : 2 * d, 2 * d : 3 * d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = x + x.conj().T
+        stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), x)
+        assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
         jumps = [(rate, op, op) for rate, op in gen.jumps]
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
-        assert np.max(np.abs(vec(stepper.step(x)) - exact)) < 1e-13
+        stepped = stepper.assemble(stepper.step(stepper.v0))
+        assert np.max(np.abs(vec(stepped) - exact)) < 1e-13
 
 
 class TestStepPropagator:
@@ -354,13 +357,30 @@ class TestBlockEngine:
         split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
         assert (dense.stats["sectors"], dense.stats["propagators"]) == (1, 1)
+        # the recorded scalars come from weight rows on the evolutions, not from
+        # states; check them against the dense states' full-state contractions
+        # (M_y, with complex entries, checks the conjugation of the mirrored blocks)
+        layout = SubsystemLayout((2,) * (2 + n_tlf))
+        record = {
+            name: embed(op, 0, layout) + embed(op, 1, layout)
+            for name, op in (("M_x", SIGMA_X), ("M_y", SIGMA_Y))
+        }
+        rec = propagate(gen, rho0, 5.0, dt=0.05, record=record, marginal_keep=(0, 1),
+                        layout=layout)
+        assert rec.states is None
+        for name, op in record.items():
+            direct = np.einsum("ij,nji->n", op, dense.states).real
+            assert np.max(np.abs(rec.expectations[name] - direct)) < 1e-10
+        marginals_dense = np.array([partial_trace(r, (0, 1), layout) for r in dense.states])
+        assert np.max(np.abs(rec.marginals - marginals_dense)) < 1e-10
 
-    # (pairs_stepped, propagators_real, block_dim_max) of the counter cases below;
-    # each adjoint pair of off-diagonal blocks is stepped once
-    STEPPED_REAL_AND_DIM = {
-        ("plus_plus", None): (10, 3, 256),
-        ("phi+", None): (3, 2, 256),
-        ("plus_plus", "xxyy"): (6, 3, 1024),
+    # (pairs_stepped, evolutions, propagators_real, block_dim_max) of the counter
+    # cases below; each adjoint pair of off-diagonal blocks is stepped once, and
+    # under |++> pairs of one class pair share an evolution (every block is rho_tlf / 4)
+    STEPPED_EVOLUTIONS_REAL_AND_DIM = {
+        ("plus_plus", None): (10, 6, 3, 256),
+        ("phi+", None): (3, 3, 2, 256),
+        ("plus_plus", "xxyy"): (6, 6, 3, 1024),
     }
 
     @pytest.mark.parametrize(
@@ -377,21 +397,38 @@ class TestBlockEngine:
     def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
         gen, rho0 = probe_tlf_system(4, state, gate)
         traj = propagate(gen, rho0, 0.1, dt=0.05)
-        names = ("sectors", "pairs_live", "pairs_stepped", "propagators", "propagators_real",
-                 "block_dim_max")
+        names = ("sectors", "pairs_live", "pairs_stepped", "evolutions", "propagators",
+                 "propagators_real", "block_dim_max")
         counters = {k: traj.stats[k] for k in names}
         # diagonal class pairs take the real basis; 16-dim sectors give 256-dim
         # blocks, the XX+YY-merged 32-dim sector a 1024-dim one
-        stepped, real, dim_max = self.STEPPED_REAL_AND_DIM[(state, gate)]
+        stepped, evolutions, real, dim_max = self.STEPPED_EVOLUTIONS_REAL_AND_DIM[(state, gate)]
         assert counters == {
             "sectors": sectors,
             "pairs_live": pairs_live,
             "pairs_stepped": stepped,
+            "evolutions": evolutions,
             "propagators": propagators,
             "propagators_real": real,
             "block_dim_max": dim_max,
         }
         assert all(type(v) is int for v in counters.values())
+
+    @pytest.mark.parametrize("n_tlf", [1, 2])
+    @pytest.mark.parametrize("gate", [None, "zz"])
+    def test_distinct_blocks_are_not_merged(self, n_tlf, gate):
+        # a random entangled state: pairs of one class pair start from different
+        # blocks, so each stepped pair must be its own evolution
+        gen, _ = probe_tlf_system(n_tlf, "plus_plus", gate)
+        rng = np.random.default_rng(55)
+        a = rng.normal(size=(gen.dim, gen.dim)) + 1j * rng.normal(size=(gen.dim, gen.dim))
+        rho0 = a @ a.conj().T
+        rho0 /= np.trace(rho0).real
+        dense = propagate(gen, rho0, 2.0, dt=0.05, method="dense", keep_states=True)
+        split = propagate(gen, rho0, 2.0, dt=0.05, keep_states=True)
+        assert split.stats["evolutions"] == split.stats["pairs_stepped"]
+        assert split.stats["propagators"] < split.stats["pairs_stepped"]
+        assert np.max(np.abs(dense.states - split.states)) < 1e-10
 
     @given(
         n_tlf=st.sampled_from([1, 2]),

@@ -185,6 +185,9 @@ class TestSpectrumSweep:
         for label, dim_max in (("mu0.50", 16), ("control", 1)):
             cptp = manifest["summary"]["cptp"][label]
             assert (cptp["sectors"], cptp["pairs_live"], cptp["propagators"]) == (4, 16, 6)
+            # from |++> every block is a quarter of the fluctuator state: of the 10
+            # stepped pairs, those of one class pair share an evolution
+            assert (cptp["pairs_stepped"], cptp["evolutions"]) == (10, 6)
             assert (cptp["propagators_real"], cptp["block_dim_max"]) == (3, dim_max)
 
     def test_jsonl_format(self, tmp_path):
