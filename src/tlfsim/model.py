@@ -16,6 +16,7 @@ the second basis vector. The charge operator of a TLF with mixing angle
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, fields
@@ -64,12 +65,14 @@ _FIELD_KINDS = {
 def check_field_types(obj) -> None:
     """Raise ConfigurationError unless each int, float, bool or str field (or
     optional float or str field) of the dataclass ``obj`` holds that kind of
-    value; a bool is not taken for a number."""
+    value; a bool is not taken for a number, nor a NaN or infinity."""
     for f in fields(obj):
         kind, what = _FIELD_KINDS.get(f.type, (object, ""))
         v = getattr(obj, f.name)
         if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
             raise ConfigurationError(f"{f.name} must be {what}, got {v!r}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigurationError(f"{f.name} must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +109,8 @@ class ModelConfig:
             raise ConfigurationError("mu_over_nu must be non-negative")
         if self.nbar < 0:
             raise ConfigurationError("nbar must be non-negative")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         if self.gamma_plus_mode not in GAMMA_PLUS_MODES:
             raise ConfigurationError(
                 f"gamma_plus_mode must be one of {GAMMA_PLUS_MODES}"

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 import yaml
 
 from . import __version__
@@ -101,6 +100,9 @@ KIND_FIELDS = {
 class GateSpec:
     kind: str
     strength: float | None = None  # defaults to the sampled probe-TLF coupling
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -299,6 +301,49 @@ def _header(scenario: Scenario, extra: dict | None = None) -> list[str]:
     return lines
 
 
+def _find_peaks(
+    x: np.ndarray, prominence: float | None = None, distance: int | None = None
+) -> np.ndarray:
+    """Indices of the local maxima of ``x``, ascending.
+
+    A maximum is a run of equal samples whose neighbours on both sides are
+    strictly lower, taken at its midpoint ``(left + right) // 2``; the
+    endpoints never are one. ``distance`` then visits the maxima from the
+    highest down, in the reverse of numpy's default ``argsort`` of their
+    heights (not a stable sort, so it also orders equal heights), and each
+    one not yet dropped drops those less than ``distance`` samples away.
+    Last, a maximum is kept if its prominence is at least ``prominence``:
+    its height minus the higher of two minima, each over the samples no
+    higher than it that run from it to one side. These are the rules of
+    ``scipy.signal.find_peaks`` with these two arguments.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(x) < 3:
+        return np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])  # runs of equal samples
+    ends = np.r_[starts[1:], len(x)] - 1
+    level = x[starts]
+    inner = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    peaks = (starts[1:-1][inner] + ends[1:-1][inner]) // 2
+    if distance is not None:
+        keep = np.ones(len(peaks), dtype=bool)
+        for j in np.argsort(x[peaks])[::-1]:
+            if keep[j]:
+                keep[np.abs(peaks - peaks[j]) < distance] = False
+                keep[j] = True
+        peaks = peaks[keep]
+    if prominence is not None:
+        prom = np.empty(len(peaks))
+        for n, p in enumerate(peaks):
+            wall = ~(x <= x[p])  # a base run stops at a higher sample (or a NaN)
+            left, right = np.flatnonzero(wall[:p]), np.flatnonzero(wall[p:])
+            lo = left[-1] + 1 if len(left) else 0
+            hi = p + right[0] if len(right) else len(x)
+            prom[n] = x[p] - max(x[lo:p + 1].min(), x[p:hi].min())
+        peaks = peaks[prom >= prominence]
+    return peaks
+
+
 def detect_peaks(spec: SpectrumEstimate) -> list[tuple[float, float]]:
     """Local maxima above a prominence threshold, strongest first.
 
@@ -308,7 +353,7 @@ def detect_peaks(spec: SpectrumEstimate) -> list[tuple[float, float]]:
     power = np.asarray(spec.power)
     if power.max() <= 0:
         return []
-    idx, _ = scipy.signal.find_peaks(
+    idx = _find_peaks(
         power,
         prominence=PEAK_PROMINENCE_FRAC * power.max(),
         distance=PEAK_MIN_SEPARATION_BINS,
@@ -484,7 +529,7 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
 
 
 def _first_local_max(t: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    idx, _ = scipy.signal.find_peaks(values)
+    idx = _find_peaks(values)
     if len(idx) == 0:
         i = int(np.argmax(values))
     else:
@@ -576,11 +621,15 @@ def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
 
 def load_scenario_file(path) -> list[tuple[str, Scenario]]:
     """Parse a scenario file into its (label, scenario) expansions."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"cannot parse scenario file: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read scenario file: {exc}") from exc
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"cannot parse scenario file: {exc}") from exc
     return expand_grid(raw)
 
 

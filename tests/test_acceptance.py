@@ -40,7 +40,15 @@ from tlfsim.oracles import (
     pure_dephasing,
     rk4_convergence,
 )
-from tlfsim.scenarios import Scenario, detect_peaks, run_scenario, simulate
+from tlfsim.scenarios import (
+    PEAK_MIN_SEPARATION_BINS,
+    PEAK_PROMINENCE_FRAC,
+    Scenario,
+    _find_peaks,
+    detect_peaks,
+    run_scenario,
+    simulate,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -72,13 +80,13 @@ def _ent_run(seed, ratio, mu_over_nu, cycles, step_cycles, state="plus_plus", ga
 
 
 def _spectrum_run(seed, ratio, mu_over_nu, fluctuators=True):
-    """Spectrum peaks and stats; ``fluctuators=False`` is the isolated-probe control."""
+    """Spectrum peaks, stats and power; ``fluctuators=False`` is the isolated-probe control."""
     _, traj = simulate(
         _config(seed, ratio, mu_over_nu), 3999 * 0.05, 0.05,
         fluctuators=fluctuators, magnetization=True,
     )
     spec = power_spectrum(magnetization_series(traj))
-    return detect_peaks(spec), traj.stats
+    return detect_peaks(spec), traj.stats, spec.power
 
 
 def _control_spectrum(seed):
@@ -106,6 +114,7 @@ def golden_bank():
     bank = {
         "cptp": [],
         "spectrum": {},
+        "power": {},
         "ent": {},
         "bound": {},
         "bell": {},
@@ -116,12 +125,12 @@ def golden_bank():
     def log_stats(label, stats):
         bank["cptp"].append((label, stats))
 
-    control_peaks, stats = _control_spectrum(GOLDEN_SEEDS[0])
+    control_peaks, stats, bank["power"]["control"] = _control_spectrum(GOLDEN_SEEDS[0])
     bank["control_peaks"] = control_peaks
     log_stats("control", stats)
 
     for seed in GOLDEN_SEEDS:
-        peaks, stats = _spectrum_run(seed, 3.0, 1.0)
+        peaks, stats, bank["power"][seed] = _spectrum_run(seed, 3.0, 1.0)
         bank["spectrum"][seed] = peaks
         log_stats(f"spectrum-{seed}", stats)
 
@@ -245,7 +254,7 @@ def test_criterion_4_distributions():
 
 def test_criterion_5_control_spectrum():
     t0 = time.monotonic()
-    peaks, _ = _control_spectrum(1)
+    peaks, *_ = _control_spectrum(1)
     elapsed = time.monotonic() - t0
     d_omega = TWO_PI / 200.0
     ok = len(peaks) == 1 and abs(peaks[0][0] - 1.0) <= d_omega and elapsed < 60.0
@@ -255,6 +264,24 @@ def test_criterion_5_control_spectrum():
         f"isolated-probe spectrum: {len(peaks)} peak(s), dominant at omega="
         f"{peaks[0][0]:.4f} (within {d_omega:.4f} of 1), {elapsed:.1f}s",
     )
+
+
+def test_peak_finder_matches_scipy_on_golden_bank(golden_bank):
+    """The numpy finder behind detect_peaks and the gate first maximum keeps the
+    indices scipy.signal.find_peaks keeps, on every golden spectrum and gate trace."""
+
+    def check(x, **kwargs):
+        expected, _ = scipy.signal.find_peaks(x, **kwargs)
+        np.testing.assert_array_equal(_find_peaks(x, **kwargs), expected)
+
+    for power in golden_bank["power"].values():
+        check(power)
+        check(power, prominence=PEAK_PROMINENCE_FRAC * power.max(),
+              distance=PEAK_MIN_SEPARATION_BINS)
+    for seed in GOLDEN_SEEDS:
+        for entry in golden_bank["gate"][seed].values():
+            for key in ("ideal_trace", "trace0.0", "trace1.0"):
+                check(entry[key].log_negativity)
 
 
 def test_criterion_6_discrimination(golden_bank):

@@ -1,9 +1,14 @@
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import tlfsim
 from tlfsim.cli import cli_main
 
 SMALL_SCENARIO = """\
@@ -210,6 +215,12 @@ MALFORMED_VALUES = {
     # YAML 1.1 reads an exponent without a decimal point as a string
     "ratio_eps-string": "kind: entanglement_sweep\nmodel: {ratio_eps: 1e-3}\n",
     "halve_couplings-string": "kind: entanglement_sweep\nmodel: {halve_couplings: 'false'}\n",
+    "nbar-nan": "kind: entanglement_sweep\nmodel: {nbar: .nan}\n",
+    "nbar-inf": "kind: entanglement_sweep\nmodel: {nbar: .inf}\n",
+    "mu_over_nu-nan": "kind: entanglement_sweep\nmodel: {mu_over_nu: .nan}\n",
+    "seed-negative": "kind: entanglement_sweep\nmodel: {seed: -1}\n",
+    "duration-inf": "kind: entanglement_sweep\nduration: .inf\n",
+    "gate-strength-nan": "kind: gate\ngate: {kind: zz, strength: .nan}\n",
 }
 
 
@@ -224,6 +235,41 @@ def test_malformed_value_is_config_error(case, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sample"])
+def test_negative_seed_flag_is_config_error(command, scenario_file, tmp_path, capsys):
+    out = tmp_path / "seed_out"
+    args = [] if command == "sample" else [str(scenario_file), "--out-dir", str(out)]
+    assert cli_main([command, *args, "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "seed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_unreadable_scenario_file_is_config_error(command, tmp_path, capsys):
+    undecodable = tmp_path / "binary.yaml"
+    undecodable.write_bytes(b"\xff\xfe\x00kind")
+    for path in (tmp_path, undecodable):  # a directory, then bytes that are not UTF-8
+        assert cli_main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: cannot read scenario file" in err
+        assert "Traceback" not in err
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # they cost about a second and 40 MB of every run's start-up
+    src = str(Path(tlfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, tlfsim.cli; "
+        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -3,14 +3,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.signal
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlfsim.model import ConfigurationError, ModelConfig
 from tlfsim.observables import SpectrumEstimate
 from tlfsim.scenarios import (
     KINDS,
+    PEAK_MIN_SEPARATION_BINS,
+    PEAK_PROMINENCE_FRAC,
     GateSpec,
     Scenario,
+    _find_peaks,
+    _first_local_max,
+    _spectrum_point,
     detect_peaks,
     load_scenario_file,
     run_scenario,
@@ -142,6 +150,85 @@ class TestPeakDetection:
     def test_empty_spectrum(self):
         spec = self.synthetic({})
         assert detect_peaks(spec) == []
+
+
+def assert_peaks_match_scipy(x, **kwargs):
+    """The numpy finder picks the indices ``scipy.signal.find_peaks`` picks."""
+    expected, _ = scipy.signal.find_peaks(x, **kwargs)
+    np.testing.assert_array_equal(_find_peaks(x, **kwargs), expected)
+
+
+def _runs(runs):
+    """A series of plateaus: ``(value, length)`` runs end to end."""
+    return np.repeat([float(v) for v, _ in runs], [n for _, n in runs])
+
+
+# integer levels make ties between peaks and plateaus (at the edges and next
+# to each other) common; long series sort more than 16 peak heights
+SERIES = st.one_of(
+    st.lists(st.integers(0, 3), max_size=200).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5)), max_size=60).map(_runs),
+    st.lists(st.floats(-5.0, 5.0), max_size=200).map(lambda v: np.array(v, dtype=float)),
+)
+
+
+class TestFindPeaks:
+    @given(
+        x=SERIES,
+        prominence=st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 4.0)),
+        distance=st.integers(1, 7),
+    )
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    def test_matches_scipy(self, x, prominence, distance):
+        assert_peaks_match_scipy(x)
+        assert_peaks_match_scipy(x, distance=distance)
+        assert_peaks_match_scipy(x, prominence=prominence)
+        assert_peaks_match_scipy(x, prominence=prominence, distance=distance)
+
+    def test_matches_scipy_on_long_tied_series(self):
+        # dozens of equal-height peaks, so that the order in which distance
+        # visits them is the one numpy's default argsort gives
+        rng = np.random.default_rng(0)
+        for n in (100, 300, 1000):
+            for _ in range(20):
+                x = rng.integers(0, 4, size=n).astype(float)
+                assert_peaks_match_scipy(x, distance=int(rng.integers(2, 7)))
+                assert_peaks_match_scipy(x, prominence=1.0, distance=3)
+
+    def test_plateau_rules(self):
+        x = np.array([2.0, 2.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 3.0, 3.0, 5.0, 5.0])
+        # edge plateaus never count, an even plateau takes the left of its two middles
+        np.testing.assert_array_equal(_find_peaks(x), [4])
+        assert_peaks_match_scipy(x)
+
+    def test_all_zero(self):
+        assert len(_find_peaks(np.zeros(64))) == 0
+        assert_peaks_match_scipy(np.zeros(64), prominence=0.0, distance=3)
+        assert _first_local_max(np.arange(64.0), np.zeros(64)) == (0.0, 0.0)
+
+    def test_first_local_max_falls_back_to_argmax(self):
+        t = np.linspace(0.0, 1.0, 11)
+        assert _first_local_max(t, t**2) == (1.0, 1.0)  # rising: no local maximum
+
+    def test_first_local_max_takes_the_earliest(self):
+        t = np.arange(7.0)
+        values = np.array([0.0, 0.4, 0.1, 0.9, 0.2, 0.5, 0.5])
+        assert _first_local_max(t, values) == (1.0, 0.4)
+
+    @pytest.mark.acceptance
+    def test_matches_scipy_on_shipped_spectra(self):
+        path = Path(__file__).parent.parent / "scenarios" / "spectrum_weak_fields.yaml"
+        ((_, sc),) = load_scenario_file(path)
+        for mu in (None, *sc.sweep):
+            spectrum = _spectrum_point(sc, mu)["tables"][1]
+            assert spectrum[0].startswith("spectrum_")
+            power = np.array([p for _, p in spectrum[3]])
+            assert_peaks_match_scipy(power)
+            assert_peaks_match_scipy(
+                power,
+                prominence=PEAK_PROMINENCE_FRAC * power.max(),
+                distance=PEAK_MIN_SEPARATION_BINS,
+            )
 
 
 class TestSpectrumSweep:
