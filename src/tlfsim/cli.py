@@ -31,7 +31,7 @@ Scenario file schema (YAML)
                                  # bound_compare | bell_decay | gate
     model:                       # all optional, defaults shown
       omega_p: 1.0               # probe frequency (sets the unit)
-      n_tlf: 4                   # number of fluctuators
+      n_tlf: 4                   # number of fluctuators, at most 6
       ratio_eps: 3.0             # probe splitting / mean TLF bias
       tan_theta_bar: 0.3333333   # mean TLF local field / mean TLF bias
       mu_over_nu: 0.0            # base TLF-TLF coupling ratio
@@ -54,7 +54,8 @@ Scenario file schema (YAML)
     bell_step_cycles: 0.05       # bell_decay trace step, cycles
 
 Unknown keys anywhere are rejected, and so is a key set to other than its
-default on a kind that does not read it (``scenarios.KIND_FIELDS``).
+default on a kind that does not read it (``scenarios.KIND_FIELDS``), and a
+time grid of more than 10**6 steps per point.
 """
 
 from __future__ import annotations

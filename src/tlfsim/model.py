@@ -19,12 +19,11 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .linalg import (
-    I2,
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_X,
@@ -62,17 +61,21 @@ _FIELD_KINDS = {
 }
 
 
+def check_value(name: str, v, kind: str) -> None:
+    """Raise ConfigurationError unless ``v`` is a value of ``kind`` (an int,
+    float, bool or str, or an optional float or str, as annotated); a bool is
+    not taken for a number, nor a NaN or infinity."""
+    types, what = _FIELD_KINDS.get(kind, (object, ""))
+    if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
+        raise ConfigurationError(f"{name} must be {what}, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigurationError(f"{name} must be finite, got {v!r}")
+
+
 def check_field_types(obj) -> None:
-    """Raise ConfigurationError unless each int, float, bool or str field (or
-    optional float or str field) of the dataclass ``obj`` holds that kind of
-    value; a bool is not taken for a number, nor a NaN or infinity."""
+    """:func:`check_value` on each field of the dataclass ``obj``, for its annotation."""
     for f in fields(obj):
-        kind, what = _FIELD_KINDS.get(f.type, (object, ""))
-        v = getattr(obj, f.name)
-        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
-            raise ConfigurationError(f"{f.name} must be {what}, got {v!r}")
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ConfigurationError(f"{f.name} must be finite, got {v!r}")
+        check_value(f.name, getattr(obj, f.name), f.type)
 
 
 @dataclass(frozen=True)
@@ -223,21 +226,8 @@ class TlfEnsemble:
 
     def as_dict(self) -> dict:
         """Plain-type view for manifests and provenance records."""
-        return {
-            "eps": self.eps.tolist(),
-            "delta": self.delta.tolist(),
-            "gamma_z": self.gamma_z.tolist(),
-            "gamma_minus": self.gamma_minus.tolist(),
-            "gamma_plus": self.gamma_plus.tolist(),
-            "theta": self.theta.tolist(),
-            "omega": self.omega.tolist(),
-            "Gamma_z": self.Gamma_z.tolist(),
-            "Gamma_minus": self.Gamma_minus.tolist(),
-            "Gamma_plus": self.Gamma_plus.tolist(),
-            "omega_min": self.omega_min,
-            "nu": self.nu,
-            "mu": self.mu,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def sample_ensemble(cfg: ModelConfig, rng=None) -> TlfEnsemble:
@@ -343,9 +333,7 @@ def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, s
 
     cos_t = np.cos(ens.theta)
     sin_t = np.sin(ens.theta)
-    terms: list[tuple[float, str]] = []
-    for q in (0, 1):
-        terms.append((cfg.omega_p / 2.0, label({q: "Z"})))
+    terms = _probe_terms(cfg, n_sites)
     for j in range(n):
         terms.append((ens.omega[j] / 2.0, label({2 + j: "Z"})))
     # Probe-TLF coupling: nu * (Z_A + Z_B) * charge operator of each TLF.
@@ -390,8 +378,9 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
             if rate > 0.0:
                 jumps.append((float(rate), embed(op, site, layout)))
 
-    m_x = embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout)
-    return SystemOperators(hamiltonian=h, jumps=jumps, m_x=m_x, layout=layout, terms=terms)
+    return SystemOperators(
+        hamiltonian=h, jumps=jumps, m_x=_m_x(layout), layout=layout, terms=terms
+    )
 
 
 def tlf_hamiltonian(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
@@ -462,33 +451,32 @@ def _plus_terms(h: np.ndarray, terms) -> np.ndarray:
     return h
 
 
-def _gate_terms(gate: str, gate_strength: float, n_sites: int) -> list[tuple[float, str]]:
-    """Scaled Pauli terms of ``gate`` on the probe pair of an ``n_sites`` register."""
-    if gate not in GATE_TERMS:
-        raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
-    return [(gate_strength, lab + "I" * (n_sites - 2)) for lab in GATE_TERMS[gate]]
+def _probe_terms(cfg: ModelConfig, n_sites: int) -> list[tuple[float, str]]:
+    """The probe splitting, omega_p/2 (Z_A + Z_B), as Pauli terms on ``n_sites`` sites."""
+    rest = "I" * (n_sites - 2)
+    return [(cfg.omega_p / 2.0, "ZI" + rest), (cfg.omega_p / 2.0, "IZ" + rest)]
 
 
-def probe_only_operators(
-    cfg: ModelConfig, gate: str | None = None, gate_strength: float = 0.0
-) -> SystemOperators:
-    """Isolated two-qubit probe (no fluctuators), optionally with a gate term."""
+def _m_x(layout: SubsystemLayout) -> np.ndarray:
+    """Transverse probe magnetization X_A + X_B on ``layout``."""
+    rest = "I" * (layout.n_sites - 2)
+    return pauli_string("XI" + rest) + pauli_string("IX" + rest)
+
+
+def probe_only_operators(cfg: ModelConfig) -> SystemOperators:
+    """Isolated two-qubit probe (no fluctuators)."""
     layout = SubsystemLayout((2, 2))
-    terms = [(cfg.omega_p / 2.0, "ZI"), (cfg.omega_p / 2.0, "IZ")]
-    if gate is not None:
-        terms += _gate_terms(gate, gate_strength, n_sites=2)
+    terms = _probe_terms(cfg, 2)
     h = _plus_terms(np.zeros((4, 4), dtype=complex), terms)
-    m_x = embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout)
-    return SystemOperators(hamiltonian=h, jumps=[], m_x=m_x, layout=layout, terms=terms)
+    return SystemOperators(hamiltonian=h, jumps=[], m_x=_m_x(layout), layout=layout, terms=terms)
 
 
 def add_gate(ops: SystemOperators, gate: str, gate_strength: float) -> SystemOperators:
     """Return a copy of the system with a static two-qubit gate term added."""
-    terms = _gate_terms(gate, gate_strength, ops.layout.n_sites)
-    return SystemOperators(
-        hamiltonian=_plus_terms(ops.hamiltonian, terms),
-        jumps=ops.jumps,
-        m_x=ops.m_x,
-        layout=ops.layout,
-        terms=list(ops.terms) + terms,
+    if gate not in GATE_TERMS:
+        raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
+    rest = "I" * (ops.layout.n_sites - 2)
+    terms = [(gate_strength, lab + rest) for lab in GATE_TERMS[gate]]
+    return replace(
+        ops, hamiltonian=_plus_terms(ops.hamiltonian, terms), terms=list(ops.terms) + terms
     )

@@ -21,7 +21,6 @@ import numpy as np
 from .dynamics import PropagationError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-M_X_PROBE = np.kron(SIGMA_X, np.eye(2)) + np.kron(np.eye(2), SIGMA_X)
 # _PAULI_PAIRS[i, j] = s_i kron s_j for s = (x, y, z)
 _PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(3, 3, 4, 4)
@@ -48,17 +47,10 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """One-sided power spectrum on the angular-frequency grid.
-
-    ``resolution_df`` and ``nyquist_f`` are the cycle-unit sampling
-    parameters 1/(N ts) and 1/(2 ts); the frequency axis itself is angular,
-    omega_k = 2 pi k / (N ts).
-    """
+    """One-sided power spectrum on the angular-frequency grid omega_k = 2 pi k / (N ts)."""
 
     omega: np.ndarray
     power: np.ndarray
-    resolution_df: float
-    nyquist_f: float
 
 
 @dataclass(frozen=True)
@@ -68,21 +60,14 @@ class EntanglementTrace:
     t_grid: np.ndarray
     log_negativity: np.ndarray
     c2prime: np.ndarray | None = None
-    correlators: np.ndarray | None = None  # (n, 3, 3)
 
 
 def magnetization_series(traj) -> TimeSeries:
-    """Transverse probe magnetization <X_A + X_B> along a trajectory.
-
-    Uses a recorded "M_x" expectation channel when present, otherwise
-    contracts recorded probe marginals.
-    """
-    if "M_x" in traj.expectations:
-        values = np.asarray(traj.expectations["M_x"], dtype=float)
-    elif traj.marginals is not None and traj.marginals.shape[1] == 4:
-        values = np.einsum("ij,nji->n", M_X_PROBE, traj.marginals).real
-    else:
+    """Transverse probe magnetization <X_A + X_B> along a trajectory, read from
+    its recorded "M_x" expectation channel."""
+    if "M_x" not in traj.expectations:
         raise ValueError("trajectory carries no magnetization record")
+    values = np.asarray(traj.expectations["M_x"], dtype=float)
     return TimeSeries(t_grid=np.asarray(traj.t_grid), values=values, step=float(traj.step))
 
 
@@ -104,12 +89,7 @@ def power_spectrum(series: TimeSeries) -> SpectrumEstimate:
     spec = np.fft.rfft(x)
     power = (ts / n) * np.abs(spec) ** 2
     omega = 2.0 * np.pi * np.fft.rfftfreq(n, d=ts)
-    return SpectrumEstimate(
-        omega=omega,
-        power=power,
-        resolution_df=1.0 / (n * ts),
-        nyquist_f=1.0 / (2.0 * ts),
-    )
+    return SpectrumEstimate(omega=omega, power=power)
 
 
 def _one(a, shape: tuple, message: str, dtype=complex) -> np.ndarray:
@@ -199,14 +179,13 @@ def lower_bound_c2prime(lambda_mat: np.ndarray) -> float:
 
 
 def entanglement_trace(t_grid: np.ndarray, marginals: np.ndarray) -> EntanglementTrace:
-    """Log-negativity, correlators and lower bound of every probe marginal, in one pass."""
+    """Log-negativity and correlator lower bound of every probe marginal, in one pass."""
     states = np.asarray(marginals, dtype=complex)
     if states.shape != (len(t_grid), 4, 4):
         raise ValueError("entanglement trace expects one 4x4 probe marginal per time")
     e_p = _log_negativities(states)
-    corr = _correlators(states)
     return EntanglementTrace(
-        t_grid=np.asarray(t_grid), log_negativity=e_p, c2prime=_c2primes(corr), correlators=corr
+        t_grid=np.asarray(t_grid), log_negativity=e_p, c2prime=_c2primes(_correlators(states))
     )
 
 

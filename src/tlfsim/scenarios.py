@@ -52,6 +52,7 @@ from .model import (
     add_gate,
     build_operators,
     check_field_types,
+    check_value,
     initial_state,
     probe_only_operators,
     sample_ensemble,
@@ -82,6 +83,11 @@ DEFAULT_DURATIONS = {
     "bell_decay": 150.0,
     "gate": 25.0,
 }
+
+# ceilings on the work one file may ask for: the largest register the engine
+# is planned for, and far more steps per point than the longest shipped trace
+MAX_N_TLF = 6
+MAX_GRID_STEPS = 10**6
 
 _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
 
@@ -126,6 +132,12 @@ class Scenario:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         check_field_types(self)
+        for key in ("sweep", "epsilons"):
+            for v in getattr(self, key):
+                check_value(f"{key} entry", v, "float")
+            object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
+        if self.model.n_tlf > MAX_N_TLF:
+            raise ConfigurationError(f"n_tlf must be at most {MAX_N_TLF}, got {self.model.n_tlf}")
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
         if len(self.sweep) == 0:
@@ -158,9 +170,13 @@ class Scenario:
         if self.sample_step <= 0 or self.trace_step_cycles <= 0 or self.bell_step_cycles <= 0:
             raise ConfigurationError("sampling steps must be positive")
         try:
-            _grid_steps(*self.time_grid())
-        except ValueError as exc:
+            n_steps = _grid_steps(*self.time_grid())
+        except (ValueError, OverflowError) as exc:
             raise ConfigurationError(f"time grid: {exc}") from exc
+        if n_steps > MAX_GRID_STEPS:
+            raise ConfigurationError(
+                f"time grid: {n_steps} steps per point, more than {MAX_GRID_STEPS}"
+            )
 
     def resolved_duration(self) -> float:
         if self.duration is not None:
@@ -208,32 +224,18 @@ class Scenario:
                 raise ConfigurationError("gate section needs a kind")
             data["gate"] = GateSpec(**gate_raw)
         for key in ("sweep", "epsilons"):
-            if key in data:
-                try:
-                    data[key] = tuple(float(v) for v in data[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(f"{key} must be a list of numbers") from exc
+            if key in data and not isinstance(data[key], (list, tuple)):
+                raise ConfigurationError(f"{key} must be a list of numbers")
         try:
             return cls(**data)
         except TypeError as exc:
             raise ConfigurationError(str(exc)) from exc
 
     def canonical_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "model": dataclasses.asdict(self.model),
-            "sweep": list(self.sweep),
-            "duration": self.resolved_duration(),
-            "gate": None if self.gate is None else dataclasses.asdict(self.gate),
-            "bell": self.bell,
-            "epsilons": list(self.epsilons),
-            "output": self.output,
-            "n_samples": self.n_samples,
-            "sample_step": self.sample_step,
-            "trace_step_cycles": self.trace_step_cycles,
-            "bell_step_cycles": self.bell_step_cycles,
-        }
+        out = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
+        out.update(
+            sweep=list(self.sweep), duration=self.resolved_duration(), epsilons=list(self.epsilons)
+        )
         if self.kind == "spectrum_sweep":
             del out["duration"]  # n_samples and sample_step set it; from_dict rejects the key
         return out
@@ -387,13 +389,11 @@ def simulate(
     if fluctuators:
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
-        if gate is not None:
-            ops = add_gate(ops, gate, g)
         tlf = tlf_ground_state(ens, cfg)
     else:
-        ens = None
-        ops = probe_only_operators(cfg, gate=gate, gate_strength=g)
-        tlf = np.eye(1)
+        ens, ops, tlf = None, probe_only_operators(cfg), np.eye(1)
+    if gate is not None:
+        ops = add_gate(ops, gate, g)
     rho0 = initial_state(probe, tlf, ops.layout)
     gen = LindbladGenerator.from_system(ops)
     if magnetization:

@@ -221,6 +221,9 @@ MALFORMED_VALUES = {
     "seed-negative": "kind: entanglement_sweep\nmodel: {seed: -1}\n",
     "duration-inf": "kind: entanglement_sweep\nduration: .inf\n",
     "gate-strength-nan": "kind: gate\ngate: {kind: zz, strength: .nan}\n",
+    "sweep-bool": "kind: entanglement_sweep\nsweep: [true, 0.5]\n",
+    "sweep-string": "kind: entanglement_sweep\nsweep: [\"0.5\", \"1e-1\"]\n",
+    "epsilons-bool": "kind: bell_decay\nbell: phi+\nepsilons: [true]\n",
 }
 
 
@@ -235,6 +238,41 @@ def test_malformed_value_is_config_error(case, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# validated only: running one would ask for terabytes or days
+OVERSIZED = {
+    "n_tlf-40": ("kind: entanglement_sweep\nmodel: {n_tlf: 40}\n", "n_tlf"),
+    "n_tlf-7": ("kind: entanglement_sweep\nmodel: {n_tlf: 7}\n", "n_tlf"),
+    "bell-duration-1e9": ("kind: bell_decay\nbell: phi+\nduration: 1.0e+9\n", "steps"),
+    "duration-overflow": ("kind: entanglement_sweep\nduration: 1.0e+308\n", "time grid"),
+    "n_samples-above-ceiling": ("kind: spectrum_sweep\nn_samples: 1000002\n", "steps"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_scenario_is_config_error(case, tmp_path, capsys):
+    text, word = OVERSIZED[case]
+    path = tmp_path / "oversized.yaml"
+    path.write_text("schema_version: 1\n" + text)
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and word in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ["model: {n_tlf: 6}\n", "n_samples: 1000001\n"], ids=["n_tlf-6", "steps-1e6"]
+)
+def test_largest_allowed_scenario_validates(text, tmp_path):
+    path = tmp_path / "largest.yaml"
+    path.write_text("schema_version: 1\nkind: spectrum_sweep\n" + text)
+    assert cli_main(["validate", str(path)]) == 0
+
+
+def test_sample_has_no_register_ceiling(capsys):
+    # the ceiling bounds scenario runs; sampling a large ensemble stays cheap
+    assert cli_main(["sample", "--n-tlf", "10"]) == 0
+    assert len(yaml.safe_load(capsys.readouterr().out)["ensemble"]["eps"]) == 10
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sample"])

@@ -6,15 +6,18 @@ import pytest
 import scipy.stats
 from numpy import kron
 
-from tlfsim.linalg import I2, SIGMA_X, SIGMA_Z, SubsystemLayout
+from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout
 from tlfsim.model import (
+    GATE_TERMS,
     ConfigurationError,
     GroundStateDegeneracyError,
     ModelConfig,
     TlfEnsemble,
+    add_gate,
     build_operators,
     dressed_rates,
     initial_state,
+    probe_only_operators,
     probe_state_vector,
     ring_bonds,
     sample_ensemble,
@@ -238,6 +241,22 @@ class TestBuildOperators:
         sx_a = kron(SIGMA_X, np.eye(8, dtype=complex))
         traj = propagate(gen, rho0, t_end=4 * 2 * np.pi, dt=2 * np.pi / 200, record={"sx_a": sx_a})
         assert np.max(np.abs(traj.expectations["sx_a"] - np.cos(cfg.omega_p * traj.t_grid))) < 1e-8
+
+
+PAULI = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_TERMS))
+def test_gated_isolated_probe_against_kron(gate):
+    cfg = ModelConfig(omega_p=1.3)
+    s = 0.37
+    ops = add_gate(probe_only_operators(cfg), gate, s)
+    h = 0.5 * cfg.omega_p * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
+    for a, b in GATE_TERMS[gate]:
+        h = h + s * kron(PAULI[a], PAULI[b])
+    assert np.max(np.abs(ops.hamiltonian - h)) <= 1e-15
+    assert np.array_equal(ops.m_x, kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
+    assert ops.jumps == []
 
 
 class TestGroundState:

@@ -8,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlfsim.cli import cli_main
 from tlfsim.model import ConfigurationError, ModelConfig
 from tlfsim.observables import SpectrumEstimate
 from tlfsim.scenarios import (
@@ -83,6 +84,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             small_scenario("gate", gate={"kind": "zz"}, duration=-1.0)
 
+    def test_list_entries_are_numbers(self):
+        for sweep in ((True, 0.5), ("0.5",), (None,)):
+            with pytest.raises(ConfigurationError, match="sweep entry"):
+                Scenario(kind="entanglement_sweep", sweep=sweep)
+        sc = Scenario(kind="bell_decay", bell="phi+", epsilons=[1, 0.5])
+        assert sc.epsilons == (1.0, 0.5) and isinstance(sc.epsilons[0], float)
+
     def test_hash_ignores_output_directory(self):
         a = small_scenario("spectrum_sweep", output="runs/a")
         b = small_scenario("spectrum_sweep", output="runs/b")
@@ -124,6 +132,38 @@ def test_spectrum_hash_keeps_duration():
     assert sc.hash() == "8d456c9437fdd9cf"  # the hash before the key was dropped
 
 
+# the hash `tlfsim validate` prints for each shipped file, one per grid member in
+# the order of the file's grid; a change to the canonical form must leave them be
+SHIPPED_HASHES = {
+    "bell_decay_phi_minus": ["262d769ae3703fc2"],
+    "bell_decay_phi_plus": ["6637574cf45f5ad0"],
+    "bound_compare": ["2fc15281c669cf4b"],
+    "entanglement_grid": [
+        "4500ba4240553818", "a4e505523edf8641", "a579a99dc0ef27d6",
+        "f38e345b60ef6efa", "154cf9671a72039b", "64d51b21b0ec2bfa",
+        "82114b3cb65190da", "2c74e3c5cb062951", "39aff6161b072bae",
+    ],
+    "entanglement_weak_fields": ["f38e345b60ef6efa"],
+    "gate_xxyy": ["82ed66d504664456"],
+    "gate_zz": ["9de16a702bad5ca0"],
+    "gate_zz_long": ["64416d45e1023d9c"],
+    "spectrum_grid": [
+        "42aa0f35f74edab7", "5a304af78e99d110", "b311cd1d41b578cd",
+        "ae054474ba2868e0", "e7465e4959f1d9be", "09a252379886d351",
+        "83a7c7df6ea6590d", "a6c431409e15badf", "d118a60b4edbe56c",
+    ],
+    "spectrum_weak_fields": ["ae054474ba2868e0"],
+}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_shipped_hashes_are_pinned(path, capsys):
+    assert cli_main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    printed = [line.split(": ")[1] for line in lines if line.startswith("scenario_hash: ")]
+    assert printed == SHIPPED_HASHES[path.stem]
+
+
 class TestPeakDetection:
     def synthetic(self, heights):
         n = 200
@@ -131,7 +171,7 @@ class TestPeakDetection:
         for pos, h in heights.items():
             power[pos] = h
         omega = np.linspace(0, 10, n)
-        return SpectrumEstimate(omega=omega, power=power, resolution_df=0.1, nyquist_f=5.0)
+        return SpectrumEstimate(omega=omega, power=power)
 
     def test_separated_peaks_found(self):
         spec = self.synthetic({50: 10.0, 120: 4.0})
