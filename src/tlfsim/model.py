@@ -26,7 +26,6 @@ import numpy as np
 from .linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    SIGMA_X,
     SIGMA_Z,
     SubsystemLayout,
     embed,
@@ -324,7 +323,11 @@ class SystemOperators:
 
 
 def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, str]]:
-    """Scaled Pauli-string terms of the full Hamiltonian."""
+    """Scaled Pauli-string terms of the full Hamiltonian.
+
+    The one place the model's Hamiltonian is written: :func:`build_operators`
+    assembles all of it, :func:`tlf_hamiltonian` the fluctuator register.
+    """
     n = ens.n_tlf
     n_sites = 2 + n
 
@@ -384,20 +387,11 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
 
 
 def tlf_hamiltonian(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
-    """Fluctuator-register Hamiltonian (free terms plus ring coupling)."""
-    n = ens.n_tlf
-    layout = SubsystemLayout((2,) * n)
-    cos_t = np.cos(ens.theta)
-    sin_t = np.sin(ens.theta)
-    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
-    for j in range(n):
-        h += (ens.omega[j] / 2.0) * embed(SIGMA_Z, j, layout)
-    mu_eff = ens.mu / 2.0 if cfg.halve_couplings else ens.mu
-    for j, k in ring_bonds(n):
-        xj = cos_t[j] * embed(SIGMA_Z, j, layout) - sin_t[j] * embed(SIGMA_X, j, layout)
-        xk = cos_t[k] * embed(SIGMA_Z, k, layout) - sin_t[k] * embed(SIGMA_X, k, layout)
-        h += mu_eff * (xj @ xk)
-    return h
+    """Fluctuator-register Hamiltonian: the terms of :func:`hamiltonian_terms`
+    that act on neither probe qubit (free terms plus ring coupling)."""
+    terms = [(c, lab[2:]) for c, lab in hamiltonian_terms(ens, cfg) if lab[:2] == "II"]
+    dim = 2**ens.n_tlf
+    return _plus_terms(np.zeros((dim, dim), dtype=complex), terms)
 
 
 def tlf_ground_state(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:

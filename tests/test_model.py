@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 from numpy import kron
 
-from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout
+from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, embed
 from tlfsim.model import (
     GATE_TERMS,
     ConfigurationError,
@@ -24,6 +24,7 @@ from tlfsim.model import (
     sample_linear,
     sample_loguniform,
     tlf_ground_state,
+    tlf_hamiltonian,
 )
 from tlfsim.dynamics import LindbladGenerator, propagate
 
@@ -257,6 +258,31 @@ def test_gated_isolated_probe_against_kron(gate):
     assert np.max(np.abs(ops.hamiltonian - h)) <= 1e-15
     assert np.array_equal(ops.m_x, kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
     assert ops.jumps == []
+
+
+def embedded_register_hamiltonian(ens, cfg):
+    """Oracle: the register Hamiltonian from embedded single-site operators,
+    with each ring bond a product of the two charge operators."""
+    layout = SubsystemLayout((2,) * ens.n_tlf)
+    cos_t, sin_t = np.cos(ens.theta), np.sin(ens.theta)
+    h = np.zeros((layout.total_dim, layout.total_dim), dtype=complex)
+    for j in range(ens.n_tlf):
+        h += (ens.omega[j] / 2.0) * embed(SIGMA_Z, j, layout)
+    mu_eff = ens.mu / 2.0 if cfg.halve_couplings else ens.mu
+    for j, k in ring_bonds(ens.n_tlf):
+        xj = cos_t[j] * embed(SIGMA_Z, j, layout) - sin_t[j] * embed(SIGMA_X, j, layout)
+        xk = cos_t[k] * embed(SIGMA_Z, k, layout) - sin_t[k] * embed(SIGMA_X, k, layout)
+        h += mu_eff * (xj @ xk)
+    return h
+
+
+@pytest.mark.parametrize("n_tlf", [1, 2, 3, 4, 5])
+def test_register_hamiltonian_against_embedded_oracle(n_tlf):
+    for seed, mu_over_nu, halve in itertools.product((1, 2, 7), (0.0, 1.0), (False, True)):
+        cfg = ModelConfig(n_tlf=n_tlf, seed=seed, mu_over_nu=mu_over_nu, halve_couplings=halve)
+        ens = sample_ensemble(cfg)
+        h = tlf_hamiltonian(ens, cfg)
+        assert np.max(np.abs(h - embedded_register_hamiltonian(ens, cfg))) <= 1e-15
 
 
 class TestGroundState:
