@@ -31,7 +31,7 @@ Scenario file schema (YAML)
                                  # bound_compare | bell_decay | gate
     model:                       # all optional, defaults shown
       omega_p: 1.0               # probe frequency (sets the unit)
-      n_tlf: 4                   # number of fluctuators, at most 6
+      n_tlf: 4                   # number of fluctuators, at most 6 (5 under xxyy)
       ratio_eps: 3.0             # probe splitting / mean TLF bias
       tan_theta_bar: 0.3333333   # mean TLF local field / mean TLF bias
       mu_over_nu: 0.0            # base TLF-TLF coupling ratio
@@ -54,8 +54,9 @@ Scenario file schema (YAML)
     bell_step_cycles: 0.05       # bell_decay trace step, cycles
 
 Unknown keys anywhere are rejected, and so is a key set to other than its
-default on a kind that does not read it (``scenarios.KIND_FIELDS``), and a
-time grid of more than 10**6 steps per point.
+default on a kind that does not read it (``scenarios.KIND_FIELDS``), a time
+grid of more than 10**6 steps per point, and a register whose largest block
+Liouvillian is over 4096 square (``scenarios.MAX_BLOCK_DIM``).
 """
 
 from __future__ import annotations
@@ -142,12 +143,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_out_dir(args) -> str | None:
-    if args.out_dir is not None:
-        return args.out_dir
-    return os.environ.get("SPINBOSON_OUT_DIR")
-
-
 def _load_scenarios(args):
     entries = load_scenario_file(args.scenario_file)
     if args.seed is not None:
@@ -165,7 +160,7 @@ def _load_scenarios(args):
 
 def _cmd_run(args) -> int:
     entries = _load_scenarios(args)
-    base_out = _resolve_out_dir(args)
+    base_out = args.out_dir if args.out_dir is not None else os.environ.get("SPINBOSON_OUT_DIR")
     for label, scenario in entries:
         out_dir = base_out if base_out is not None else scenario.output
         if label:

@@ -10,21 +10,23 @@ test suite:
   column sector), each mapped into itself by the flow, and the exponential
   is taken per pair of sector classes (sectors whose restricted H and jumps
   agree). Block Liouvillians are assembled from the effective Hamiltonians
-  G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a (c, c) pair's exponential
-  is taken in real arithmetic in a Hermitian basis. :class:`_BlockStepper`
-  holds the state as its distinct block evolutions and records every
-  observable as a linear functional of them; the full state is assembled
-  only for the strided eigenvalue check, the final state and ``keep_states``.
+  G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a (c, c) pair is stepped in
+  real arithmetic in a Hermitian basis. :class:`_BlockStepper` holds the
+  state as its distinct block evolutions and records every observable as a
+  linear functional of them; the full state is assembled only for the
+  strided eigenvalue check, the final state and ``keep_states``.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
   one-sector route through the same engine and is its oracle;
 * a classic fixed-step fourth-order Runge-Kutta integrator on the operator
   form of the equation of motion, recording from the full state, kept as an
   independent oracle.
 
-Each step the state is lightly repaired (re-Hermitized, and its trace
-renormalized only when the drift is within the repair tolerance); positivity
-is never enforced here, only checked every ``EIG_CHECK_STRIDE`` steps and at
-the end. ``Trajectory.stats`` carries these hygiene figures and, from
+The block engine keeps the state Hermitian by construction (RK4 re-Hermitizes
+it); each step the trace is renormalized only when its drift is within the
+repair tolerance. Positivity is never enforced, only checked every
+``EIG_CHECK_STRIDE`` steps and at the end. ``Trajectory.stats`` carries these
+hygiene figures (from the block engine, ``max_herm_dev`` is the largest |Im|
+of the real coordinates: 0 unless a propagator is faulty) and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
 ``pairs_stepped`` (unordered pairs), ``evolutions`` (the mat-vecs per step),
 ``propagators`` built, ``propagators_real`` (those taken in the real basis)
@@ -205,15 +207,14 @@ def _block_propagator(
 
     A ``self_adjoint`` pair has the same operators on rows and columns, so
     its flow maps Hermitian blocks to Hermitian blocks and L is real in the
-    Hermitian basis W: exp(L dt) = W exp(W^dagger L W dt) W^dagger, with a
-    real exponential.
+    Hermitian basis W. Its propagator is then the real exp(W^dagger L W dt),
+    which acts on a block's coordinates W^dagger vec(X), not on vec(X).
     """
     l = _liouvillian_block(ops_r[0], ops_c[0], rates, ops_r[1], ops_c[1])
     if not self_adjoint:
         return step_propagator(l, dt)
     w = _hermitian_basis(ops_r[0].shape[0])
-    w_dag = w.conj().T
-    r = w_dag @ l @ w
+    r = w.conj().T @ l @ w
     del l
     imag = np.max(np.abs(r.imag))
     if imag > _REAL_BASIS_TOL * np.max(np.abs(r)):
@@ -221,7 +222,7 @@ def _block_propagator(
             f"self-adjoint block is not real in the Hermitian basis (|Im| up to {imag:.3e})"
         )
     r = r.real.copy()  # frees the complex buffer before the exponential
-    return w @ step_propagator(r, dt) @ w_dag
+    return step_propagator(r, dt)
 
 
 class _BlockStepper:
@@ -237,10 +238,12 @@ class _BlockStepper:
     is read as the conjugate. Pairs of one class pair whose initial blocks are
     byte-identical share one evolution (under |++> every block is rho_tlf / 4).
 
-    The state is one vector, the evolutions' F-order vecs end to end, and a
-    step is one mat-vec per evolution on its slice. Every recorded scalar is
-    linear in the state, so it is one weight row on the vector plus one on
-    its conjugate (:meth:`weights`).
+    The state is one vector, the evolutions end to end, and a step is one
+    mat-vec per evolution on its slice. A (c, c) evolution is its coordinates
+    W^dagger vec(X) in the Hermitian basis, real for a Hermitian block, which
+    the real propagator then keeps exactly Hermitian; any other is its F-order
+    vec. Every recorded scalar is linear in the state, so it is one weight row
+    on the vector plus one on its conjugate (:meth:`weights`).
     """
 
     def __init__(
@@ -260,30 +263,31 @@ class _BlockStepper:
                 classes.append(len(reps))
                 reps.append(a)
 
-        slices: dict[tuple, slice] = {}  # (c1, c2, initial block) -> its evolution's
-        evolutions = []  # (class pair, slice of the state vector)
-        self.pairs = []  # (slice, flat indices, mirror) of every stepped pair
-        v0, squares, diagonal = [], {}, []
+        slices: dict[tuple, slice] = {}  # (c1, c2, initial coordinates) -> its evolution's
+        evolutions = []  # (class pair, slice of the state vector, real coordinates)
+        self.pairs = []  # (slice, flat indices, mirror, basis) of every stepped pair
+        v0, diagonal = [], [np.zeros(0, int)]
         for a, b in zip(*np.triu_indices(len(sectors))):
             if classes[a] > classes[b]:
                 a, b = b, a
             rows, cols, c = sectors[a], sectors[b], (classes[a], classes[b])
             flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
-            block = rho0.reshape(-1)[flat]
+            same = c[0] == c[1]  # held as coordinates in the Hermitian basis, else as the vec
+            basis = _hermitian_basis(len(rows)) if same else scipy.sparse.eye_array(len(flat))
+            block = basis.conj().T @ rho0.reshape(-1)[flat]
             if not np.any(block != 0):
                 continue
             key = (*c, block.tobytes())
             if key not in slices:
                 start = sum(map(len, v0))
                 slices[key] = slice(start, start + len(block))
-                evolutions.append((c, slices[key]))
+                evolutions.append((c, slices[key], same and not np.any(block.imag)))
                 v0.append(block)
             sl = slices[key]
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
-            self.pairs.append((sl, flat, mirror))
+            self.pairs.append((sl, flat, mirror, basis))
             if mirror is None:
-                squares[sl.start] = sl.start + np.arange(len(block)).reshape(len(rows), -1)
-                diagonal.append(np.diagonal(squares[sl.start]))
+                diagonal.append(sl.start + np.arange(len(rows)))  # the E_ii coordinates
         self.v0 = np.concatenate(v0)
         # built after the pair loop: interleaved with its small allocations, the
         # exponentials' temporaries left about 1 MB more peak RSS at n_tlf=4
@@ -291,18 +295,15 @@ class _BlockStepper:
             (c1, c2): _block_propagator(
                 restricted[reps[c1]], restricted[reps[c2]], rates, dt, self_adjoint=c1 == c2
             )
-            for c1, c2 in dict.fromkeys(c for c, _ in evolutions)
+            for c1, c2 in dict.fromkeys(c for c, _, _ in evolutions)
         }
-        self.evolutions = [(props[c], sl) for c, sl in evolutions]  # (propagator, slice)
-        # hygiene's indices: the entries of the evolutions that hold a diagonal
-        # block, their transposes', and the diagonals the trace sums, each copy once
-        none = [np.zeros(0, int)]
-        self.square = np.concatenate(none + [q.reshape(-1) for q in squares.values()])
-        self.square_t = np.concatenate(none + [q.T.reshape(-1) for q in squares.values()])
-        self.diagonal = np.concatenate(none + diagonal)
+        self.evolutions = [(props[c], sl, real) for c, sl, real in evolutions]
+        # hygiene's entries: the real coordinates, and the diagonals the trace sums
+        self.real = np.concatenate([np.full(sl.stop - sl.start, r) for _, sl, r in evolutions])
+        self.diagonal = np.concatenate(diagonal)
         self.stats = {
             "sectors": len(sectors),
-            "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror in self.pairs),
+            "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror, _ in self.pairs),
             "pairs_stepped": len(self.pairs),
             "evolutions": len(self.evolutions),
             "propagators": len(props),
@@ -312,16 +313,14 @@ class _BlockStepper:
 
     def step(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for prop, sl in self.evolutions:
-            np.matmul(prop, v[sl], out=out[sl])
+        for prop, sl, real in self.evolutions:
+            np.matmul(prop, v[sl].real if real else v[sl], out=out[sl])
         return out
 
     def hygiene(self, v: np.ndarray, rec: "_Recorder", t: float) -> np.ndarray:
-        """Re-Hermitize, in place, the evolutions holding a diagonal block (the
-        rest are Hermitian by construction), then audit and renormalize."""
-        x, x_dag = v[self.square], v[self.square_t].conj()
-        herm_dev = float(np.max(np.abs(x - x_dag)))
-        v[self.square] = 0.5 * (x + x_dag)
+        """Audit the state and renormalize it in place; the Hermiticity deviation
+        is the largest |Im| of the real coordinates, 0 after a healthy step."""
+        herm_dev = float(np.max(np.abs(v[self.real].imag)))
         trace = float(np.sum(v[self.diagonal].real))
         if rec.audit(herm_dev, trace, t):
             v /= trace
@@ -332,18 +331,18 @@ class _BlockStepper:
         for a ``(k, dim, dim)`` stack ``f``; ``b`` reads the mirrored blocks."""
         f = f.reshape(len(f), self.dim * self.dim)
         w = np.zeros((2, len(f), len(self.v0)), dtype=complex)
-        for sl, flat, mirror in self.pairs:
-            w[0][:, sl] += f[:, flat]
+        for sl, flat, mirror, basis in self.pairs:
+            w[0][:, sl] += f[:, flat] @ basis
             if mirror is not None:
-                w[1][:, sl] += f[:, mirror].conj()
+                w[1][:, sl] += f[:, mirror].conj() @ basis
         return w.reshape(2 * len(f), len(self.v0))
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
-        for sl, flat, mirror in self.pairs:
-            rho[flat] = v[sl]
+        for sl, flat, mirror, basis in self.pairs:
+            rho[flat] = basis @ v[sl]
             if mirror is not None:
-                rho[mirror] = v[sl].conj()
+                rho[mirror] = rho[flat].conj()
         return rho.reshape(self.dim, self.dim)
 
 
@@ -366,7 +365,7 @@ def _validate_initial_state(rho0: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"initial state shape {rho0.shape} != generator dim {dim}")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or not is_hermitian(rho0, atol=1e-9):
         raise ValueError("initial state must be Hermitian with unit trace")
-    return 0.5 * (rho0 + dag(rho0))  # exact, as the stepper's mirrored blocks assume
+    return 0.5 * (rho0 + dag(rho0))  # exact: mirrored blocks and real coordinates assume it
 
 
 def _grid_steps(t_end: float, dt: float) -> int:

@@ -84,9 +84,10 @@ DEFAULT_DURATIONS = {
     "gate": 25.0,
 }
 
-# ceilings on the work one file may ask for: the largest register the engine
-# is planned for, and far more steps per point than the longest shipped trace
-MAX_N_TLF = 6
+# ceilings on the work one file may ask for: the largest block Liouvillian's
+# dimension, as n_tlf=6 gives without a gate, and far more steps per point
+# than the longest shipped trace
+MAX_BLOCK_DIM = 4096
 MAX_GRID_STEPS = 10**6
 
 _MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
@@ -136,8 +137,6 @@ class Scenario:
             for v in getattr(self, key):
                 check_value(f"{key} entry", v, "float")
             object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
-        if self.model.n_tlf > MAX_N_TLF:
-            raise ConfigurationError(f"n_tlf must be at most {MAX_N_TLF}, got {self.model.n_tlf}")
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
         if len(self.sweep) == 0:
@@ -158,6 +157,16 @@ class Scenario:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
             if self.gate.strength is not None and self.gate.strength <= 0:
                 raise ConfigurationError("gate strength must be positive")
+        # the largest sector holds 2^n_tlf states, twice that where XX+YY merges
+        # |01> and |10>; its block Liouvillian's dimension is that squared
+        merged = self.gate is not None and self.gate.kind == "xxyy"
+        n_max = int(np.log2(MAX_BLOCK_DIM)) // 2 - merged
+        if self.model.n_tlf > n_max:
+            under = " under the xxyy gate" if merged else ""
+            raise ConfigurationError(
+                f"n_tlf must be at most {n_max}{under}, got {self.model.n_tlf}: "
+                f"a block Liouvillian would exceed {MAX_BLOCK_DIM}^2"
+            )
         if self.kind == "bell_decay":
             if self.bell not in BELL_STATES:
                 raise ConfigurationError(
@@ -293,14 +302,12 @@ def _write_table(path, fmt: str, header_lines: list[str], columns: list[str], ro
 
 
 def _header(scenario: Scenario, extra: dict | None = None) -> list[str]:
-    lines = [
+    return [
         f"scenario_hash: {scenario.hash()}",
         f"seed: {scenario.model.seed}",
         f"resolved: {json.dumps(scenario.canonical_dict(), sort_keys=True)}",
+        *(f"{key}: {val}" for key, val in (extra or {}).items()),
     ]
-    for key, val in (extra or {}).items():
-        lines.append(f"{key}: {val}")
-    return lines
 
 
 def _find_peaks(
@@ -405,9 +412,8 @@ def simulate(
 
 def _config(scenario: Scenario, mu_over_nu: float | None) -> ModelConfig:
     """The model of one point; the fluctuator-free point (None) keeps the scenario's."""
-    if mu_over_nu is None:
-        return scenario.model
-    return dataclasses.replace(scenario.model, mu_over_nu=mu_over_nu)
+    model = scenario.model
+    return model if mu_over_nu is None else dataclasses.replace(model, mu_over_nu=mu_over_nu)
 
 
 def _point_result(label: str, tables: list, ens, traj, **summary) -> dict:
@@ -530,10 +536,7 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
 
 def _first_local_max(t: np.ndarray, values: np.ndarray) -> tuple[float, float]:
     idx = _find_peaks(values)
-    if len(idx) == 0:
-        i = int(np.argmax(values))
-    else:
-        i = int(idx[0])
+    i = int(idx[0]) if len(idx) else int(np.argmax(values))
     return float(t[i]), float(values[i])
 
 
@@ -649,7 +652,10 @@ def run_scenario(
         raise ConfigurationError(f"unknown output format {fmt!r}")
     t0 = time.monotonic()
     out = Path(out_dir if out_dir is not None else scenario.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output: {exc}") from exc
     # each kind: its point function, its mu/nu points (None runs without
     # fluctuators) and the manifest summary entries that precede the points'
     head = {}

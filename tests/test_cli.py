@@ -244,6 +244,8 @@ def test_malformed_value_is_config_error(case, command, tmp_path, capsys):
 OVERSIZED = {
     "n_tlf-40": ("kind: entanglement_sweep\nmodel: {n_tlf: 40}\n", "n_tlf"),
     "n_tlf-7": ("kind: entanglement_sweep\nmodel: {n_tlf: 7}\n", "n_tlf"),
+    # XX+YY merges |01>, |10> into one 128-state sector: a 16384^2 block, about 4 GiB
+    "xxyy-n_tlf-6": ("kind: gate\ngate: {kind: xxyy}\nmodel: {n_tlf: 6}\n", "n_tlf"),
     "bell-duration-1e9": ("kind: bell_decay\nbell: phi+\nduration: 1.0e+9\n", "steps"),
     "duration-overflow": ("kind: entanglement_sweep\nduration: 1.0e+308\n", "time grid"),
     "n_samples-above-ceiling": ("kind: spectrum_sweep\nn_samples: 1000002\n", "steps"),
@@ -258,15 +260,33 @@ def test_oversized_scenario_is_config_error(case, tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and word in err and "Traceback" not in err
+    if "gate" in text:
+        assert "xxyy" in err
 
 
 @pytest.mark.parametrize(
-    "text", ["model: {n_tlf: 6}\n", "n_samples: 1000001\n"], ids=["n_tlf-6", "steps-1e6"]
+    "text",
+    [
+        "kind: spectrum_sweep\nmodel: {n_tlf: 6}\n",
+        "kind: gate\ngate: {kind: xxyy}\nmodel: {n_tlf: 5}\n",
+        "kind: spectrum_sweep\nn_samples: 1000001\n",
+    ],
+    ids=["n_tlf-6", "xxyy-n_tlf-5", "steps-1e6"],
 )
 def test_largest_allowed_scenario_validates(text, tmp_path):
     path = tmp_path / "largest.yaml"
-    path.write_text("schema_version: 1\nkind: spectrum_sweep\n" + text)
+    path.write_text("schema_version: 1\n" + text)
     assert cli_main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_output_path_through_a_file_is_config_error(target, scenario_file, tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory\n")
+    out = tmp_path / target
+    assert cli_main(["run", str(scenario_file), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write output" in err and "Traceback" not in err
+    assert (tmp_path / "file").read_text() == "not a directory\n"
 
 
 def test_sample_has_no_register_ceiling(capsys):

@@ -152,13 +152,17 @@ class TestBlockAssembly:
         ops = random_block_ops(rng, n, 3)
         rates = np.array([0.7, 0.2, 0.4])
         dt = 0.3
-        prop = _block_propagator(ops, ops, rates, dt, self_adjoint=True)
+        real = _block_propagator(ops, ops, rates, dt, self_adjoint=True)
+        assert np.isrealobj(real)
+        # the real propagator acts on coordinates in the Hermitian basis W
+        w = _hermitian_basis(n).toarray()
+        prop = w @ real @ w.conj().T
         jumps = list(zip(rates, ops[1], ops[1]))
         exact = scipy.linalg.expm(kron_liouvillian_block(ops[0], ops[0], jumps) * dt)
         assert np.max(np.abs(prop - exact)) < 1e-13
-        # a non-Hermitian block is mapped by the same complex-linear propagator
+        # a non-Hermitian block has complex coordinates, mapped by the same real propagator
         x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        assert np.max(np.abs(prop @ vec(x) - exact @ vec(x))) < 1e-13
+        assert np.max(np.abs(w @ (real @ (w.conj().T @ vec(x))) - exact @ vec(x))) < 1e-13
 
     def test_complex_block_propagator(self):
         rng = np.random.default_rng(50)
@@ -429,6 +433,19 @@ class TestBlockEngine:
         assert split.stats["evolutions"] == split.stats["pairs_stepped"]
         assert split.stats["propagators"] < split.stats["pairs_stepped"]
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "state, gate", [("plus_plus", None), ("phi+", None), ("plus_plus", "xxyy")]
+    )
+    def test_hermitian_by_construction_over_a_long_horizon(self, state, gate):
+        # nothing re-Hermitizes the state: the (c, c) blocks are stepped as real
+        # coordinates in the Hermitian basis, so 3000 steps leave no rounding there
+        gen, rho0 = probe_tlf_system(2, state, gate)
+        traj = propagate(gen, rho0, 150.0, dt=0.05, keep_states=True)
+        assert len(traj.states) == 3001
+        for s in [*traj.states, traj.final_state]:
+            assert np.array_equal(s, s.conj().T)
+        assert traj.stats["max_herm_dev"] == 0.0
 
     @given(
         n_tlf=st.sampled_from([1, 2]),
