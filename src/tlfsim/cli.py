@@ -13,10 +13,8 @@ Subcommands
 
 Global flags: ``--seed`` (override the scenario seed), ``--out-dir``
 (override the scenario output directory; falls back to the
-``SPINBOSON_OUT_DIR`` environment variable), ``--jobs N`` (run the
-scenario's points in a worker pool N >= 1 wide; 1 runs them one after another in
-this process, and the default sizes the pool to the CPU count; tables are
-byte-identical either way), ``--deterministic`` (the same as ``--jobs 1``),
+``SPINBOSON_OUT_DIR`` environment variable), ``--deterministic``
+(accepted and ignored: every run is serial and byte-reproducible),
 ``--format {csv|jsonl}``.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
@@ -39,7 +37,8 @@ Scenario file schema (YAML)
       seed: 0                    # RNG seed
       gamma_plus_mode: scaled-by-nbar   # or: sampled
       halve_couplings: false     # halve the TLF-TLF interaction term
-    sweep: [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]   # mu/nu values, within [0, 1.2];
+    sweep: [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]   # mu/nu values, within [0, 1.2],
+                                 # distinct to two decimals (the file label);
                                  # not for bell_decay and gate (0 and 1)
     duration: 50.0               # probe cycles (kind-specific default);
                                  # not for spectrum_sweep (see n_samples)
@@ -81,13 +80,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_global_flags(parser) -> None:
     # SUPPRESS keeps subcommand-level occurrences from clobbering values
     # parsed before the subcommand; real defaults live in set_defaults below.
@@ -103,10 +95,7 @@ def _add_global_flags(parser) -> None:
         "--deterministic",
         action="store_true",
         default=argparse.SUPPRESS,
-        help="run the points serially, the same as --jobs 1",
-    )
-    parser.add_argument(
-        "--jobs", type=positive_int, default=argparse.SUPPRESS, help="worker-pool width (>= 1)"
+        help="accepted and ignored: every run is serial and byte-reproducible",
     )
     parser.add_argument(
         "--format", choices=FORMATS, default=argparse.SUPPRESS, help="output table format"
@@ -116,7 +105,7 @@ def _add_global_flags(parser) -> None:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tlfsim", description="probe-plus-fluctuator simulator")
     _add_global_flags(parser)
-    parser.set_defaults(seed=None, out_dir=None, deterministic=False, jobs=None, format="csv")
+    parser.set_defaults(seed=None, out_dir=None, deterministic=False, format="csv")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_run = sub.add_parser("run", help="execute a scenario file")
@@ -165,12 +154,7 @@ def _cmd_run(args) -> int:
         out_dir = base_out if base_out is not None else scenario.output
         if label:
             out_dir = os.path.join(str(out_dir), label)
-        record = run_scenario(
-            scenario,
-            out_dir=out_dir,
-            fmt=args.format,
-            jobs=1 if args.deterministic else args.jobs,
-        )
+        record = run_scenario(scenario, out_dir=out_dir, fmt=args.format)
         tag = f" [{label}]" if label else ""
         print(f"scenario {record.scenario_hash} ({scenario.kind}) seed {record.seed}{tag}")
         for name in record.files:

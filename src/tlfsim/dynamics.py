@@ -140,10 +140,20 @@ def build_liouvillian(gen: LindbladGenerator) -> np.ndarray:
 
 
 def step_propagator(l: np.ndarray, dt: float) -> np.ndarray:
-    """exp(L dt), for repeated application on a uniform grid."""
+    """exp(L dt), for repeated application on a uniform grid.
+
+    A rate or coupling too large for floating point leaves L dt or its
+    exponential with non-finite entries; that raises PropagationError.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    return expm(l * dt)
+    l_dt = l * dt
+    if not np.isfinite(l_dt).all():
+        raise PropagationError("L dt has non-finite entries")
+    p = expm(l_dt)
+    if not np.isfinite(p).all():
+        raise PropagationError("exp(L dt) has non-finite entries")
+    return p
 
 
 def find_invariant_sectors(gen: LindbladGenerator) -> list[np.ndarray]:
@@ -423,13 +433,13 @@ class _Recorder:
         """Record a step's Hermiticity deviation and trace and abort on either, in
         that order; return whether the trace drift lies in the repair window."""
         self.max_herm_dev = max(self.max_herm_dev, herm_dev)
-        if herm_dev > HERM_ABORT_TOL:
+        if not herm_dev <= HERM_ABORT_TOL:  # a NaN aborts too
             raise PropagationError(
                 f"Hermiticity deviation {herm_dev:.3e} at t={t:.6g} exceeds abort tolerance"
             )
         drift = abs(trace - 1.0)
         self.max_trace_drift = max(self.max_trace_drift, drift)
-        if drift > TRACE_ABORT_TOL:
+        if not drift <= TRACE_ABORT_TOL:
             raise PropagationError(
                 f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
             )

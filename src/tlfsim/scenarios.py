@@ -4,9 +4,9 @@ Every experiment kind runs one pipeline per point. :func:`simulate` samples
 the fluctuators, assembles the operators (plus a gate term), builds the
 initial state and propagates it, or does the same for the isolated probe.
 The kind's point function observes the trajectory and returns the point's
-tables and manifest entries; :func:`run_scenario` runs the points, serially
-or in a worker pool, and writes every table and the manifest. The points
-are mu/nu values of the TLF-TLF coupling:
+tables and manifest entries; :func:`run_scenario` runs the points one
+after another and writes every table and the manifest. The points are
+mu/nu values of the TLF-TLF coupling:
 
 * ``spectrum_sweep``   -- magnetization time series and periodogram at each
   ``sweep`` value and for an isolated-probe control, plus a peak table;
@@ -34,9 +34,7 @@ import hashlib
 import io
 import itertools
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,13 +132,17 @@ class Scenario:
             raise ConfigurationError(f"unknown scenario kind {self.kind!r}")
         check_field_types(self)
         for key in ("sweep", "epsilons"):
+            if len(getattr(self, key)) == 0:
+                raise ConfigurationError(f"{key} must be non-empty")
             for v in getattr(self, key):
                 check_value(f"{key} entry", v, "float")
             object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
-        if len(self.sweep) == 0:
-            raise ConfigurationError("sweep must be non-empty")
+        labels = [_mu_label(v) for v in self.sweep]
+        repeated = sorted({x for x in labels if labels.count(x) > 1})
+        if repeated:  # their tables would overwrite each other
+            raise ConfigurationError(f"sweep values share the file label {', '.join(repeated)}")
         ignored = [
             f.name for f in dataclasses.fields(self)
             if f.name not in ("kind", "model", "output", *KIND_FIELDS[self.kind])
@@ -268,7 +270,6 @@ class RunRecord:
     files: list
     summary: dict
     wall_clock_s: float
-    jobs: int | None  # worker-pool width; 1 ran the points serially
     library_version: str = __version__
 
     def write(self, path) -> None:
@@ -572,20 +573,6 @@ def _gate_point(scenario: Scenario, mu_over_nu: float | None, g: float) -> dict:
     )
 
 
-def _run_points(point, args: list[tuple], jobs: int | None) -> list[dict]:
-    """``point(*a)`` for every argument tuple, in order.
-
-    Serial when ``jobs`` is 1 or less or there is only one point; otherwise
-    in a process pool ``jobs`` wide, or as wide as the CPU count when
-    ``jobs`` is None. Tables are byte-identical either way.
-    """
-    if (jobs is not None and jobs <= 1) or len(args) == 1:
-        return [point(*a) for a in args]
-    workers = min(len(args), jobs or os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(point, *zip(*args)))
-
-
 def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
     """Expand an optional ``grid`` section into labelled scenarios.
 
@@ -636,17 +623,10 @@ def load_scenario_file(path) -> list[tuple[str, Scenario]]:
     return expand_grid(raw)
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_dir=None,
-    fmt: str = "csv",
-    jobs: int | None = 1,
-) -> RunRecord:
+def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecord:
     """Run every point of the scenario, write its tables and its manifest.
 
-    ``jobs`` is the worker-pool width (see :func:`_run_points`); the default
-    of 1 runs the points one after another in this process. Each table is
-    written as ``<stem>.<fmt>`` under the output directory.
+    Each table is written as ``<stem>.<fmt>`` under the output directory.
     """
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}")
@@ -673,7 +653,7 @@ def run_scenario(
         head = {"gate": gate.kind, "gate_strength": g}
     else:
         point, mus = _entanglement_point, [float(mu) for mu in scenario.sweep]
-    results = _run_points(point, [(scenario, mu) for mu in mus], jobs)
+    results = [point(scenario, mu) for mu in mus]
 
     tables = sorted((t for r in results for t in r["tables"]), key=lambda t: f"{t[0]}.{fmt}")
     if scenario.kind == "spectrum_sweep":
@@ -700,7 +680,6 @@ def run_scenario(
         files=files,
         summary=summary,
         wall_clock_s=time.monotonic() - t0,
-        jobs=jobs,
     )
     record.write(out / "manifest.yaml")
     return record

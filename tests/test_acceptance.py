@@ -423,7 +423,7 @@ def test_criterion_11_performance_budget(tmp_path):
         }
     )
     t0 = time.monotonic()
-    run_scenario(scenario, out_dir=tmp_path, jobs=1)
+    run_scenario(scenario, out_dir=tmp_path)
     elapsed = time.monotonic() - t0
     ok = elapsed < 1800.0
     report(

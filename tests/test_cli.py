@@ -62,14 +62,17 @@ def test_help_exits_zero():
 
 
 def test_run_deterministic_byte_identical(scenario_file, tmp_path, capsys):
+    # --deterministic is accepted and changes nothing: every run is serial
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    assert cli_main(["run", str(scenario_file), "--deterministic", "--out-dir", str(out_a)]) == 0
+    assert cli_main(["run", str(scenario_file), "--out-dir", str(out_a)]) == 0
     assert cli_main(["run", str(scenario_file), "--deterministic", "--out-dir", str(out_b)]) == 0
     names = sorted(p.name for p in out_a.glob("*.csv"))
     assert names
     match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names, shallow=False)
     assert mismatch == [] and errors == []
+    for out in (out_a, out_b):
+        assert "jobs" not in yaml.safe_load((out / "manifest.yaml").read_text())
 
 
 def test_seed_override(scenario_file, tmp_path, capsys):
@@ -185,8 +188,7 @@ def _propagate_with_negative_marginal(gen, rho0, t_end, dt, **kwargs):
     )
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_negative_population_is_numerical_failure(jobs, tmp_path, monkeypatch, capsys):
+def test_negative_population_is_numerical_failure(tmp_path, monkeypatch, capsys):
     path = tmp_path / "ent.yaml"
     path.write_text(
         "schema_version: 1\nkind: entanglement_sweep\nmodel: {n_tlf: 1, seed: 5}\n"
@@ -194,10 +196,26 @@ def test_negative_population_is_numerical_failure(jobs, tmp_path, monkeypatch, c
         f"output: {tmp_path / 'out'}\n"
     )
     monkeypatch.setattr("tlfsim.scenarios.propagate", _propagate_with_negative_marginal)
-    assert cli_main(["run", str(path), "--jobs", jobs]) == 2
+    assert cli_main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "negative population" in err
     assert "Traceback" not in err
+
+
+# valid scenarios whose gate term is too large for floating point: the first
+# makes exp(L dt) non-finite, the second L itself
+@pytest.mark.parametrize("strength", ["1.0e+300", "1.5e+308"])
+def test_overflowing_gate_is_numerical_failure(strength, tmp_path, capsys):
+    path = tmp_path / "gate.yaml"
+    path.write_text(
+        "schema_version: 1\nkind: gate\nmodel: {n_tlf: 1, seed: 1}\nduration: 0.1\n"
+        f"gate: {{kind: zz, strength: {strength}}}\noutput: {tmp_path / 'out'}\n"
+    )
+    assert cli_main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
 
 
 MALFORMED_VALUES = {
@@ -224,6 +242,7 @@ MALFORMED_VALUES = {
     "sweep-bool": "kind: entanglement_sweep\nsweep: [true, 0.5]\n",
     "sweep-string": "kind: entanglement_sweep\nsweep: [\"0.5\", \"1e-1\"]\n",
     "epsilons-bool": "kind: bell_decay\nbell: phi+\nepsilons: [true]\n",
+    "epsilons-empty": "kind: bell_decay\nbell: phi+\nepsilons: []\n",
 }
 
 
@@ -340,9 +359,17 @@ def test_non_string_output_is_config_error(command, tmp_path, monkeypatch, capsy
     assert "configuration error" in err and "output" in err
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_is_usage_error(jobs, scenario_file, tmp_path, capsys):
+def test_jobs_flag_is_usage_error(scenario_file, tmp_path, capsys):
     out = tmp_path / "jobs_out"
-    assert cli_main(["run", str(scenario_file), "--jobs", jobs, "--out-dir", str(out)]) == 1
+    assert cli_main(["run", str(scenario_file), "--jobs", "2", "--out-dir", str(out)]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep", ["[0.5, 0.501]", "[0.5, 0.5]"])
+def test_sweep_values_sharing_a_label_are_config_error(sweep, tmp_path, capsys):
+    path = tmp_path / "shared.yaml"
+    path.write_text(f"schema_version: 1\nkind: entanglement_sweep\nsweep: {sweep}\n")
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "mu0.50" in err and "Traceback" not in err

@@ -214,6 +214,17 @@ class TestStepPropagator:
         with pytest.raises(ValueError):
             step_propagator(np.zeros((4, 4)), 0.0)
 
+    @pytest.mark.parametrize(
+        "l, dt, message",
+        [
+            (np.full((2, 2), 1e308), 10.0, "L dt has non-finite"),
+            (np.diag([1e300, 0.0]), 1.0, r"exp\(L dt\) has non-finite"),
+        ],
+    )
+    def test_non_finite_is_propagation_error(self, l, dt, message):
+        with np.errstate(over="ignore"), pytest.raises(PropagationError, match=message):
+            step_propagator(l, dt)
+
     def test_larmor_precession(self):
         omega = 1.0
         gen = LindbladGenerator(h=0.5 * omega * SIGMA_Z, jumps=[])
@@ -488,6 +499,8 @@ FAULTS = {
     "trace": (lambda l, p: (1 + 1e-5) * p, "trace drift"),
     # coherences grow while the populations hold
     "positivity": (lambda l, p: 1.5 * p if np.iscomplexobj(l) else p, "negative population"),
+    # NaN compares false with every bound, so the aborts are written to trip on it
+    "nan": (lambda l, p: np.nan * p, "trace drift nan"),
 }
 
 
