@@ -188,10 +188,11 @@ def _propagate_with_negative_marginal(gen, rho0, t_end, dt, **kwargs):
     )
 
 
-def test_negative_population_is_numerical_failure(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("n_tlf", [1, 2])
+def test_negative_population_is_numerical_failure(n_tlf, tmp_path, monkeypatch, capsys):
     path = tmp_path / "ent.yaml"
     path.write_text(
-        "schema_version: 1\nkind: entanglement_sweep\nmodel: {n_tlf: 1, seed: 5}\n"
+        f"schema_version: 1\nkind: entanglement_sweep\nmodel: {{n_tlf: {n_tlf}, seed: 5}}\n"
         "sweep: [0.0, 1.0]\nduration: 1.0\ntrace_step_cycles: 0.1\n"
         f"output: {tmp_path / 'out'}\n"
     )
@@ -357,6 +358,14 @@ def test_non_string_output_is_config_error(command, tmp_path, monkeypatch, capsy
     assert cli_main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "output" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs, scenario_file, tmp_path, capsys):
+    out = tmp_path / "jobs_out"
+    assert cli_main(["run", str(scenario_file), "--jobs", jobs, "--out-dir", str(out)]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_jobs_flag_is_usage_error(scenario_file, tmp_path, capsys):
