@@ -21,14 +21,14 @@ test suite:
   form of the equation of motion, recording from the full state, kept as an
   independent oracle.
 
-The block engine keeps the state Hermitian by construction (RK4 re-Hermitizes
-it); each step the trace is renormalized only when its drift is within the
-repair tolerance. Positivity is never enforced, only checked every
-``EIG_CHECK_STRIDE`` steps and at the end. ``Trajectory.stats`` carries these
-hygiene figures (from the block engine, ``max_herm_dev`` is the largest |Im|
-of the real coordinates: 0 unless a propagator is faulty) and, from
+The initial state is Hermitized and normalized once; nothing repairs it after.
+The block engine is Hermitian by construction (a complex real-basis propagator
+is refused at build, so ``max_herm_dev`` is 0) and audits the trace each step
+as one more recorded functional; RK4 audits and symmetrizes its full state.
+Positivity is never enforced, only checked every ``EIG_CHECK_STRIDE`` steps
+and at the end. ``Trajectory.stats`` carries these hygiene figures and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
-``pairs_stepped`` (unordered pairs), ``evolutions`` (the mat-vecs per step),
+``pairs_stepped`` (unordered pairs), ``evolutions`` (the stepped state slices),
 ``propagators`` built, ``propagators_real`` (those taken in the real basis)
 and ``block_dim_max`` (the largest block Liouvillian's dimension).
 """
@@ -44,7 +44,6 @@ import scipy.sparse.csgraph
 
 from .linalg import SubsystemLayout, dag, expm, is_hermitian, partial_trace
 
-TRACE_REPAIR_TOL = 1e-9
 TRACE_ABORT_TOL = 1e-6
 HERM_ABORT_TOL = 1e-6
 EIG_ABORT_TOL = -1e-5
@@ -52,7 +51,7 @@ EIG_CHECK_STRIDE = 100  # steps between full-state eigenvalue checks
 
 
 class PropagationError(RuntimeError):
-    """State invariants broke down beyond repair, in propagation or in an observable."""
+    """A state invariant passed its abort tolerance, in propagation or in an observable."""
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,12 @@ def _block_propagator(
             f"self-adjoint block is not real in the Hermitian basis (|Im| up to {imag:.3e})"
         )
     r = r.real.copy()  # frees the complex buffer before the exponential
-    return step_propagator(r, dt)
+    p = step_propagator(r, dt)
+    if np.iscomplexobj(p):  # the steps would no longer keep real coordinates real
+        raise PropagationError(
+            f"Hermiticity deviation {np.max(np.abs(p.imag)):.3e} in a real-basis propagator"
+        )
+    return p
 
 
 class _BlockStepper:
@@ -251,9 +255,10 @@ class _BlockStepper:
     The state is one vector, the evolutions end to end, and a step is one
     mat-vec per evolution on its slice. A (c, c) evolution is its coordinates
     W^dagger vec(X) in the Hermitian basis, real for a Hermitian block, which
-    the real propagator then keeps exactly Hermitian; any other is its F-order
-    vec. Every recorded scalar is linear in the state, so it is one weight row
-    on the vector plus one on its conjugate (:meth:`weights`).
+    the real propagator then keeps exactly Hermitian (complex coordinates take
+    a second real mat-vec); any other is its F-order vec. Every recorded scalar
+    is linear in the state, so it is one weight row on the vector plus one on
+    its conjugate (:meth:`weights`).
     """
 
     def __init__(
@@ -274,9 +279,9 @@ class _BlockStepper:
                 reps.append(a)
 
         slices: dict[tuple, slice] = {}  # (c1, c2, initial coordinates) -> its evolution's
-        evolutions = []  # (class pair, slice of the state vector, real coordinates)
+        evolutions = []  # (class pair, slice of the state vector, complex (c, c) coordinates)
         self.pairs = []  # (slice, flat indices, mirror, basis) of every stepped pair
-        v0, diagonal = [], [np.zeros(0, int)]
+        v0 = []
         for a, b in zip(*np.triu_indices(len(sectors))):
             if classes[a] > classes[b]:
                 a, b = b, a
@@ -291,13 +296,11 @@ class _BlockStepper:
             if key not in slices:
                 start = sum(map(len, v0))
                 slices[key] = slice(start, start + len(block))
-                evolutions.append((c, slices[key], same and not np.any(block.imag)))
+                evolutions.append((c, slices[key], same and np.any(block.imag)))
                 v0.append(block)
             sl = slices[key]
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
             self.pairs.append((sl, flat, mirror, basis))
-            if mirror is None:
-                diagonal.append(sl.start + np.arange(len(rows)))  # the E_ii coordinates
         self.v0 = np.concatenate(v0)
         # built after the pair loop: interleaved with its small allocations, the
         # exponentials' temporaries left about 1 MB more peak RSS at n_tlf=4
@@ -307,10 +310,7 @@ class _BlockStepper:
             )
             for c1, c2 in dict.fromkeys(c for c, _, _ in evolutions)
         }
-        self.evolutions = [(props[c], sl, real) for c, sl, real in evolutions]
-        # hygiene's entries: the real coordinates, and the diagonals the trace sums
-        self.real = np.concatenate([np.full(sl.stop - sl.start, r) for _, sl, r in evolutions])
-        self.diagonal = np.concatenate(diagonal)
+        self.evolutions = [(props[c], sl, imag) for c, sl, imag in evolutions]
         self.stats = {
             "sectors": len(sectors),
             "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror, _ in self.pairs),
@@ -323,18 +323,11 @@ class _BlockStepper:
 
     def step(self, v: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
-        for prop, sl, real in self.evolutions:
-            np.matmul(prop, v[sl].real if real else v[sl], out=out[sl])
+        for prop, sl, imag in self.evolutions:
+            np.matmul(prop, v[sl].real if np.isrealobj(prop) else v[sl], out=out[sl])
+            if imag:  # never cast a real propagator to complex
+                np.matmul(prop, v[sl].imag, out=out[sl].imag)
         return out
-
-    def hygiene(self, v: np.ndarray, rec: "_Recorder", t: float) -> np.ndarray:
-        """Audit the state and renormalize it in place; the Hermiticity deviation
-        is the largest |Im| of the real coordinates, 0 after a healthy step."""
-        herm_dev = float(np.max(np.abs(v[self.real].imag)))
-        trace = float(np.sum(v[self.diagonal].real))
-        if rec.audit(herm_dev, trace, t):
-            v /= trace
-        return v
 
     def weights(self, f: np.ndarray) -> np.ndarray:
         """Rows ``(a; b)`` with sum_ij f[k, i, j] rho[i, j] = a[k] v + conj(b[k] v),
@@ -375,7 +368,8 @@ def _validate_initial_state(rho0: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(f"initial state shape {rho0.shape} != generator dim {dim}")
     if abs(np.trace(rho0).real - 1.0) > 1e-9 or not is_hermitian(rho0, atol=1e-9):
         raise ValueError("initial state must be Hermitian with unit trace")
-    return 0.5 * (rho0 + dag(rho0))  # exact: mirrored blocks and real coordinates assume it
+    rho0 = 0.5 * (rho0 + dag(rho0))  # exact: mirrored blocks and real coordinates assume it
+    return rho0 / np.trace(rho0).real
 
 
 def _grid_steps(t_end: float, dt: float) -> int:
@@ -393,7 +387,7 @@ class _Recorder:
     ``record`` operator, then the marginal's entries in C order."""
 
     def __init__(self, n_rec, record, marginal_keep, layout, keep_states, dim):
-        self.record, self.keep, self.layout = record or {}, marginal_keep, layout
+        self.record, self.keep, self.layout, self.dim = record or {}, marginal_keep, layout, dim
         self.kd = 0
         if marginal_keep is not None:
             if layout is None:
@@ -405,7 +399,7 @@ class _Recorder:
         self.min_eigenvalue, self.eig_checks = np.inf, 0
 
     def functionals(self) -> np.ndarray:
-        """Stack f of the recorded scalars as sum_ij f[k, i, j] rho[i, j].
+        """The recorded scalars as a ``(k, dim, dim)`` stack f, each sum_ij f[k, i, j] rho[i, j].
 
         tr(O rho) is sum_ij O[j, i] rho[i, j]; marginal entry (x, y) is the
         sum over the traced sites' index z of rho[(x, z), (y, z)].
@@ -418,7 +412,7 @@ class _Recorder:
             full = np.arange(dim).reshape(self.layout.dims).transpose(order).reshape(self.kd, -1)
             one_hot = np.eye(dim)[full]  # (kept x, traced z, full index)
             f += list(np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(-1, dim, dim))
-        return np.array(f, dtype=complex)
+        return np.array(f, dtype=complex).reshape(-1, self.dim, self.dim)
 
     def take(self, i: int, rho: np.ndarray) -> None:
         """Record from the full state, for the RK4 oracle."""
@@ -429,9 +423,8 @@ class _Recorder:
         if self.states is not None:
             self.states[i] = rho
 
-    def audit(self, herm_dev: float, trace: float, t: float) -> bool:
-        """Record a step's Hermiticity deviation and trace and abort on either, in
-        that order; return whether the trace drift lies in the repair window."""
+    def audit(self, herm_dev: float, trace: float, t: float) -> None:
+        """Record a step's Hermiticity deviation and trace; abort on either, in that order."""
         self.max_herm_dev = max(self.max_herm_dev, herm_dev)
         if not herm_dev <= HERM_ABORT_TOL:  # a NaN aborts too
             raise PropagationError(
@@ -443,14 +436,13 @@ class _Recorder:
             raise PropagationError(
                 f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
             )
-        return drift <= TRACE_REPAIR_TOL
 
     def hygiene(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """Repair the full state, for the RK4 oracle."""
+        """Audit the full state and symmetrize it, for the RK4 oracle."""
         herm_dev = float(np.max(np.abs(rho - dag(rho))))
         rho = 0.5 * (rho + dag(rho))
-        trace = np.trace(rho).real
-        return rho / trace if self.audit(herm_dev, trace, t) else rho
+        self.audit(herm_dev, np.trace(rho).real, t)
+        return rho
 
     def check_eigs(self, rho: np.ndarray, t: float) -> None:
         w_min = float(np.min(np.linalg.eigvalsh(rho)))
@@ -506,21 +498,26 @@ def propagate(
     rho = _validate_initial_state(rho0, gen.dim)
     n_steps = _grid_steps(t_end, dt)
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
-    stepper = _BlockStepper(gen, dt, sectors, rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
+        stepper = _BlockStepper(gen, dt, sectors, rho)
     rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
-    weights, k = stepper.weights(rec.functionals()), rec.values.shape[1]
+    # the recorded scalars, then the trace
+    weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
+    k = len(weights) // 2
 
     t_grid = dt * np.arange(n_steps + 1)
     v = stepper.v0
     for i in range(n_steps + 1):
+        if i:
+            v = stepper.step(v)
         w = weights @ v
-        rec.values[i] = w[:k] + w[k:].conj()
+        w = w[:k] + w[k:].conj()
+        rec.audit(0.0, w[-1].real, t_grid[i])  # Hermitian by construction
+        rec.values[i] = w[:-1]
         if keep_states:
             rec.states[i] = stepper.assemble(v)
         if i % EIG_CHECK_STRIDE == 0:
             rec.check_eigs(stepper.assemble(v), t_grid[i])
-        if i < n_steps:
-            v = stepper.hygiene(stepper.step(v), rec, t_grid[i + 1])
     rho = stepper.assemble(v)
     rec.check_eigs(rho, t_grid[-1])
     return rec.trajectory(t_grid, dt, rho, stepper.stats)

@@ -2,6 +2,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,9 +215,29 @@ def test_overflowing_gate_is_numerical_failure(strength, tmp_path, capsys):
     )
     assert cli_main(["validate", str(path)]) == 0
     capsys.readouterr()
-    assert cli_main(["run", str(path)]) == 2
+    # the overflow is reported once, as the numerical failure, with no numpy warnings
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "error", message="(overflow|invalid value) encountered", category=RuntimeWarning
+        )
+        assert cli_main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "Traceback" not in err
+
+
+def test_oracle_subcommand_reports_each_check(monkeypatch, capsys):
+    from tlfsim.oracles import OracleResult
+
+    passing = OracleResult("larmor", True, "max deviation 1e-12")
+    failing = OracleResult("damping", False, "max deviation 1e-2")
+    monkeypatch.setattr("tlfsim.oracles.run_all", lambda: [passing])
+    assert cli_main(["oracle"]) == 0
+    assert "PASS larmor: max deviation 1e-12" in capsys.readouterr().out
+    monkeypatch.setattr("tlfsim.oracles.run_all", lambda: [passing, failing])
+    assert cli_main(["oracle"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL damping: max deviation 1e-2" in out
+    assert "1 oracle check(s) failed" in out
 
 
 MALFORMED_VALUES = {

@@ -514,6 +514,18 @@ def test_fault_trips_its_abort(fault, monkeypatch):
         propagate(gen, rho0, 1.0, dt=0.05)
 
 
+def test_trace_drift_is_audited_not_repaired(monkeypatch):
+    # a gain of 1e-10 per step lies well inside the trace abort tolerance;
+    # nothing divides it away, so it compounds over the 20 steps
+    gain = 1 + 1e-10
+    exact = dynamics.step_propagator
+    monkeypatch.setattr(dynamics, "step_propagator", lambda l, dt: gain * exact(l, dt))
+    gen, rho0 = probe_tlf_system(1, "plus_plus")
+    traj = propagate(gen, rho0, 1.0, dt=0.05)
+    assert abs(np.trace(traj.final_state).real - gain**20) <= 1e-13
+    assert abs(traj.stats["max_trace_drift"] - (gain**20 - 1)) <= 1e-13
+
+
 class TestStationaryBellStates:
     @pytest.mark.parametrize("state", ["psi+", "psi-"])
     def test_probe_marginal_frozen(self, state):

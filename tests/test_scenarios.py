@@ -388,6 +388,24 @@ class TestBellDecay:
         assert any("t_eps_resolution" in line for line in header)
         assert any("gamma_char" in line for line in header)
 
+    def test_warm_bath_with_sampled_gamma_plus(self, tmp_path):
+        sc = small_scenario("bell_decay", bell="phi+", duration=80.0, bell_step_cycles=0.1,
+                            model={**SMALL_MODEL, "nbar": 0.5, "gamma_plus_mode": "sampled"})
+        record = run_scenario(sc, out_dir=tmp_path)
+        manifest = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+        for label in ("mu0.00", "mu1.00"):
+            gamma_char = record.summary["gamma_char"][label]
+            assert gamma_char == np.mean(manifest["ensembles"][label]["Gamma_minus"])
+            _, rows = read_table(tmp_path / f"decay_phi_plus_{label}.csv")
+            crossed = [[float(x) for x in row.split(",")[1:3]]
+                       for row in rows[1:] if row.split(",")[1]]
+            assert crossed
+            for t_eps, p in crossed:
+                assert p == 1 - np.exp(-gamma_char * (2 * 0.5 + 1) * t_eps / 2)
+            cptp = manifest["summary"]["cptp"][label]
+            assert cptp["max_trace_drift"] <= 1e-9 and cptp["max_herm_dev"] == 0.0
+            assert cptp["min_eigenvalue"] >= -1e-7
+
     def test_psi_plus_never_decays(self, tmp_path):
         sc = small_scenario("bell_decay", bell="psi+", duration=5.0, bell_step_cycles=0.1)
         record = run_scenario(sc, out_dir=tmp_path)
