@@ -11,7 +11,8 @@ Subcommands
 ``oracle``
     Run the analytic and brute-force oracle suite; one pass/fail line each.
 
-Global flags: ``--seed`` (override the scenario seed), ``--out-dir``
+Global flags: ``--seed`` (override the scenario seed; refused for a file
+whose ``grid`` runs over ``seed``), ``--out-dir``
 (override the scenario output directory; falls back to the
 ``SPINBOSON_OUT_DIR`` environment variable), ``--deterministic``
 (accepted and ignored: every run is serial and byte-reproducible),
@@ -135,6 +136,9 @@ def _build_parser() -> _Parser:
 def _load_scenarios(args):
     entries = load_scenario_file(args.scenario_file)
     if args.seed is not None:
+        # a grid member's directory is named after its grid values, seed among them
+        if any(part.startswith("seed=") for label, _ in entries for part in label.split("__")):
+            raise ConfigurationError("--seed cannot override a grid over seed")
         entries = [
             (
                 label,

@@ -8,12 +8,14 @@ entanglement decay.
 
 The entanglement quantities are computed over a whole (n, 4, 4) stack of
 probe marginals at once; the single-state functions are the same kernels
-on a stack of one.
+on a stack of one. Each quantity has one formula, a trace norm taken as the
+sum of singular values: of the partial transpose for the log-negativity, of
+the correlator matrix for its lower bound. The stack is audited for its
+trace and its populations, never repaired.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 _PAULIS = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _PAULI_PAIRS = np.einsum("iab,jcd->ijacbd", _PAULIS, _PAULIS).reshape(3, 3, 4, 4)
 
-EIG_CLIP_FLOOR = -1e-7
+POPULATION_ABORT_TOL = -1e-7
 
 
 @dataclass(frozen=True)
@@ -100,32 +102,30 @@ def _one(a, shape: tuple, message: str, dtype=complex) -> np.ndarray:
     return a[None]
 
 
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    """Trace norm ||A||_1, the sum of the singular values, of each matrix of a stack."""
+    return np.sum(np.linalg.svd(stack, compute_uv=False), axis=1)
+
+
 def _log_negativities(states: np.ndarray) -> np.ndarray:
     """log2 trace norm of the partial transpose of each state of an (n, 4, 4) stack.
 
-    Tiny negative populations from rounding are zeroed and those states
-    renormalized. The first sample whose trace is off one, or whose
-    smallest population lies below ``EIG_CLIP_FLOOR``, raises.
+    The stack is audited, not repaired: the first sample whose trace is off
+    one, or whose smallest population lies below ``POPULATION_ABORT_TOL``,
+    raises, and rounding-level negative populations pass through as they are.
     """
     dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
-    w, v = np.linalg.eigh(herm)
-    bad = (dev > 1e-6) | (w[:, 0] < EIG_CLIP_FLOOR)
+    w_min = np.linalg.eigvalsh(herm)[:, 0]
+    bad = (dev > 1e-6) | (w_min < POPULATION_ABORT_TOL)
     if bad.any():
         i = int(np.argmax(bad))
         if dev[i] > 1e-6:
             raise PropagationError("probe state trace deviates from one")
-        raise PropagationError(f"state has negative population {w[i, 0]:.3e}")
-    clip = w[:, 0] < 0
-    if clip.any():
-        vc = v[clip]
-        rho = (vc * np.clip(w[clip], 0.0, None)[:, None, :]) @ np.conj(np.swapaxes(vc, 1, 2))
-        herm[clip] = rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+        raise PropagationError(f"state has negative population {w_min[i]:.3e}")
     # transpose the first qubit: (n, a, b, a', b') -> (n, a', b, a, b')
     pt = herm.reshape(-1, 2, 2, 2, 2).swapaxes(1, 3).reshape(-1, 4, 4)
-    # the partial transpose is Hermitian, so its trace norm is the sum of |eigenvalues|
-    norms = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=1)
-    return np.maximum(0.0, np.log2(norms))
+    return np.maximum(0.0, np.log2(_trace_norms(pt)))
 
 
 def _correlators(states: np.ndarray) -> np.ndarray:
@@ -141,23 +141,9 @@ def _correlators(states: np.ndarray) -> np.ndarray:
 
 
 def _c2primes(lam: np.ndarray) -> np.ndarray:
-    """Entanglement lower bound of each correlator matrix of an (n, 3, 3) stack.
-
-    The matrices are symmetric for the states produced here; mild asymmetry
-    is symmetrized away. Samples with more fall back to singular values,
-    with one warning for the stack.
-    """
-    lam_t = np.swapaxes(lam, 1, 2)
-    eigs = np.abs(np.linalg.eigvalsh(0.5 * (lam + lam_t)))
-    asym = np.max(np.abs(lam - lam_t), axis=(1, 2))
-    skew = asym > 1e-8
-    if skew.any():
-        warnings.warn(
-            f"correlator matrix asymmetry {np.max(asym):.3e}; using singular values",
-            RuntimeWarning,
-        )
-        eigs[skew] = np.linalg.svd(lam[skew], compute_uv=False)
-    return np.maximum(0.0, np.log2(1.0 + np.sum(eigs, axis=1)) - 1.0)
+    """Entanglement lower bound max(0, log2(1 + ||L||_1) - 1) of each correlator
+    matrix L of an (n, 3, 3) stack."""
+    return np.maximum(0.0, np.log2(1.0 + _trace_norms(lam)) - 1.0)
 
 
 def log_negativity(rho_p: np.ndarray) -> float:
@@ -173,7 +159,7 @@ def correlation_matrix(rho_p: np.ndarray) -> np.ndarray:
 
 
 def lower_bound_c2prime(lambda_mat: np.ndarray) -> float:
-    """Entanglement lower bound from the correlator matrix eigenvalues."""
+    """Entanglement lower bound from the correlator matrix's singular values."""
     lam = _one(lambda_mat, (3, 3), "expected a 3x3 correlator matrix", dtype=float)
     return float(_c2primes(lam)[0])
 

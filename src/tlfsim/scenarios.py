@@ -139,9 +139,8 @@ class Scenario:
             object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
-        labels = [_mu_label(v) for v in self.sweep]
-        repeated = sorted({x for x in labels if labels.count(x) > 1})
-        if repeated:  # their tables would overwrite each other
+        repeated = _repeated([_mu_label(v) for v in self.sweep])
+        if repeated:
             raise ConfigurationError(f"sweep values share the file label {', '.join(repeated)}")
         ignored = [
             f.name for f in dataclasses.fields(self)
@@ -372,6 +371,11 @@ def detect_peaks(spec: SpectrumEstimate) -> list[tuple[float, float]]:
     return [(float(spec.omega[i]), float(power[i])) for i in idx[order]]
 
 
+def _repeated(labels: list[str]) -> list[str]:
+    """The labels that occur more than once, sorted: their outputs would overwrite each other."""
+    return sorted({x for x in labels if labels.count(x) > 1})
+
+
 def _mu_label(mu_over_nu: float) -> str:
     return f"mu{mu_over_nu:.2f}"
 
@@ -578,8 +582,9 @@ def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
 
     ``grid`` maps model field names to value lists; the cross product is
     enumerated and each combination becomes its own scenario (outputs land
-    in a correspondingly named subdirectory). Without a grid the file
-    describes a single anonymous scenario.
+    in a correspondingly named subdirectory; two combinations that would
+    share one are refused). Without a grid the file describes a single
+    anonymous scenario.
     """
     if not isinstance(raw, dict):
         raise ConfigurationError("scenario file must hold a mapping")
@@ -606,6 +611,9 @@ def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
             f"{k}={v}" if isinstance(v, str) else f"{k}={v:g}" for k, v in zip(keys, combo)
         )
         out.append((label, scenario))
+    repeated = _repeated([label for label, _ in out])
+    if repeated:
+        raise ConfigurationError(f"grid members share the directory {', '.join(repeated)}")
     return out
 
 

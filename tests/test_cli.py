@@ -346,6 +346,49 @@ def test_negative_seed_flag_is_config_error(command, scenario_file, tmp_path, ca
     assert not out.exists()
 
 
+GRID_SCENARIO = """\
+schema_version: 1
+kind: entanglement_sweep
+model: {{n_tlf: 1, seed: 5}}
+sweep: [0.0]
+duration: 1.0
+grid: {grid}
+output: {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_grid_members_sharing_a_directory_are_config_error(command, tmp_path, capsys):
+    # both members print as ratio_eps=1, so the second run would overwrite the first
+    path = tmp_path / "grid.yaml"
+    path.write_text(
+        GRID_SCENARIO.format(grid="{ratio_eps: [1.0, 1.0000001]}", out=tmp_path / "out")
+    )
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "ratio_eps=1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_seed_flag_over_a_seed_grid_is_config_error(command, tmp_path, capsys):
+    # each member's directory would name a seed that its run does not use
+    path = tmp_path / "grid.yaml"
+    path.write_text(GRID_SCENARIO.format(grid="{seed: [1, 2]}", out=tmp_path / "out"))
+    assert cli_main([command, str(path), "--seed", "9"]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert cli_main(["validate", str(path)]) == 0
+
+
+def test_seed_flag_overrides_a_grid_over_other_keys(tmp_path, capsys):
+    path = tmp_path / "grid.yaml"
+    path.write_text(GRID_SCENARIO.format(grid="{ratio_eps: [1.0, 3.0]}", out=tmp_path / "out"))
+    assert cli_main(["validate", str(path), "--seed", "9"]) == 0
+    assert capsys.readouterr().out.count("seed: 9") == 2
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_unreadable_scenario_file_is_config_error(command, tmp_path, capsys):
     undecodable = tmp_path / "binary.yaml"

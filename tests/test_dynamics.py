@@ -193,7 +193,7 @@ class TestBlockAssembly:
         x = x + x.conj().T
         stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), x)
         assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
-        jumps = [(rate, op, op) for rate, op in gen.jumps]
+        jumps = list(zip(gen.rates, gen.jump_ops, gen.jump_ops))
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
         stepped = stepper.assemble(stepper.step(stepper.v0))
         assert np.max(np.abs(vec(stepped) - exact)) < 1e-13
