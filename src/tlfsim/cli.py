@@ -11,14 +11,16 @@ Subcommands
 ``oracle``
     Run the analytic and brute-force oracle suite; one pass/fail line each.
 
-Global flags: ``--seed`` (override the scenario seed; refused for a file
-whose ``grid`` runs over ``seed``), ``--out-dir``
-(override the scenario output directory; falls back to the
-``SPINBOSON_OUT_DIR`` environment variable), ``--deterministic``
-(accepted and ignored: every run is serial and byte-reproducible),
-``--format {csv|jsonl}``.
+Global flags: ``--seed`` (override the scenario seed: the loader,
+:func:`~tlfsim.scenarios.load_scenario_file`, writes it into the file's
+model before any member is built, and refuses it for a file whose ``grid``
+runs over ``seed``), ``--out-dir`` (override the scenario output directory;
+falls back to the ``SPINBOSON_OUT_DIR`` environment variable),
+``--deterministic`` (accepted and ignored: every run is serial and
+byte-reproducible), ``--format {csv|jsonl}``.
 
-Exit codes: 0 on success, 1 on configuration or usage errors, 2 on
+Exit codes: 0 on success, 1 on configuration or usage errors (an output
+directory, table or manifest that cannot be written among them), 2 on
 numerical failures.
 
 Scenario file schema (YAML)
@@ -70,7 +72,13 @@ import sys
 import yaml
 
 from .dynamics import PropagationError
-from .model import ConfigurationError, GroundStateDegeneracyError, ModelConfig, sample_ensemble
+from .model import (
+    GAMMA_PLUS_MODES,
+    ConfigurationError,
+    GroundStateDegeneracyError,
+    ModelConfig,
+    sample_ensemble,
+)
 from .scenarios import FORMATS, load_scenario_file, run_scenario
 
 
@@ -117,14 +125,15 @@ def _build_parser() -> _Parser:
     p_val.add_argument("scenario_file")
     _add_global_flags(p_val)
 
+    # a flag left out keeps ModelConfig's default
     p_sample = sub.add_parser("sample", help="print a seeded fluctuator ensemble")
-    p_sample.add_argument("--n-tlf", type=int, default=4)
-    p_sample.add_argument("--ratio-eps", type=float, default=3.0)
-    p_sample.add_argument("--tan-theta-bar", type=float, default=1.0 / 3.0)
-    p_sample.add_argument("--mu-over-nu", type=float, default=0.0)
-    p_sample.add_argument("--nbar", type=float, default=0.0)
+    p_sample.add_argument("--n-tlf", type=int, default=argparse.SUPPRESS)
+    p_sample.add_argument("--ratio-eps", type=float, default=argparse.SUPPRESS)
+    p_sample.add_argument("--tan-theta-bar", type=float, default=argparse.SUPPRESS)
+    p_sample.add_argument("--mu-over-nu", type=float, default=argparse.SUPPRESS)
+    p_sample.add_argument("--nbar", type=float, default=argparse.SUPPRESS)
     p_sample.add_argument(
-        "--gamma-plus-mode", choices=("scaled-by-nbar", "sampled"), default="scaled-by-nbar"
+        "--gamma-plus-mode", choices=GAMMA_PLUS_MODES, default=argparse.SUPPRESS
     )
     _add_global_flags(p_sample)
 
@@ -133,26 +142,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_scenarios(args):
-    entries = load_scenario_file(args.scenario_file)
-    if args.seed is not None:
-        # a grid member's directory is named after its grid values, seed among them
-        if any(part.startswith("seed=") for label, _ in entries for part in label.split("__")):
-            raise ConfigurationError("--seed cannot override a grid over seed")
-        entries = [
-            (
-                label,
-                dataclasses.replace(
-                    sc, model=dataclasses.replace(sc.model, seed=args.seed)
-                ),
-            )
-            for label, sc in entries
-        ]
-    return entries
-
-
 def _cmd_run(args) -> int:
-    entries = _load_scenarios(args)
+    entries = load_scenario_file(args.scenario_file, args.seed)
     base_out = args.out_dir if args.out_dir is not None else os.environ.get("SPINBOSON_OUT_DIR")
     for label, scenario in entries:
         out_dir = base_out if base_out is not None else scenario.output
@@ -168,7 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    entries = _load_scenarios(args)
+    entries = load_scenario_file(args.scenario_file, args.seed)
     for label, scenario in entries:
         if label:
             print(f"--- {label} ---")
@@ -178,15 +169,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = ModelConfig(
-        n_tlf=args.n_tlf,
-        ratio_eps=args.ratio_eps,
-        tan_theta_bar=args.tan_theta_bar,
-        mu_over_nu=args.mu_over_nu,
-        nbar=args.nbar,
-        seed=args.seed if args.seed is not None else 0,
-        gamma_plus_mode=args.gamma_plus_mode,
-    )
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    cfg = ModelConfig(**{k: v for k, v in vars(args).items() if k in names and v is not None})
     ens = sample_ensemble(cfg)
     payload = {"config": dataclasses.asdict(cfg), "ensemble": ens.as_dict()}
     if args.format == "jsonl":

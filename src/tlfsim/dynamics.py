@@ -24,7 +24,8 @@ test suite:
 The initial state is Hermitized and normalized once; nothing repairs it after.
 The block engine is Hermitian by construction (a complex real-basis propagator
 is refused at build, so ``max_herm_dev`` is 0) and audits the trace each step
-as one more recorded functional; RK4 audits and symmetrizes its full state.
+as one more recorded functional; RK4 audits the Hermiticity and trace of its
+full state each step.
 Positivity is never enforced, only checked every ``EIG_CHECK_STRIDE`` steps
 and at the end. ``Trajectory.stats`` carries these hygiene figures and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
@@ -429,13 +430,6 @@ class _Recorder:
                 f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
             )
 
-    def hygiene(self, rho: np.ndarray, t: float) -> np.ndarray:
-        """Audit the full state and symmetrize it, for the RK4 oracle."""
-        herm_dev = float(np.max(np.abs(rho - dag(rho))))
-        rho = 0.5 * (rho + dag(rho))
-        self.audit(herm_dev, np.trace(rho).real, t)
-        return rho
-
     def check_eigs(self, rho: np.ndarray, t: float) -> None:
         w_min = float(np.min(np.linalg.eigvalsh(rho)))
         self.min_eigenvalue = min(self.min_eigenvalue, w_min)
@@ -562,7 +556,7 @@ def rk4_reference(
         k3 = rhs(rho + 0.5 * dt * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = rec.hygiene(rho, i * dt)
+        rec.audit(float(np.max(np.abs(rho - dag(rho)))), np.trace(rho).real, i * dt)
         if i % record_every == 0:
             rec.take(i // record_every, rho)
     rec.check_eigs(rho, t_end)

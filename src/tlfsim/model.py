@@ -57,13 +57,15 @@ _FIELD_KINDS = {
     "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "str | None": ((str, type(None)), "a string or null"),
+    "tuple": ((list, tuple), "a list of numbers"),
 }
 
 
 def check_value(name: str, v, kind: str) -> None:
     """Raise ConfigurationError unless ``v`` is a value of ``kind`` (an int,
-    float, bool or str, or an optional float or str, as annotated); a bool is
-    not taken for a number, nor a NaN or infinity."""
+    float, bool, str or tuple, or an optional float or str, as annotated); a
+    list passes for a tuple, and a bool is not taken for a number, nor a NaN
+    or infinity."""
     types, what = _FIELD_KINDS.get(kind, (object, ""))
     if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
         raise ConfigurationError(f"{name} must be {what}, got {v!r}")

@@ -35,14 +35,14 @@ import io
 import itertools
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import LindbladGenerator, _grid_steps, propagate
+from .dynamics import LindbladGenerator, PropagationError, _grid_steps, propagate
 from .model import (
     ConfigurationError,
     GATE_TERMS,
@@ -88,8 +88,6 @@ DEFAULT_DURATIONS = {
 MAX_BLOCK_DIM = 4096
 MAX_GRID_STEPS = 10**6
 
-_MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)}
-
 # the fields each kind reads besides kind, model and output; a file may set
 # any other field only to its default, since the run would ignore it
 KIND_FIELDS = {
@@ -99,6 +97,25 @@ KIND_FIELDS = {
     "bell_decay": {"bell", "duration", "epsilons", "bell_step_cycles"},
     "gate": {"gate", "duration", "trace_step_cycles"},
 }
+
+
+def _file_mapping(cls, raw, what: str, extra=()) -> dict:
+    """A copy of the file mapping ``raw`` for the dataclass ``cls``, once checked:
+    it is a mapping, each key names a field of ``cls`` or is in ``extra``, and
+    each field without a default is given."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{what} must be a mapping, got {raw!r}")
+    fields = dataclasses.fields(cls)
+    unknown = set(raw) - {f.name for f in fields} - set(extra)
+    if unknown:
+        raise ConfigurationError(f"unknown {what} keys: {', '.join(sorted(map(str, unknown)))}")
+    missing = [
+        f.name for f in fields
+        if f.name not in raw and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if missing:
+        raise ConfigurationError(f"{what} needs {', '.join(missing)}")
+    return dict(raw)
 
 
 @dataclass(frozen=True)
@@ -206,40 +223,17 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
-        if not isinstance(raw, dict):
-            raise ConfigurationError("scenario file must hold a mapping")
-        data = dict(raw)
+        data = _file_mapping(cls, raw, "scenario", extra=("schema_version",))
         version = data.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ConfigurationError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown scenario keys: {sorted(unknown)}")
         if "model" in data:
-            model_raw = data["model"]
-            if not isinstance(model_raw, dict):
-                raise ConfigurationError("model section must be a mapping")
-            bad = set(model_raw) - _MODEL_KEYS
-            if bad:
-                raise ConfigurationError(f"unknown model keys: {sorted(bad)}")
-            data["model"] = ModelConfig(**model_raw)
-        if "gate" in data and data["gate"] is not None:
-            gate_raw = data["gate"]
-            if not isinstance(gate_raw, dict) or set(gate_raw) - {"kind", "strength"}:
-                raise ConfigurationError("gate section takes only kind and strength")
-            if "kind" not in gate_raw:
-                raise ConfigurationError("gate section needs a kind")
-            data["gate"] = GateSpec(**gate_raw)
-        for key in ("sweep", "epsilons"):
-            if key in data and not isinstance(data[key], (list, tuple)):
-                raise ConfigurationError(f"{key} must be a list of numbers")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigurationError(str(exc)) from exc
+            data["model"] = ModelConfig(**_file_mapping(ModelConfig, data["model"], "model"))
+        if data.get("gate") is not None:
+            data["gate"] = GateSpec(**_file_mapping(GateSpec, data["gate"], "gate"))
+        return cls(**data)
 
     def canonical_dict(self) -> dict:
         out = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
@@ -271,10 +265,6 @@ class RunRecord:
     wall_clock_s: float
     library_version: str = __version__
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(dataclasses.asdict(self), fh, sort_keys=False)
-
 
 def _format_value(v) -> str:
     if v is None:
@@ -297,8 +287,16 @@ def _write_table(path, fmt: str, header_lines: list[str], columns: list[str], ro
     else:
         for row in rows:
             buf.write(json.dumps(dict(zip(columns, row))) + "\n")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write(path, buf.getvalue())
+
+
+def _write(path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a configuration error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output: {exc}") from exc
 
 
 def _header(scenario: Scenario, extra: dict | None = None) -> list[str]:
@@ -501,7 +499,7 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
     ens, traj = simulate(cfg, t_end, dt, probe=state)
     et = entanglement_trace(traj.t_grid, traj.marginals)
     if abs(et.log_negativity[0] - 1.0) > 1e-8:
-        raise ConfigurationError(
+        raise PropagationError(
             f"initial register entanglement is {et.log_negativity[0]!r}, not 1"
         )
     label = _mu_label(mu_over_nu)
@@ -577,36 +575,33 @@ def _gate_point(scenario: Scenario, mu_over_nu: float | None, g: float) -> dict:
     )
 
 
-def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
+def expand_grid(raw: dict, seed: int | None = None) -> list[tuple[str, Scenario]]:
     """Expand an optional ``grid`` section into labelled scenarios.
 
     ``grid`` maps model field names to value lists; the cross product is
     enumerated and each combination becomes its own scenario (outputs land
     in a correspondingly named subdirectory; two combinations that would
     share one are refused). Without a grid the file describes a single
-    anonymous scenario.
+    anonymous scenario. ``seed``, when given, replaces every member's model
+    seed; a grid over ``seed`` refuses it, since the member directories name
+    their seeds.
     """
-    if not isinstance(raw, dict):
-        raise ConfigurationError("scenario file must hold a mapping")
-    data = dict(raw)
+    data = _file_mapping(Scenario, raw, "scenario", extra=("schema_version", "grid"))
     grid = data.pop("grid", None)
+    model = _file_mapping(ModelConfig, data.get("model", {}), "model")
+    if seed is not None:
+        model["seed"] = seed
     if grid is None:
-        return [("", Scenario.from_dict(data))]
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigurationError("grid section must be a non-empty mapping")
-    bad = set(grid) - _MODEL_KEYS
-    if bad:
-        raise ConfigurationError(f"unknown grid keys: {sorted(bad)}")
+        return [("", Scenario.from_dict({**data, "model": model}))]
+    grid = _file_mapping(ModelConfig, grid, "grid")
     keys = sorted(grid)
-    if any(not isinstance(grid[k], list) or not grid[k] for k in keys):
-        raise ConfigurationError("grid values must be non-empty lists")
+    if not keys or any(not isinstance(grid[k], list) or not grid[k] for k in keys):
+        raise ConfigurationError("grid must map model fields to non-empty lists")
+    if seed is not None and "seed" in grid:
+        raise ConfigurationError("--seed cannot override a grid over seed")
     out = []
     for combo in itertools.product(*(grid[k] for k in keys)):
-        entry = dict(data)
-        model = dict(entry.get("model") or {})
-        model.update(dict(zip(keys, combo)))
-        entry["model"] = model
-        scenario = Scenario.from_dict(entry)
+        scenario = Scenario.from_dict({**data, "model": {**model, **dict(zip(keys, combo))}})
         label = "__".join(
             f"{k}={v}" if isinstance(v, str) else f"{k}={v:g}" for k, v in zip(keys, combo)
         )
@@ -617,8 +612,9 @@ def expand_grid(raw: dict) -> list[tuple[str, Scenario]]:
     return out
 
 
-def load_scenario_file(path) -> list[tuple[str, Scenario]]:
-    """Parse a scenario file into its (label, scenario) expansions."""
+def load_scenario_file(path, seed: int | None = None) -> list[tuple[str, Scenario]]:
+    """Parse a scenario file into its (label, scenario) expansions; ``seed``
+    replaces the model seed of each (see :func:`expand_grid`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -628,7 +624,7 @@ def load_scenario_file(path) -> list[tuple[str, Scenario]]:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse scenario file: {exc}") from exc
-    return expand_grid(raw)
+    return expand_grid(raw, seed)
 
 
 def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecord:
@@ -689,7 +685,7 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         summary=summary,
         wall_clock_s=time.monotonic() - t0,
     )
-    record.write(out / "manifest.yaml")
+    _write(out / "manifest.yaml", yaml.safe_dump(dataclasses.asdict(record), sort_keys=False))
     return record
 
 

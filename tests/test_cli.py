@@ -109,6 +109,24 @@ def test_sample_parameters_in_range(capsys):
     assert np.isclose(ens["nu"], omega_min / 3)
 
 
+def test_sample_defaults_are_the_model_defaults(capsys):
+    import dataclasses
+
+    from tlfsim.model import ModelConfig, sample_ensemble
+
+    assert cli_main(["sample", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    cfg = ModelConfig(seed=42)
+    payload = {"config": dataclasses.asdict(cfg), "ensemble": sample_ensemble(cfg).as_dict()}
+    assert out == yaml.safe_dump(payload, sort_keys=False).rstrip() + "\n"
+    flags = [
+        "--n-tlf", "4", "--ratio-eps", "3.0", "--tan-theta-bar", repr(1.0 / 3.0),
+        "--mu-over-nu", "0.0", "--nbar", "0.0", "--gamma-plus-mode", "scaled-by-nbar",
+    ]
+    assert cli_main(["sample", "--seed", "42", *flags]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_sample_jsonl(capsys):
     assert cli_main(["sample", "--seed", "1", "--format", "jsonl"]) == 0
     import json
@@ -202,6 +220,40 @@ def test_negative_population_is_numerical_failure(n_tlf, tmp_path, monkeypatch, 
     err = capsys.readouterr().err
     assert "numerical failure" in err and "negative population" in err
     assert "Traceback" not in err
+
+
+def _propagate_with_separable_marginal(gen, rho0, t_end, dt, **kwargs):
+    from tlfsim.dynamics import Trajectory
+
+    marginal = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    return Trajectory(
+        t_grid=np.array([0.0, dt]), step=dt, marginals=np.stack([marginal, marginal])
+    )
+
+
+def test_bell_start_that_is_not_entangled_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "bell.yaml"
+    path.write_text(
+        "schema_version: 1\nkind: bell_decay\nbell: phi+\nmodel: {n_tlf: 1, seed: 5}\n"
+        f"duration: 1.0\noutput: {tmp_path / 'out'}\n"
+    )
+    monkeypatch.setattr("tlfsim.scenarios.propagate", _propagate_with_separable_marginal)
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "initial register entanglement" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["spectrum_mu0.00.csv", "manifest.yaml"])
+def test_output_file_that_cannot_be_written_is_config_error(
+    target, scenario_file, tmp_path, capsys
+):
+    out = tmp_path / "blocked"
+    (out / target).mkdir(parents=True)
+    assert cli_main(["run", str(scenario_file), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: cannot write output" in err and "Traceback" not in err
+    assert (out / target).is_dir()
 
 
 # valid scenarios whose gate term is too large for floating point: the first
