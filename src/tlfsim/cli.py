@@ -2,22 +2,24 @@
 
 Subcommands
 -----------
-``run <scenario-file>``
+Each takes only the flags it reads, after the subcommand; any other flag is
+a usage error.
+
+``run <scenario-file> [--seed N] [--out-dir DIR] [--format csv|jsonl] [--deterministic]``
     Execute a scenario and write its output files plus a YAML manifest.
-``validate <scenario-file>``
-    Parse and validate a scenario, echo the resolved parameters.
-``sample``
-    Print a seeded fluctuator ensemble with all derived quantities.
+    ``--out-dir`` falls back to the ``SPINBOSON_OUT_DIR`` environment
+    variable; ``--deterministic`` is accepted and ignored (every run is
+    serial and byte-reproducible).
+``validate <scenario-file> [--seed N]``
+    Parse and validate a scenario, echo the resolved parameters. ``--seed``
+    (here and in ``run``) replaces the model seed before any member is
+    built, and is refused for a file whose ``grid`` runs over ``seed``.
+``sample [--seed N] [--format csv|jsonl] [model flags]``
+    Print a seeded fluctuator ensemble (YAML, or one JSON line) with all
+    derived quantities; the model flags are ``--n-tlf``, ``--ratio-eps``,
+    ``--tan-theta-bar``, ``--mu-over-nu``, ``--nbar``, ``--gamma-plus-mode``.
 ``oracle``
     Run the analytic and brute-force oracle suite; one pass/fail line each.
-
-Global flags: ``--seed`` (override the scenario seed: the loader,
-:func:`~tlfsim.scenarios.load_scenario_file`, writes it into the file's
-model before any member is built, and refuses it for a file whose ``grid``
-runs over ``seed``), ``--out-dir`` (override the scenario output directory;
-falls back to the ``SPINBOSON_OUT_DIR`` environment variable),
-``--deterministic`` (accepted and ignored: every run is serial and
-byte-reproducible), ``--format {csv|jsonl}``.
 
 Exit codes: 0 on success, 1 on configuration or usage errors (an output
 directory, table or manifest that cannot be written among them), 2 on
@@ -35,7 +37,8 @@ Scenario file schema (YAML)
       n_tlf: 4                   # number of fluctuators, at most 6 (5 under xxyy)
       ratio_eps: 3.0             # probe splitting / mean TLF bias
       tan_theta_bar: 0.3333333   # mean TLF local field / mean TLF bias
-      mu_over_nu: 0.0            # base TLF-TLF coupling ratio
+      mu_over_nu: 0.0            # TLF-TLF coupling ratio: each point sets
+                                 # it, so a file may not
       nbar: 0.0                  # mean bath occupation
       seed: 0                    # RNG seed
       gamma_plus_mode: scaled-by-nbar   # or: sampled
@@ -46,7 +49,8 @@ Scenario file schema (YAML)
     duration: 50.0               # probe cycles (kind-specific default);
                                  # not for spectrum_sweep (see n_samples)
     gate: {kind: zz, strength: null}        # gate only: zz | xxyy;
-                                 # strength defaults to the sampled coupling
+                                 # strength defaults to the sampled coupling;
+                                 # strength * trace step at most pi/4
     bell: phi+                   # bell_decay only: phi+ | phi- | psi+ | psi-
     epsilons: [0.1, 0.03, 0.01, 0.003, 0.001]  # bell_decay only: thresholds
     output: runs/myrun           # output directory
@@ -82,51 +86,29 @@ from .model import (
 from .scenarios import FORMATS, load_scenario_file, run_scenario
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        raise SystemExit(1)
-
-
-def _add_global_flags(parser) -> None:
-    # SUPPRESS keeps subcommand-level occurrences from clobbering values
-    # parsed before the subcommand; real defaults live in set_defaults below.
-    parser.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="override the scenario seed"
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="tlfsim", description="probe-plus-fluctuator simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="execute a scenario file")
+    p_val = sub.add_parser("validate", help="validate a scenario file")
+    p_sample = sub.add_parser("sample", help="print a seeded fluctuator ensemble")
+    sub.add_parser("oracle", help="run the analytic/brute-force oracle suite")
+    for p in (p_run, p_val):
+        p.add_argument("scenario_file")
+        p.add_argument("--seed", type=int, help="override the scenario seed")
+    p_run.add_argument(
+        "--out-dir", help="output directory (falls back to $SPINBOSON_OUT_DIR, then the scenario)"
     )
-    parser.add_argument(
-        "--out-dir",
-        default=argparse.SUPPRESS,
-        help="output directory (falls back to $SPINBOSON_OUT_DIR, then the scenario)",
-    )
-    parser.add_argument(
+    p_run.add_argument(
         "--deterministic",
         action="store_true",
-        default=argparse.SUPPRESS,
         help="accepted and ignored: every run is serial and byte-reproducible",
     )
-    parser.add_argument(
-        "--format", choices=FORMATS, default=argparse.SUPPRESS, help="output table format"
-    )
+    for p in (p_run, p_sample):
+        p.add_argument("--format", choices=FORMATS, default="csv", help="output format")
 
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="tlfsim", description="probe-plus-fluctuator simulator")
-    _add_global_flags(parser)
-    parser.set_defaults(seed=None, out_dir=None, deterministic=False, format="csv")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_run = sub.add_parser("run", help="execute a scenario file")
-    p_run.add_argument("scenario_file")
-    _add_global_flags(p_run)
-
-    p_val = sub.add_parser("validate", help="validate a scenario file")
-    p_val.add_argument("scenario_file")
-    _add_global_flags(p_val)
-
-    # a flag left out keeps ModelConfig's default
-    p_sample = sub.add_parser("sample", help="print a seeded fluctuator ensemble")
+    # a model flag left out keeps ModelConfig's default
+    p_sample.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p_sample.add_argument("--n-tlf", type=int, default=argparse.SUPPRESS)
     p_sample.add_argument("--ratio-eps", type=float, default=argparse.SUPPRESS)
     p_sample.add_argument("--tan-theta-bar", type=float, default=argparse.SUPPRESS)
@@ -135,10 +117,6 @@ def _build_parser() -> _Parser:
     p_sample.add_argument(
         "--gamma-plus-mode", choices=GAMMA_PLUS_MODES, default=argparse.SUPPRESS
     )
-    _add_global_flags(p_sample)
-
-    p_oracle = sub.add_parser("oracle", help="run the analytic/brute-force oracle suite")
-    _add_global_flags(p_oracle)
     return parser
 
 
@@ -170,7 +148,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_sample(args) -> int:
     names = {f.name for f in dataclasses.fields(ModelConfig)}
-    cfg = ModelConfig(**{k: v for k, v in vars(args).items() if k in names and v is not None})
+    cfg = ModelConfig(**{k: v for k, v in vars(args).items() if k in names})
     ens = sample_ensemble(cfg)
     payload = {"config": dataclasses.asdict(cfg), "ensemble": ens.as_dict()}
     if args.format == "jsonl":
@@ -204,7 +182,11 @@ _COMMANDS = {
 
 def cli_main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            # argparse would name the flag's value as an unknown subcommand instead
+            parser.error(f"unrecognized arguments: {argv[0]} (flags go after the subcommand)")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1

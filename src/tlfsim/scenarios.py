@@ -89,7 +89,8 @@ MAX_BLOCK_DIM = 4096
 MAX_GRID_STEPS = 10**6
 
 # the fields each kind reads besides kind, model and output; a file may set
-# any other field only to its default, since the run would ignore it
+# any other field only to its default, since the run would ignore it, and
+# model.mu_over_nu likewise, since every point sets its own
 KIND_FIELDS = {
     "spectrum_sweep": {"sweep", "n_samples", "sample_step"},
     "entanglement_sweep": {"sweep", "duration", "trace_step_cycles"},
@@ -164,6 +165,8 @@ class Scenario:
             if f.name not in ("kind", "model", "output", *KIND_FIELDS[self.kind])
             and getattr(self, f.name) != f.default
         ]
+        if self.model.mu_over_nu != ModelConfig.mu_over_nu:
+            ignored.append("model.mu_over_nu")
         if ignored:
             raise ConfigurationError(f"{self.kind} does not read {', '.join(ignored)}; drop it")
         if self.resolved_duration() <= 0:
@@ -173,8 +176,15 @@ class Scenario:
                 raise ConfigurationError("gate scenarios need a gate section")
             if self.gate.kind not in GATE_TERMS:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
-            if self.gate.strength is not None and self.gate.strength <= 0:
+            g = self.gate.strength
+            if g is not None and g <= 0:
                 raise ConfigurationError("gate strength must be positive")
+            # pi/(4 g) is the ideal gate's time to maximal entanglement from |++>
+            if g is not None and g * self.time_grid()[1] > np.pi / 4:
+                raise ConfigurationError(
+                    f"gate strength {g!r} times the trace step exceeds pi/4: "
+                    "the step cannot resolve the gate"
+                )
         # the largest sector holds 2^n_tlf states, twice that where XX+YY merges
         # |01> and |10>; its block Liouvillian's dimension is that squared
         merged = self.gate is not None and self.gate.kind == "xxyy"
@@ -513,7 +523,7 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
     t_eps = [entanglement_lifetime(et, eps) for eps in scenario.epsilons]
     p_t_eps = [None if t is None else p_of_t(t, gamma=gamma_char, nbar=cfg.nbar) for t in t_eps]
     rows = [
-        (eps, "" if t is None else t, "" if p is None else p, float(-np.log(eps)))
+        (eps, t, p, float(-np.log(eps)))
         for eps, t, p in zip(scenario.epsilons, t_eps, p_t_eps)
     ]
     decay_extra = {

@@ -181,6 +181,14 @@ KEY_KIND_MISMATCHES = {
     "entanglement_sweep-bell_step_cycles": "kind: entanglement_sweep\nbell_step_cycles: 0.1\n",
     "bell_decay-trace_step_cycles": "kind: bell_decay\nbell: phi+\ntrace_step_cycles: 0.1\n",
     "gate-sample_step": "kind: gate\ngate: {kind: zz}\nsample_step: 0.1\n",
+    # every point sets its own mu/nu; PyYAML keeps the last of a repeated key,
+    # so each of these model mappings replaces the base one
+    "entanglement_sweep-mu_over_nu":
+        "kind: entanglement_sweep\nmodel: {n_tlf: 1, seed: 5, mu_over_nu: 0.7}\n",
+    "bell_decay-mu_over_nu":
+        "kind: bell_decay\nbell: phi+\nmodel: {n_tlf: 1, seed: 5, mu_over_nu: 0.7}\n",
+    "gate-mu_over_nu":
+        "kind: gate\ngate: {kind: zz}\nmodel: {n_tlf: 1, seed: 5, mu_over_nu: 0.7}\n",
 }
 
 
@@ -256,25 +264,49 @@ def test_output_file_that_cannot_be_written_is_config_error(
     assert (out / target).is_dir()
 
 
-# valid scenarios whose gate term is too large for floating point: the first
+# scenarios whose gate term is too large for floating point: the first
 # makes exp(L dt) non-finite, the second L itself
 @pytest.mark.parametrize("strength", ["1.0e+300", "1.5e+308"])
 def test_overflowing_gate_is_numerical_failure(strength, tmp_path, capsys):
+    from tlfsim.dynamics import PropagationError
+    from tlfsim.model import ModelConfig
+    from tlfsim.scenarios import simulate
+
     path = tmp_path / "gate.yaml"
     path.write_text(
         "schema_version: 1\nkind: gate\nmodel: {n_tlf: 1, seed: 1}\nduration: 0.1\n"
         f"gate: {{kind: zz, strength: {strength}}}\noutput: {tmp_path / 'out'}\n"
     )
-    assert cli_main(["validate", str(path)]) == 0
-    capsys.readouterr()
-    # the overflow is reported once, as the numerical failure, with no numpy warnings
+    # the step cannot resolve such a gate, so validate refuses the file
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "pi/4" in err and "Traceback" not in err
+    # below the file check, the overflow is reported once, as the numerical
+    # failure, with no numpy warnings
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "error", message="(overflow|invalid value) encountered", category=RuntimeWarning
         )
-        assert cli_main(["run", str(path)]) == 2
+        with pytest.raises(PropagationError):
+            simulate(
+                ModelConfig(n_tlf=1, seed=1), 0.1 * 2 * np.pi, 0.01 * 2 * np.pi,
+                gate="zz", g=float(strength),
+            )
+
+
+# the ideal gate entangles |++> maximally at t = pi/(4 g); the trace step of
+# 0.01 cycles is that time at g = 12.5
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_gate_step_that_cannot_resolve_the_gate_is_config_error(command, tmp_path, capsys):
+    path = tmp_path / "gate.yaml"
+    body = "schema_version: 1\nkind: gate\nmodel: {n_tlf: 1, seed: 1}\nduration: 0.1\n"
+    path.write_text(body + f"gate: {{kind: zz, strength: 12.6}}\noutput: {tmp_path / 'out'}\n")
+    assert cli_main([command, str(path)]) == 1
     err = capsys.readouterr().err
-    assert "numerical failure" in err and "Traceback" not in err
+    assert "configuration error" in err and "pi/4" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    path.write_text(body + "gate: {kind: zz, strength: 12.4}\n")
+    assert cli_main(["validate", str(path)]) == 0
 
 
 def test_oracle_subcommand_reports_each_check(monkeypatch, capsys):
@@ -391,7 +423,9 @@ def test_sample_has_no_register_ceiling(capsys):
 @pytest.mark.parametrize("command", ["validate", "run", "sample"])
 def test_negative_seed_flag_is_config_error(command, scenario_file, tmp_path, capsys):
     out = tmp_path / "seed_out"
-    args = [] if command == "sample" else [str(scenario_file), "--out-dir", str(out)]
+    args = [] if command == "sample" else [str(scenario_file)]
+    if command == "run":
+        args += ["--out-dir", str(out)]
     assert cli_main([command, *args, "--seed", "-1"]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "seed" in err and "Traceback" not in err
@@ -419,6 +453,17 @@ def test_grid_members_sharing_a_directory_are_config_error(command, tmp_path, ca
     assert cli_main([command, str(path)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "ratio_eps=1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_grid_over_mu_over_nu_is_config_error(command, tmp_path, capsys):
+    # every point sets its own mu/nu, so the members would write identical tables
+    path = tmp_path / "grid.yaml"
+    path.write_text(GRID_SCENARIO.format(grid="{mu_over_nu: [0.0, 1.0]}", out=tmp_path / "out"))
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "mu_over_nu" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -482,6 +527,33 @@ def test_jobs_below_one_is_usage_error(jobs, scenario_file, tmp_path, capsys):
     assert cli_main(["run", str(scenario_file), "--jobs", jobs, "--out-dir", str(out)]) == 1
     assert "--jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle", "--seed", "3"], "--seed"),
+        (["validate", "F", "--out-dir", "D"], "--out-dir"),
+        (["validate", "F", "--format", "jsonl"], "--format"),
+        (["validate", "F", "--deterministic"], "--deterministic"),
+        (["sample", "--out-dir", "D"], "--out-dir"),
+        (["--seed", "3", "run", "F"], "--seed"),
+    ],
+    ids=[
+        "oracle-seed", "validate-out-dir", "validate-format", "validate-deterministic",
+        "sample-out-dir", "seed-before-run",
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_usage_error(
+    argv, flag, scenario_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("tlfsim.oracles.run_all", lambda: [])
+    paths = {"F": str(scenario_file), "D": str(tmp_path / "D")}
+    assert cli_main([paths.get(arg, arg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "D").exists() and not (tmp_path / "out").exists()
 
 
 def test_jobs_flag_is_usage_error(scenario_file, tmp_path, capsys):

@@ -416,6 +416,16 @@ class TestBellDecay:
         assert record.summary["fits"]["mu1.00"] is None
         assert record.summary["lifetimes"]["mu0.00"] == [None] * 5
 
+    def test_missing_lifetime_is_null_in_jsonl(self, tmp_path):
+        # a numeric column, as the manifest's lifetimes: null, not an empty string
+        sc = small_scenario("bell_decay", bell="psi+", duration=5.0, bell_step_cycles=0.1)
+        record = run_scenario(sc, out_dir=tmp_path, fmt="jsonl")
+        _, rows = read_table(tmp_path / "decay_psi_plus_mu1.00.jsonl")
+        assert len(rows) == 5
+        for row in map(json.loads, rows):
+            assert row["t_eps"] is None and row["p_t_eps"] is None
+        assert record.summary["lifetimes"]["mu1.00"] == [None] * 5
+
 
 class TestGate:
     def test_ideal_beats_noisy(self, tmp_path):
