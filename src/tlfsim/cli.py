@@ -11,10 +11,12 @@ a usage error.
     variable; ``--deterministic`` is accepted and ignored (every run is
     serial and byte-reproducible).
 ``validate <scenario-file> [--seed N]``
-    Parse and validate a scenario, echo the resolved parameters. ``--seed``
+    Parse and validate a scenario, draw each point's fluctuator ensemble (a
+    model that cannot be sampled is a configuration error), echo the
+    resolved parameters. ``--seed``
     (here and in ``run``) replaces the model seed before any member is
     built, and is refused for a file whose ``grid`` runs over ``seed``.
-``sample [--seed N] [--format csv|jsonl] [model flags]``
+``sample [--seed N] [--format yaml|jsonl] [model flags]``
     Print a seeded fluctuator ensemble (YAML, or one JSON line) with all
     derived quantities; the model flags are ``--n-tlf``, ``--ratio-eps``,
     ``--tan-theta-bar``, ``--mu-over-nu``, ``--nbar``, ``--gamma-plus-mode``.
@@ -22,8 +24,8 @@ a usage error.
     Run the analytic and brute-force oracle suite; one pass/fail line each.
 
 Exit codes: 0 on success, 1 on configuration or usage errors (an output
-directory, table or manifest that cannot be written among them), 2 on
-numerical failures.
+directory, table or manifest that cannot be written among them, and standard
+output closed by its reader), 2 on numerical failures.
 
 Scenario file schema (YAML)
 ---------------------------
@@ -86,6 +88,9 @@ from .model import (
 from .scenarios import FORMATS, load_scenario_file, run_scenario
 
 
+SAMPLE_FORMATS = ("yaml", "jsonl")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tlfsim", description="probe-plus-fluctuator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -104,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accepted and ignored: every run is serial and byte-reproducible",
     )
-    for p in (p_run, p_sample):
-        p.add_argument("--format", choices=FORMATS, default="csv", help="output format")
+    p_run.add_argument("--format", choices=FORMATS, default="csv", help="table format")
+    p_sample.add_argument(
+        "--format", choices=SAMPLE_FORMATS, default="yaml", help="ensemble format"
+    )
 
     # a model flag left out keeps ModelConfig's default
     p_sample.add_argument("--seed", type=int, default=argparse.SUPPRESS)
@@ -201,7 +208,15 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main(sys.argv[1:]))
+    try:
+        code = cli_main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``tlfsim sample | head -1``): point stdout at
+        # the null device so that the interpreter's last flush does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,12 @@ test suite:
   state as its distinct block evolutions and records every observable as a
   linear functional of them; the full state is assembled only for the
   strided eigenvalue check, the final state and ``keep_states``.
+  The loop runs in chunks of B grid points: one product of the stacked rows
+  ``weights P^j`` (j < B) with the state records all B of them, trace
+  included, and one mat-vec per evolution with ``P^B`` reaches the next
+  chunk start; a tail of fewer than B steps takes single steps. B comes from
+  a cost rule (:func:`_chunk_size`), divides ``EIG_CHECK_STRIDE`` and is 1
+  with ``keep_states``; with B = 1 the loop is one step per grid point.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
   one-sector route through the same engine and is its oracle;
 * a classic fixed-step fourth-order Runge-Kutta integrator on the operator
@@ -23,15 +29,16 @@ test suite:
 
 The initial state is Hermitized and normalized once; nothing repairs it after.
 The block engine is Hermitian by construction (a complex real-basis propagator
-is refused at build, so ``max_herm_dev`` is 0) and audits the trace each step
-as one more recorded functional; RK4 audits the Hermiticity and trace of its
-full state each step.
+is refused at build, so ``max_herm_dev`` is 0) and audits every grid point's
+trace as one more recorded functional; RK4 audits the Hermiticity and trace
+of its full state each step.
 Positivity is never enforced, only checked every ``EIG_CHECK_STRIDE`` steps
 and at the end. ``Trajectory.stats`` carries these hygiene figures and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
 ``pairs_stepped`` (unordered pairs), ``evolutions`` (the stepped state slices),
-``propagators`` built, ``propagators_real`` (those taken in the real basis)
-and ``block_dim_max`` (the largest block Liouvillian's dimension).
+``propagators`` built, ``propagators_real`` (those taken in the real basis),
+``block_dim_max`` (the largest block Liouvillian's dimension), ``chunk`` (B)
+and ``powers`` (the ``P^B`` formed, 0 when B = 1).
 """
 
 from __future__ import annotations
@@ -233,6 +240,25 @@ def _block_propagator(
     return p
 
 
+def _matrix_power(p: np.ndarray, b: int) -> np.ndarray:
+    """p^b by repeated squaring, in three buffers the size of p."""
+    out, spare, tmp = (np.empty_like(p) for _ in range(3))
+    base, started = p, False
+    while True:
+        if b & 1:
+            if started:
+                np.matmul(out, base, out=tmp)
+                out, tmp = tmp, out
+            else:
+                out[...] = base
+                started = True
+        b >>= 1
+        if not b:
+            return out
+        np.matmul(base, base, out=tmp)
+        base, tmp = tmp, spare if base is p else base
+
+
 class _BlockStepper:
     """Holds the state as the distinct block evolutions that are live in ``rho0``.
 
@@ -253,6 +279,12 @@ class _BlockStepper:
     a second real mat-vec); any other is its F-order vec. Every recorded scalar
     is linear in the state, so it is one weight row on the vector plus one on
     its conjugate (:meth:`weights`).
+
+    Chunked recording (:meth:`chunk`) moves the propagators onto the rows:
+    row ``w P^j`` read on the state at grid point i is ``w`` read at i + j, so
+    stacking the rows for j < B records B grid points with one product, and
+    the evolutions with ``P^B`` in place of ``P`` step from one chunk start to
+    the next. A real ``P`` has a real ``P^B``, so real coordinates stay real.
     """
 
     def __init__(
@@ -312,11 +344,13 @@ class _BlockStepper:
             "propagators": len(props),
             "propagators_real": sum(c1 == c2 for c1, c2 in props),
             "block_dim_max": max(prop.shape[0] for prop in props.values()),
+            "powers": 0,
         }
 
-    def step(self, v: np.ndarray) -> np.ndarray:
+    def step(self, v: np.ndarray, evolutions: list | None = None) -> np.ndarray:
+        """Apply each evolution's propagator (``evolutions`` may swap in its powers)."""
         out = np.empty_like(v)
-        for prop, sl, imag in self.evolutions:
+        for prop, sl, imag in self.evolutions if evolutions is None else evolutions:
             np.matmul(prop, v[sl].real if np.isrealobj(prop) else v[sl], out=out[sl])
             if imag:  # never cast a real propagator to complex
                 np.matmul(prop, v[sl].imag, out=out[sl].imag)
@@ -333,6 +367,34 @@ class _BlockStepper:
                 w[1][:, sl] += f[:, mirror].conj() @ basis
         return w.reshape(2 * len(f), len(self.v0))
 
+    def chunk(self, weights: np.ndarray, b: int) -> tuple[np.ndarray, list]:
+        """The rows ``R_j = weights P^j`` for ``j < b``, stacked as ``(b * len(weights), n)``,
+        and the evolutions with ``P^b`` in place of ``P``.
+
+        ``R @ v`` then records the ``b`` grid points from ``v`` on, and one
+        :meth:`step` with the powered evolutions reaches the next chunk start.
+        ``P^b`` is formed once per distinct propagator, ``R_j`` by ``b - 1``
+        right products per evolution slice, a real ``P`` taking the rows'
+        real and imaginary parts as one real product.
+        """
+        if b == 1:
+            return weights, self.evolutions
+        powers = {id(p): _matrix_power(p, b) for p, _, _ in self.evolutions}
+        rows = np.empty((b, *weights.shape), dtype=complex)
+        rows[0] = weights
+        m = len(weights)
+        for prop, sl, _ in self.evolutions:
+            real = np.isrealobj(prop)
+            x = weights[:, sl]
+            if real:  # never cast a real propagator to complex
+                x = np.concatenate([x.real, x.imag])
+            for j in range(1, b):
+                x = x @ prop
+                rows[j, :, sl] = x[:m] + 1j * x[m:] if real else x
+        self.stats["powers"] = len(powers)
+        powered = [(powers[id(p)], sl, imag) for p, sl, imag in self.evolutions]
+        return rows.reshape(-1, weights.shape[1]), powered
+
     def assemble(self, v: np.ndarray) -> np.ndarray:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
         for sl, flat, mirror, basis in self.pairs:
@@ -340,6 +402,53 @@ class _BlockStepper:
             if mirror is not None:
                 rho[mirror] = rho[flat].conj()
         return rho.reshape(self.dim, self.dim)
+
+
+# The cost rule's unit is one multiply-add of a real mat-vec, about 0.19 ns with
+# 2-thread OpenBLAS on 256^2 to 1024^2 blocks. A square product's multiply-adds
+# run 7-9 times faster alone, but only 2-4 times in the first 0.1 s after the
+# exponentials, while scipy's BLAS threads still spin; the powers fall there.
+_GEMM_GAIN = 4
+_ROWS_GAIN = 2  # the same for a product of a few dozen rows
+_PASS_COST = 5e5  # the Python of one pass of the step loop (70-150 us)
+# Any chunk also pays about 0.1 s once: its stacked rows wake numpy's BLAS
+# threads even on small blocks, and scipy's next exponential (the next
+# point's) then runs that much slower.
+_CHUNK_COST = 5e8
+_ROWS_BYTES = 8 << 20  # the most the stacked recording rows may take
+
+
+def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
+    """The number of grid points B that one pass of the step loop records.
+
+    B divides ``EIG_CHECK_STRIDE``, so every eigenvalue check falls on a chunk
+    start. Of those B, this takes the one with the least modelled work: the
+    powers ``P^B`` (squarings and products, per distinct propagator), the
+    ``B - 1`` right products of the ``n_rows`` recording rows per evolution,
+    and one mat-vec per evolution and one Python pass for each chunk and each
+    step of the tail, plus a fixed cost for chunking at all. Candidates
+    whose rows would pass ``_ROWS_BYTES`` are left out.
+    """
+    evolutions = stepper.evolutions
+    props = {id(p): p for p, _, _ in evolutions}.values()
+    step = _PASS_COST + sum(
+        p.shape[0] ** 2 * (2 if imag or np.iscomplexobj(p) else 1) for p, _, imag in evolutions
+    )
+    square = sum(p.shape[0] ** 3 * (4 if np.iscomplexobj(p) else 1) for p in props) / _GEMM_GAIN
+    rows = sum(2 * n_rows * p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1)
+               for p, _, _ in evolutions) / _ROWS_GAIN
+    n = len(stepper.v0)
+
+    def cost(b: int) -> float:
+        products = b.bit_length() + b.bit_count() - 2  # squarings, then the products
+        passes = n_steps // b + n_steps % b
+        return (b > 1) * _CHUNK_COST + products * square + (b - 1) * rows + passes * step
+
+    candidates = [
+        b for b in range(1, EIG_CHECK_STRIDE + 1)
+        if EIG_CHECK_STRIDE % b == 0 and (b == 1 or b * n_rows * n * 16 <= _ROWS_BYTES)
+    ]
+    return min(candidates, key=cost)
 
 
 @dataclass
@@ -416,18 +525,26 @@ class _Recorder:
         if self.states is not None:
             self.states[i] = rho
 
-    def audit(self, herm_dev: float, trace: float, t: float) -> None:
-        """Record a step's Hermiticity deviation and trace; abort on either, in that order."""
+    def audit_hermiticity(self, herm_dev: float, t: float) -> None:
+        """Record a step's Hermiticity deviation; abort past its tolerance (RK4 only:
+        the block engine is Hermitian by construction)."""
         self.max_herm_dev = max(self.max_herm_dev, herm_dev)
         if not herm_dev <= HERM_ABORT_TOL:  # a NaN aborts too
             raise PropagationError(
                 f"Hermiticity deviation {herm_dev:.3e} at t={t:.6g} exceeds abort tolerance"
             )
-        drift = abs(trace - 1.0)
-        self.max_trace_drift = max(self.max_trace_drift, drift)
-        if not drift <= TRACE_ABORT_TOL:
+
+    def audit(self, trace, t) -> None:
+        """Record the traces of consecutive grid points at times ``t``; abort at the
+        earliest whose drift passes its tolerance."""
+        drift = np.abs(trace - 1.0)
+        worst = float(drift.max(initial=0.0))
+        self.max_trace_drift = max(self.max_trace_drift, worst)
+        if not worst <= TRACE_ABORT_TOL:  # a NaN aborts too
+            drift, t = np.atleast_1d(drift, t)
+            j = int(np.argmax(~(drift <= TRACE_ABORT_TOL)))
             raise PropagationError(
-                f"trace drift {drift:.3e} at t={t:.6g} exceeds abort tolerance"
+                f"trace drift {drift[j]:.3e} at t={t[j]:.6g} exceeds abort tolerance"
             )
 
     def check_eigs(self, rho: np.ndarray, t: float) -> None:
@@ -477,7 +594,10 @@ def propagate(
     records the reduced state on the kept sites at every grid point. Full
     states are retained only on request (memory grows with the grid).
     ``method="sector"`` steps the invariant sector pairs; ``"dense"`` steps
-    the whole state as one sector, the oracle of the sector route.
+    the whole state as one sector, the oracle of the sector route. The grid
+    is recorded in chunks of ``stats["chunk"]`` points (see the module
+    docstring); every grid point's trace is audited and the eigenvalue check
+    runs at the same grid points whatever the chunk.
     """
     if method not in ("dense", "sector"):
         raise ValueError(f"unknown propagation method {method!r}")
@@ -492,21 +612,35 @@ def propagate(
     k = len(weights) // 2
 
     t_grid = dt * np.arange(n_steps + 1)
-    v = stepper.v0
-    for i in range(n_steps + 1):
-        if i:
-            v = stepper.step(v)
-        w = weights @ v
-        w = w[:k] + w[k:].conj()
-        rec.audit(0.0, w[-1].real, t_grid[i])  # Hermitian by construction
-        rec.values[i] = w[:-1]
-        if keep_states:
+    b = 1 if keep_states else _chunk_size(stepper, len(weights), n_steps)
+    chunk_rows, powered = stepper.chunk(weights, b)
+
+    def record(i: int, rows: np.ndarray, v: np.ndarray) -> None:
+        """Record grid points i, i + 1, ... from the state v at i, one per block of rows."""
+        w = (rows @ v).reshape(-1, 2 * k)
+        w = w[:, :k] + w[:, k:].conj()
+        trace, t = w[:, -1].real, t_grid[i : i + len(w)]
+        if i % EIG_CHECK_STRIDE == 0:  # the order of one grid point at a time
+            rec.audit(trace[:1], t[:1])
+            rec.check_eigs(stepper.assemble(v), t[0])
+            trace, t = trace[1:], t[1:]
+        rec.audit(trace, t)  # Hermitian by construction: only the trace is audited
+        rec.values[i : i + len(w)] = w[:, :-1]
+        if keep_states:  # b is 1: one grid point
             rec.states[i] = stepper.assemble(v)
-        if i % EIG_CHECK_STRIDE == 0:
-            rec.check_eigs(stepper.assemble(v), t_grid[i])
+
+    # chunks of b grid points while a whole one fits, then single steps
+    v, i = stepper.v0, 0
+    for rows, evolutions in ((chunk_rows, powered), (weights, stepper.evolutions)):
+        span = len(rows) // len(weights)
+        while i + span <= n_steps:
+            record(i, rows, v)
+            v = stepper.step(v, evolutions)
+            i += span
+    record(n_steps, weights, v)
     rho = stepper.assemble(v)
     rec.check_eigs(rho, t_grid[-1])
-    return rec.trajectory(t_grid, dt, rho, stepper.stats)
+    return rec.trajectory(t_grid, dt, rho, {**stepper.stats, "chunk": b})
 
 
 def rk4_reference(
@@ -556,7 +690,8 @@ def rk4_reference(
         k3 = rhs(rho + 0.5 * dt * k2)
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rec.audit(float(np.max(np.abs(rho - dag(rho)))), np.trace(rho).real, i * dt)
+        rec.audit_hermiticity(float(np.max(np.abs(rho - dag(rho)))), i * dt)
+        rec.audit(np.trace(rho).real, i * dt)
         if i % record_every == 0:
             rec.take(i // record_every, rho)
     rec.check_eigs(rho, t_end)

@@ -214,6 +214,22 @@ class Scenario:
             raise ConfigurationError(
                 f"time grid: {n_steps} steps per point, more than {MAX_GRID_STEPS}"
             )
+        # each point draws its ensemble when it runs; drawing them here too (about
+        # 0.6 ms each) refuses a model that cannot be sampled before any compute
+        for mu in self.point_mus():
+            if mu is not None:
+                sample_ensemble(dataclasses.replace(self.model, mu_over_nu=mu))
+
+    def point_mus(self) -> list:
+        """The mu/nu of each point, in run order; None is the point without
+        fluctuators (the spectrum's isolated probe, the gate's ideal register)."""
+        if self.kind == "spectrum_sweep":
+            return [*self.sweep, None]
+        if self.kind == "bell_decay":
+            return [0.0, 1.0]
+        if self.kind == "gate":
+            return [None, 0.0, 1.0]
+        return list(self.sweep)
 
     def resolved_duration(self) -> float:
         if self.duration is not None:
@@ -650,23 +666,24 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot write output: {exc}") from exc
-    # each kind: its point function, its mu/nu points (None runs without
-    # fluctuators) and the manifest summary entries that precede the points'
+    # each kind: its point function and the manifest summary entries that
+    # precede the points'
     head = {}
     if scenario.kind == "spectrum_sweep":
-        point, mus = _spectrum_point, [float(mu) for mu in scenario.sweep] + [None]
+        point = _spectrum_point
     elif scenario.kind == "bell_decay":
-        point, mus = _bell_point, [0.0, 1.0]
+        point = _bell_point
         head = {"bell_state": scenario.bell}
     elif scenario.kind == "gate":
         gate = scenario.gate
         g = gate.strength if gate.strength is not None else float(
             sample_ensemble(scenario.model).nu
         )
-        point, mus = functools.partial(_gate_point, g=g), [None, 0.0, 1.0]
+        point = functools.partial(_gate_point, g=g)
         head = {"gate": gate.kind, "gate_strength": g}
     else:
-        point, mus = _entanglement_point, [float(mu) for mu in scenario.sweep]
+        point = _entanglement_point
+    mus = scenario.point_mus()
     results = [point(scenario, mu) for mu in mus]
 
     tables = sorted((t for r in results for t in r["tables"]), key=lambda t: f"{t[0]}.{fmt}")

@@ -135,6 +135,36 @@ def test_sample_jsonl(capsys):
     assert "ensemble" in payload
 
 
+def test_sample_yaml_is_the_default(capsys):
+    assert cli_main(["sample", "--seed", "3"]) == 0
+    default = capsys.readouterr().out
+    assert cli_main(["sample", "--seed", "3", "--format", "yaml"]) == 0
+    assert capsys.readouterr().out == default
+    assert yaml.safe_load(default)["config"]["seed"] == 3
+
+
+def test_sample_refuses_csv(capsys):
+    # csv names table formats of run; an ensemble is a nested mapping
+    assert cli_main(["sample", "--seed", "3", "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
+
+
+def test_sample_into_a_closed_pipe_exits_cleanly():
+    # the reader is gone before the ensemble is printed, as in `tlfsim sample | head -1`
+    src = str(Path(tlfsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tlfsim.cli", "sample", "--seed", "42"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_numerical_failure_exit_code(scenario_file, monkeypatch, capsys):
     from tlfsim.dynamics import PropagationError
 
@@ -306,6 +336,23 @@ def test_gate_step_that_cannot_resolve_the_gate_is_config_error(command, tmp_pat
     assert "configuration error" in err and "pi/4" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
     path.write_text(body + "gate: {kind: zz, strength: 12.4}\n")
+    assert cli_main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("kind", ["entanglement_sweep", "gate"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_model_that_cannot_be_sampled_is_config_error(command, kind, tmp_path, capsys):
+    # ratio_eps = 1e-20 puts the local-field range below the resolution of its centre
+    path = tmp_path / "tiny.yaml"
+    model = "model: {n_tlf: 1, seed: 1, ratio_eps: %s}\n"
+    body = f"schema_version: 1\nkind: {kind}\nduration: 0.1\noutput: {tmp_path / 'out'}\n"
+    body += "gate: {kind: zz}\n" if kind == "gate" else "sweep: [0.0]\n"
+    path.write_text(body + model % "1.0e-20")
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: degenerate sampling range" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    path.write_text(body + model % "3.0")
     assert cli_main(["validate", str(path)]) == 0
 
 

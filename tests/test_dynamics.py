@@ -501,6 +501,8 @@ FAULTS = {
     "positivity": (lambda l, p: 1.5 * p if np.iscomplexobj(l) else p, "negative population"),
     # NaN compares false with every bound, so the aborts are written to trip on it
     "nan": (lambda l, p: np.nan * p, "trace drift nan"),
+    # the drift passes the tolerance at step 15, inside a chunk of 10 and not at its start
+    "late_trace": (lambda l, p: (1 + 7e-8) * p, r"trace drift 1\.050e-06 at t=0\.75 "),
 }
 
 
@@ -512,6 +514,162 @@ def test_fault_trips_its_abort(fault, monkeypatch):
     gen, rho0 = probe_tlf_system(1, "plus_plus")
     with pytest.raises(PropagationError, match=message):
         propagate(gen, rho0, 1.0, dt=0.05)
+
+
+def force_chunk(monkeypatch, b):
+    """Make the cost rule choose B = b (keep_states still forces B = 1)."""
+    monkeypatch.setattr(dynamics, "_chunk_size", lambda *args: b)
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_fault_message_is_the_same_in_chunks(fault, monkeypatch):
+    broken, message = FAULTS[fault]
+    exact = dynamics.step_propagator
+    monkeypatch.setattr(dynamics, "step_propagator", lambda l, dt: broken(l, exact(l, dt)))
+    gen, rho0 = probe_tlf_system(1, "plus_plus")
+    messages = []
+    for b in (1, 10):
+        force_chunk(monkeypatch, b)
+        with pytest.raises(PropagationError, match=message) as err:
+            propagate(gen, rho0, 1.0, dt=0.05)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+# coherences grow 1.5x a step, so the state is far from positive at step 10, and
+# the trace gains 7e-8 or 1.05e-7 a step, so its drift passes 1e-6 at step 15 or 10
+ORDER_FAULTS = {
+    "eigenvalues-before-the-rest": (1 + 7e-8, "negative population .* at t=0.5 "),
+    "trace-before-eigenvalues": (1 + 1.05e-7, r"trace drift 1\.050e-06 at t=0\.5 "),
+}
+
+
+@pytest.mark.parametrize("fault", list(ORDER_FAULTS))
+def test_audit_order_at_a_chunk_start(fault, monkeypatch):
+    # eigenvalue checks every 10 steps: at a chunk start the trace is audited
+    # first, then the eigenvalues, then the traces of the rest of the chunk
+    gain, message = ORDER_FAULTS[fault]
+    monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", 10)
+    exact = dynamics.step_propagator
+    monkeypatch.setattr(
+        dynamics, "step_propagator",
+        lambda l, dt: gain * (1.5 if np.iscomplexobj(l) else 1.0) * exact(l, dt),
+    )
+    gen, rho0 = probe_tlf_system(1, "plus_plus")
+    for b in (1, 10):
+        force_chunk(monkeypatch, b)
+        with pytest.raises(PropagationError, match=message):
+            propagate(gen, rho0, 1.0, dt=0.05)
+
+
+class TestChunkedRecording:
+    """Chunks of B grid points against the one-step-per-point loop (B = 1), their oracle."""
+
+    # (n_tlf, probe state, model variant, what is recorded)
+    CASES = {
+        "plus_plus-n2": (2, "plus_plus", "plain", "M_x"),
+        "plus_plus-n3": (3, "plus_plus", "plain", "M_x"),
+        "plus_plus-n4": (4, "plus_plus", "plain", "M_x"),
+        "phi+-marginals": (2, "phi+", "plain", "marginals"),
+        "psi--marginals-n3": (3, "psi-", "plain", "marginals"),
+        # nbar > 0 with a sampled gamma_plus
+        "warm-marginals": (2, "plus_plus", "warm", "marginals"),
+    }
+
+    @staticmethod
+    def run(case, n_steps, dt=0.05):
+        n_tlf, state, variant, what = TestChunkedRecording.CASES[case]
+        gen, rho0 = probe_tlf_system(n_tlf, state, variant=variant)
+        layout = SubsystemLayout((2,) * (2 + n_tlf))
+        if what == "M_x":
+            m_x = embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout)
+            return propagate(gen, rho0, n_steps * dt, dt=dt, record={"M_x": m_x})
+        return propagate(gen, rho0, n_steps * dt, dt=dt, marginal_keep=(0, 1), layout=layout)
+
+    @staticmethod
+    def assert_matches(got, ref, b):
+        assert (got.stats["chunk"], ref.stats["chunk"]) == (b, 1)
+        assert ref.stats["powers"] == 0
+        assert got.stats["powers"] == got.stats["propagators"]
+        for name, series in ref.expectations.items():
+            assert np.max(np.abs(got.expectations[name] - series)) <= 1e-12
+        if ref.marginals is not None:
+            assert np.max(np.abs(got.marginals - ref.marginals)) <= 1e-12
+        assert np.max(np.abs(got.final_state - ref.final_state)) <= 1e-12
+        assert np.array_equal(got.t_grid, ref.t_grid)
+        for key, value in ref.stats.items():
+            if key in ("max_trace_drift", "min_eigenvalue"):
+                assert abs(got.stats[key] - value) <= 1e-12, key
+            elif key not in ("chunk", "powers"):
+                assert got.stats[key] == value, key
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize(
+        "n_steps, b",
+        [
+            (250, 10),  # eigenvalue checks at 0, 100 and 200, each a chunk start
+            (123, 10),  # a tail of 3 single steps
+            (101, 25),
+            (7, 10),  # fewer steps than one chunk
+            (10, 10),  # one chunk, then the last grid point alone
+        ],
+    )
+    def test_matches_one_step_per_point(self, case, n_steps, b, monkeypatch):
+        force_chunk(monkeypatch, 1)
+        ref = self.run(case, n_steps)
+        force_chunk(monkeypatch, b)
+        self.assert_matches(self.run(case, n_steps), ref, b)
+
+    @pytest.mark.parametrize("b", [1, 10])
+    def test_max_trace_drift_covers_every_grid_point(self, b, monkeypatch):
+        # the identity, recorded, is the trace row's twin: every grid point's
+        # drift, chunk starts or not, must reach the statistic
+        force_chunk(monkeypatch, b)
+        gen, rho0 = probe_tlf_system(2, "plus_plus")
+        traj = propagate(gen, rho0, 250 * 0.05, dt=0.05, record={"tr": np.eye(gen.dim)})
+        drift = np.abs(traj.expectations["tr"] - 1.0)
+        assert traj.stats["max_trace_drift"] == np.max(drift) > 0
+
+    def test_stride_of_fifty(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", 50)
+        force_chunk(monkeypatch, 1)
+        ref = self.run("plus_plus-n2", 180)
+        assert ref.stats["eig_checks"] == 5  # 0, 50, 100, 150 and the end
+        force_chunk(monkeypatch, 25)
+        self.assert_matches(self.run("plus_plus-n2", 180), ref, 25)
+
+    @pytest.mark.parametrize("stride", [100, 50, 37])
+    def test_rule_divides_the_stride(self, stride, monkeypatch):
+        monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", stride)
+        traj = self.run("plus_plus-n2", 2000)
+        assert stride % traj.stats["chunk"] == 0
+        assert traj.stats["chunk"] > 1  # 16-dim blocks: the loop's Python dominates
+
+    def test_rule_leaves_a_short_run_on_small_blocks_alone(self):
+        # 300 steps of 16-dim blocks save less than chunking's fixed cost
+        traj = self.run("plus_plus-n2", 300)
+        assert (traj.stats["chunk"], traj.stats["powers"]) == (1, 0)
+
+    def test_rule_chunks_a_spectrum_point(self):
+        # the acceptance bank's spectrum point: 3999 steps of six 256-dim evolutions
+        traj = self.run("plus_plus-n4", 3999)
+        assert traj.stats["chunk"] > 1
+        assert traj.stats["powers"] == traj.stats["propagators"] == 6
+
+    def test_keep_states_steps_one_point_at_a_time(self):
+        gen, rho0 = probe_tlf_system(2, "plus_plus")
+        traj = propagate(gen, rho0, 400 * 0.05, dt=0.05, keep_states=True)
+        assert (traj.stats["chunk"], traj.stats["powers"]) == (1, 0)
+
+    def test_large_blocks_step_one_point_at_a_time(self):
+        # an XX+YY gate point at the benchmark's size: 300 steps with blocks up to
+        # 1024^2, where forming the powers costs more than the mat-vecs they save
+        gen, rho0 = probe_tlf_system(4, "plus_plus", "xxyy", ratio_eps=1.0)
+        layout = SubsystemLayout((2,) * 6)
+        traj = propagate(gen, rho0, 3 * 2 * np.pi, dt=0.01 * 2 * np.pi,
+                         marginal_keep=(0, 1), layout=layout)
+        assert traj.stats["block_dim_max"] == 1024
+        assert (traj.stats["chunk"], traj.stats["powers"]) == (1, 0)
 
 
 def test_trace_drift_is_audited_not_repaired(monkeypatch):

@@ -317,6 +317,16 @@ class TestSpectrumSweep:
             assert (cptp["pairs_stepped"], cptp["evolutions"]) == (10, 6)
             assert (cptp["propagators_real"], cptp["block_dim_max"]) == (3, dim_max)
 
+    def test_manifest_reports_the_chunk(self, tmp_path):
+        # 1999 steps: both points record in chunks, and say so per point
+        sc = small_scenario("spectrum_sweep", sweep=[0.5], n_samples=2000)
+        run_scenario(sc, out_dir=tmp_path)
+        manifest = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+        for label in ("mu0.50", "control"):
+            cptp = manifest["summary"]["cptp"][label]
+            assert type(cptp["chunk"]) is int and 100 % cptp["chunk"] == 0 and cptp["chunk"] > 1
+            assert cptp["powers"] == cptp["propagators"] == 6
+
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
         run_scenario(sc, out_dir=tmp_path, fmt="jsonl")
