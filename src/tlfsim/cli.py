@@ -11,9 +11,9 @@ a usage error.
     variable; ``--deterministic`` is accepted and ignored (every run is
     serial and byte-reproducible).
 ``validate <scenario-file> [--seed N]``
-    Parse and validate a scenario, draw each point's fluctuator ensemble (a
-    model that cannot be sampled is a configuration error), echo the
-    resolved parameters. ``--seed``
+    Parse and validate a scenario, draw its fluctuator ensemble once (a
+    model that cannot be sampled, or too fast for the step to hold the
+    trace, is a configuration error), echo the resolved parameters. ``--seed``
     (here and in ``run``) replaces the model seed before any member is
     built, and is refused for a file whose ``grid`` runs over ``seed``.
 ``sample [--seed N] [--format yaml|jsonl] [model flags]``
@@ -52,7 +52,7 @@ Scenario file schema (YAML)
                                  # not for spectrum_sweep (see n_samples)
     gate: {kind: zz, strength: null}        # gate only: zz | xxyy;
                                  # strength defaults to the sampled coupling;
-                                 # strength * trace step at most pi/4
+                                 # strength as run * trace step at most pi/4
     bell: phi+                   # bell_decay only: phi+ | phi- | psi+ | psi-
     epsilons: [0.1, 0.03, 0.01, 0.003, 0.001]  # bell_decay only: thresholds
     output: runs/myrun           # output directory
@@ -62,9 +62,11 @@ Scenario file schema (YAML)
     bell_step_cycles: 0.05       # bell_decay trace step, cycles
 
 Unknown keys anywhere are rejected, and so is a key set to other than its
-default on a kind that does not read it (``scenarios.KIND_FIELDS``), a time
-grid of more than 10**6 steps per point, and a register whose largest block
-Liouvillian is over 4096 square (``scenarios.MAX_BLOCK_DIM``).
+default on a kind that does not read it (``scenarios.KINDS``), a time grid
+of more than 10**6 steps per point, a register whose largest block
+Liouvillian is over 4096 square (``scenarios.MAX_BLOCK_DIM``), and a model
+whose fastest frequency times the step and the number of steps passes
+``TRACE_ABORT_TOL`` / machine epsilon.
 """
 
 from __future__ import annotations

@@ -240,25 +240,6 @@ def _block_propagator(
     return p
 
 
-def _matrix_power(p: np.ndarray, b: int) -> np.ndarray:
-    """p^b by repeated squaring, in three buffers the size of p."""
-    out, spare, tmp = (np.empty_like(p) for _ in range(3))
-    base, started = p, False
-    while True:
-        if b & 1:
-            if started:
-                np.matmul(out, base, out=tmp)
-                out, tmp = tmp, out
-            else:
-                out[...] = base
-                started = True
-        b >>= 1
-        if not b:
-            return out
-        np.matmul(base, base, out=tmp)
-        base, tmp = tmp, spare if base is p else base
-
-
 class _BlockStepper:
     """Holds the state as the distinct block evolutions that are live in ``rho0``.
 
@@ -379,7 +360,7 @@ class _BlockStepper:
         """
         if b == 1:
             return weights, self.evolutions
-        powers = {id(p): _matrix_power(p, b) for p, _, _ in self.evolutions}
+        powers = {id(p): np.linalg.matrix_power(p, b) for p, _, _ in self.evolutions}
         rows = np.empty((b, *weights.shape), dtype=complex)
         rows[0] = weights
         m = len(weights)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PropagationError
+from .dynamics import TRACE_ABORT_TOL, PropagationError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 # _PAULI_PAIRS[i, j] = s_i kron s_j for s = (x, y, z)
@@ -117,10 +117,10 @@ def _log_negativities(states: np.ndarray) -> np.ndarray:
     dev = np.abs(np.trace(states, axis1=1, axis2=2).real - 1.0)
     herm = 0.5 * (states + np.conj(np.swapaxes(states, 1, 2)))
     w_min = np.linalg.eigvalsh(herm)[:, 0]
-    bad = (dev > 1e-6) | (w_min < POPULATION_ABORT_TOL)
+    bad = (dev > TRACE_ABORT_TOL) | (w_min < POPULATION_ABORT_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        if dev[i] > 1e-6:
+        if dev[i] > TRACE_ABORT_TOL:
             raise PropagationError("probe state trace deviates from one")
         raise PropagationError(f"state has negative population {w_min[i]:.3e}")
     # transpose the first qubit: (n, a, b, a', b') -> (n, a', b, a, b')

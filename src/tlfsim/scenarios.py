@@ -37,16 +37,18 @@ import json
 import time
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import LindbladGenerator, PropagationError, _grid_steps, propagate
+from .dynamics import TRACE_ABORT_TOL, LindbladGenerator, PropagationError, _grid_steps, propagate
 from .model import (
     ConfigurationError,
     GATE_TERMS,
     ModelConfig,
+    TlfEnsemble,
     add_gate,
     build_operators,
     check_field_types,
@@ -66,7 +68,6 @@ from .observables import (
 )
 
 SCHEMA_VERSION = 1
-KINDS = ("spectrum_sweep", "entanglement_sweep", "bound_compare", "bell_decay", "gate")
 BELL_STATES = ("phi+", "phi-", "psi+", "psi-")
 FORMATS = ("csv", "jsonl")
 
@@ -75,12 +76,6 @@ PEAK_MIN_SEPARATION_BINS = 3
 
 DEFAULT_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-DEFAULT_DURATIONS = {
-    "entanglement_sweep": 50.0,
-    "bound_compare": 50.0,
-    "bell_decay": 150.0,
-    "gate": 25.0,
-}
 
 # ceilings on the work one file may ask for: the largest block Liouvillian's
 # dimension, as n_tlf=6 gives without a gate, and far more steps per point
@@ -88,15 +83,27 @@ DEFAULT_DURATIONS = {
 MAX_BLOCK_DIM = 4096
 MAX_GRID_STEPS = 10**6
 
-# the fields each kind reads besides kind, model and output; a file may set
-# any other field only to its default, since the run would ignore it, and
-# model.mu_over_nu likewise, since every point sets its own
-KIND_FIELDS = {
-    "spectrum_sweep": {"sweep", "n_samples", "sample_step"},
-    "entanglement_sweep": {"sweep", "duration", "trace_step_cycles"},
-    "bound_compare": {"sweep", "duration", "trace_step_cycles"},
-    "bell_decay": {"bell", "duration", "epsilons", "bell_step_cycles"},
-    "gate": {"gate", "duration", "trace_step_cycles"},
+
+class Kind(NamedTuple):
+    """A scenario kind: the ``fields`` it reads besides kind, model and output (a
+    file may set any other field, and model.mu_over_nu, only to its default),
+    its default ``duration`` in probe cycles (None: set by the sampling), and
+    the mu/nu of its ``points`` in run order: SWEEP is the sweep's values, None
+    the point without fluctuators, whose file label is ``bare``."""
+
+    fields: tuple
+    duration: float | None
+    points: tuple
+    bare: str = ""
+
+
+SWEEP = "sweep"
+KINDS = {
+    "spectrum_sweep": Kind(("sweep", "n_samples", "sample_step"), None, (SWEEP, None), "control"),
+    "entanglement_sweep": Kind(("sweep", "duration", "trace_step_cycles"), 50.0, (SWEEP,)),
+    "bound_compare": Kind(("sweep", "duration", "trace_step_cycles"), 50.0, (SWEEP,)),
+    "bell_decay": Kind(("bell", "duration", "epsilons", "bell_step_cycles"), 150.0, (0.0, 1.0)),
+    "gate": Kind(("gate", "duration", "trace_step_cycles"), 25.0, (None, 0.0, 1.0), "ideal"),
 }
 
 
@@ -157,12 +164,12 @@ class Scenario:
             object.__setattr__(self, key, tuple(float(v) for v in getattr(self, key)))
         if any(not 0.0 <= v <= 1.2 for v in self.sweep):
             raise ConfigurationError("sweep values must lie in [0, 1.2]")
-        repeated = _repeated([_mu_label(v) for v in self.sweep])
+        repeated = _repeated([label for label, _ in self.points()])
         if repeated:
             raise ConfigurationError(f"sweep values share the file label {', '.join(repeated)}")
         ignored = [
             f.name for f in dataclasses.fields(self)
-            if f.name not in ("kind", "model", "output", *KIND_FIELDS[self.kind])
+            if f.name not in ("kind", "model", "output", *KINDS[self.kind].fields)
             and getattr(self, f.name) != f.default
         ]
         if self.model.mu_over_nu != ModelConfig.mu_over_nu:
@@ -176,15 +183,8 @@ class Scenario:
                 raise ConfigurationError("gate scenarios need a gate section")
             if self.gate.kind not in GATE_TERMS:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
-            g = self.gate.strength
-            if g is not None and g <= 0:
+            if self.gate.strength is not None and self.gate.strength <= 0:
                 raise ConfigurationError("gate strength must be positive")
-            # pi/(4 g) is the ideal gate's time to maximal entanglement from |++>
-            if g is not None and g * self.time_grid()[1] > np.pi / 4:
-                raise ConfigurationError(
-                    f"gate strength {g!r} times the trace step exceeds pi/4: "
-                    "the step cannot resolve the gate"
-                )
         # the largest sector holds 2^n_tlf states, twice that where XX+YY merges
         # |01> and |10>; its block Liouvillian's dimension is that squared
         merged = self.gate is not None and self.gate.kind == "xxyy"
@@ -206,38 +206,52 @@ class Scenario:
             raise ConfigurationError("n_samples must be at least 16")
         if self.sample_step <= 0 or self.trace_step_cycles <= 0 or self.bell_step_cycles <= 0:
             raise ConfigurationError("sampling steps must be positive")
+        t_end, dt = self.time_grid()
         try:
-            n_steps = _grid_steps(*self.time_grid())
+            n_steps = _grid_steps(t_end, dt)
         except (ValueError, OverflowError) as exc:
             raise ConfigurationError(f"time grid: {exc}") from exc
         if n_steps > MAX_GRID_STEPS:
             raise ConfigurationError(
                 f"time grid: {n_steps} steps per point, more than {MAX_GRID_STEPS}"
             )
-        # each point draws its ensemble when it runs; drawing them here too (about
-        # 0.6 ms each) refuses a model that cannot be sampled before any compute
-        for mu in self.point_mus():
-            if mu is not None:
-                sample_ensemble(dataclasses.replace(self.model, mu_over_nu=mu))
+        # each step's exponential keeps the trace to about eps * omega * dt, and
+        # the drift adds up over the steps
+        omega = max(self.model.omega_p, float(np.max(self.ensemble.omega)))
+        if np.finfo(float).eps * omega * dt * n_steps > TRACE_ABORT_TOL:
+            raise ConfigurationError(
+                f"frequency {omega:.3g} times the step {dt:.3g} over {n_steps} steps: "
+                f"rounding would drift the trace past {TRACE_ABORT_TOL:g}"
+            )
+        # pi/(4 g) is the ideal gate's time to maximal entanglement from |++>
+        g = self.gate_strength() if self.kind == "gate" else 0.0
+        if g * dt > np.pi / 4:
+            raise ConfigurationError(
+                f"gate strength {g!r} times the trace step exceeds pi/4: "
+                "the step cannot resolve the gate"
+            )
 
-    def point_mus(self) -> list:
-        """The mu/nu of each point, in run order; None is the point without
-        fluctuators (the spectrum's isolated probe, the gate's ideal register)."""
-        if self.kind == "spectrum_sweep":
-            return [*self.sweep, None]
-        if self.kind == "bell_decay":
-            return [0.0, 1.0]
-        if self.kind == "gate":
-            return [None, 0.0, 1.0]
-        return list(self.sweep)
+    @functools.cached_property
+    def ensemble(self) -> TlfEnsemble:
+        """Every point's fluctuators up to mu, which a point's mu/nu scales; drawn on
+        construction, so a model that cannot be sampled is refused before any compute."""
+        return sample_ensemble(self.model)
+
+    def gate_strength(self) -> float:
+        """The strength the gate runs at: the file's, else the sampled probe-TLF coupling."""
+        return self.gate.strength if self.gate.strength is not None else float(self.ensemble.nu)
+
+    def points(self) -> list[tuple[str, float | None]]:
+        """(file label, mu/nu) of each point, in run order; mu/nu None is the point
+        without fluctuators (the spectrum's isolated probe, the gate's ideal register)."""
+        kind = KINDS[self.kind]
+        mus = [mu for p in kind.points for mu in (self.sweep if p == SWEEP else [p])]
+        return [(kind.bare if mu is None else f"mu{mu:.2f}", mu) for mu in mus]
 
     def resolved_duration(self) -> float:
-        if self.duration is not None:
-            return float(self.duration)
-        if self.kind == "spectrum_sweep":
-            # set by the sampling parameters instead
+        if self.kind == "spectrum_sweep":  # set by the sampling parameters instead
             return (self.n_samples - 1) * self.sample_step / (2 * np.pi)
-        return DEFAULT_DURATIONS[self.kind]
+        return float(self.duration if self.duration is not None else KINDS[self.kind].duration)
 
     def time_grid(self) -> tuple[float, float]:
         """(t_end, dt) of every propagation of this scenario, in 1/omega_p units."""
@@ -400,10 +414,6 @@ def _repeated(labels: list[str]) -> list[str]:
     return sorted({x for x in labels if labels.count(x) > 1})
 
 
-def _mu_label(mu_over_nu: float) -> str:
-    return f"mu{mu_over_nu:.2f}"
-
-
 def simulate(
     cfg: ModelConfig,
     t_end: float,
@@ -445,11 +455,10 @@ def _config(scenario: Scenario, mu_over_nu: float | None) -> ModelConfig:
     return model if mu_over_nu is None else dataclasses.replace(model, mu_over_nu=mu_over_nu)
 
 
-def _point_result(label: str, tables: list, ens, traj, **summary) -> dict:
+def _point_result(tables: list, ens, traj, **summary) -> dict:
     """What a point function hands back: its tables, each ``(file stem, header
     extras, columns, rows)`` with the rows in a list, and its manifest entries."""
     return {
-        "label": label,
         "tables": tables,
         "ensemble": None if ens is None else ens.as_dict(),
         "stats": traj.stats,
@@ -462,7 +471,7 @@ def _entanglement_table(stem: str, extra: dict, et) -> tuple:
     return stem, extra, ["t", "E_P", "C2prime"], list(rows)
 
 
-def _spectrum_point(scenario: Scenario, mu_over_nu: float | None) -> dict:
+def _spectrum_point(scenario: Scenario, label: str, mu_over_nu: float | None) -> dict:
     """Magnetization series and spectrum; ``None`` is the isolated-probe control."""
     control = mu_over_nu is None
     ens, traj = simulate(
@@ -471,7 +480,6 @@ def _spectrum_point(scenario: Scenario, mu_over_nu: float | None) -> dict:
     )
     series = magnetization_series(traj)
     spec = power_spectrum(series)
-    label = "control" if control else _mu_label(mu_over_nu)
     point = {"control": "isolated probe"} if control else {"mu_over_nu": mu_over_nu}
     extra = {**point, "time_unit": "1/omega_p"}
     tables = [
@@ -480,19 +488,18 @@ def _spectrum_point(scenario: Scenario, mu_over_nu: float | None) -> dict:
         (f"spectrum_{label}", extra, ["omega", "power"],
          list(zip(spec.omega.tolist(), spec.power.tolist()))),
     ]
-    return _point_result(label, tables, ens, traj, peaks=detect_peaks(spec))
+    return _point_result(tables, ens, traj, peaks=detect_peaks(spec))
 
 
-def _entanglement_point(scenario: Scenario, mu_over_nu: float) -> dict:
+def _entanglement_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
     """Probe entanglement trace from a separable start (also the bound comparison)."""
     ens, traj = simulate(_config(scenario, mu_over_nu), *scenario.time_grid())
     et = entanglement_trace(traj.t_grid, traj.marginals)
-    label = _mu_label(mu_over_nu)
     extra = {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"}
     gap = et.log_negativity - et.c2prime
     i_max = int(np.argmax(et.log_negativity))
     return _point_result(
-        label, [_entanglement_table(f"entanglement_{label}", extra, et)], ens, traj,
+        [_entanglement_table(f"entanglement_{label}", extra, et)], ens, traj,
         max_E_P=float(et.log_negativity[i_max]),
         t_at_max=float(et.t_grid[i_max]),
         mean_bound_gap=float(np.mean(gap)),
@@ -509,7 +516,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
 
 
-def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
+def _bell_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
     """Entanglement decay of a register Bell state, with lifetimes and the
     exchange-probability law.
 
@@ -528,7 +535,6 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
         raise PropagationError(
             f"initial register entanglement is {et.log_negativity[0]!r}, not 1"
         )
-    label = _mu_label(mu_over_nu)
     extra = {
         "bell_state": state,
         "mu_over_nu": mu_over_nu,
@@ -558,7 +564,7 @@ def _bell_point(scenario: Scenario, mu_over_nu: float) -> dict:
         fit = _linear_fit(x, np.array(p_t_eps))
         fit_raw = _linear_fit(x, np.array(t_eps))
     return _point_result(
-        label, tables, ens, traj,
+        tables, ens, traj,
         lifetimes=t_eps, fits=fit, fits_raw_lifetime=fit_raw, gamma_char=gamma_char,
     )
 
@@ -582,20 +588,19 @@ def _plateau_report(t: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
-def _gate_point(scenario: Scenario, mu_over_nu: float | None, g: float) -> dict:
-    """Entangling gate of strength ``g`` among the fluctuators; ``None`` is the
-    ideal register, with no fluctuators at all."""
-    gate = scenario.gate.kind
+def _gate_point(scenario: Scenario, label: str, mu_over_nu: float | None) -> dict:
+    """Entangling gate among the fluctuators; ``None`` is the ideal register,
+    with no fluctuators at all."""
+    gate, g = scenario.gate.kind, scenario.gate_strength()
     ens, traj = simulate(
         _config(scenario, mu_over_nu), *scenario.time_grid(),
         gate=gate, g=g, fluctuators=mu_over_nu is not None,
     )
     et = entanglement_trace(traj.t_grid, traj.marginals)
-    label = "ideal" if mu_over_nu is None else _mu_label(mu_over_nu)
     extra = {"gate": gate, "gate_strength": g, "run": label, "time_unit": "1/omega_p"}
     t_max, v_max = _first_local_max(et.t_grid, et.log_negativity)
     return _point_result(
-        label, [_entanglement_table(f"gate_{gate}_{label}", extra, et)], ens, traj,
+        [_entanglement_table(f"gate_{gate}_{label}", extra, et)], ens, traj,
         first_max={"t": t_max, "E_P": v_max},
         plateau=_plateau_report(et.t_grid, et.log_negativity),
     )
@@ -668,30 +673,24 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         raise ConfigurationError(f"cannot write output: {exc}") from exc
     # each kind: its point function and the manifest summary entries that
     # precede the points'
-    head = {}
+    point, head = _entanglement_point, {}
     if scenario.kind == "spectrum_sweep":
         point = _spectrum_point
     elif scenario.kind == "bell_decay":
-        point = _bell_point
-        head = {"bell_state": scenario.bell}
+        point, head = _bell_point, {"bell_state": scenario.bell}
     elif scenario.kind == "gate":
-        gate = scenario.gate
-        g = gate.strength if gate.strength is not None else float(
-            sample_ensemble(scenario.model).nu
-        )
-        point = functools.partial(_gate_point, g=g)
-        head = {"gate": gate.kind, "gate_strength": g}
-    else:
-        point = _entanglement_point
-    mus = scenario.point_mus()
-    results = [point(scenario, mu) for mu in mus]
+        point = _gate_point
+        head = {"gate": scenario.gate.kind, "gate_strength": scenario.gate_strength()}
+    points = scenario.points()
+    results = {label: point(scenario, label, mu) for label, mu in points}
 
-    tables = sorted((t for r in results for t in r["tables"]), key=lambda t: f"{t[0]}.{fmt}")
+    tables = [t for r in results.values() for t in r["tables"]]
+    tables.sort(key=lambda t: f"{t[0]}.{fmt}")
     if scenario.kind == "spectrum_sweep":
         peak_rows = [
-            (r["label"], mu, omega, power)
-            for mu, r in zip(mus, results)
-            for omega, power in r["summary"]["peaks"]
+            (label, mu, omega, power)
+            for label, mu in points
+            for omega, power in results[label]["summary"]["peaks"]
         ]
         tables.append(("peaks", {}, ["run", "mu_over_nu", "omega", "power"], peak_rows))
     files = []
@@ -699,15 +698,15 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         files.append(f"{stem}.{fmt}")
         _write_table(out / files[-1], fmt, _header(scenario, extra), columns, rows)
     summary = dict(head)
-    for r in results:
+    for label, r in results.items():
         for key, value in r["summary"].items():
-            summary.setdefault(key, {})[r["label"]] = value
-    summary["cptp"] = {r["label"]: _stats_plain(r["stats"]) for r in results}
+            summary.setdefault(key, {})[label] = value
+    summary["cptp"] = {label: _stats_plain(r["stats"]) for label, r in results.items()}
     record = RunRecord(
         scenario_hash=scenario.hash(),
         seed=scenario.model.seed,
         scenario=scenario.canonical_dict(),
-        ensembles={r["label"]: r["ensemble"] for r in results if r["ensemble"] is not None},
+        ensembles={label: r["ensemble"] for label, r in results.items() if r["ensemble"]},
         files=files,
         summary=summary,
         wall_clock_s=time.monotonic() - t0,

@@ -356,6 +356,48 @@ def test_model_that_cannot_be_sampled_is_config_error(command, kind, tmp_path, c
     assert cli_main(["validate", str(path)]) == 0
 
 
+# ratio_eps = 1e-12 puts a TLF frequency near 1.2e12, so omega * dt is 7e10 at the
+# trace step of 0.01 cycles: each step's exponential loses a few percent of
+# eps * omega * dt of the trace, and the run would pass the abort tolerance
+@pytest.mark.parametrize("kind", ["entanglement_sweep", "gate"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_model_too_fast_for_the_step_is_config_error(command, kind, tmp_path, capsys):
+    from tlfsim.dynamics import PropagationError
+    from tlfsim.model import ModelConfig
+    from tlfsim.scenarios import simulate
+
+    path = tmp_path / "fast.yaml"
+    model = "model: {n_tlf: 1, seed: 1, ratio_eps: %s}\n"
+    body = f"schema_version: 1\nkind: {kind}\nduration: 0.1\noutput: {tmp_path / 'out'}\n"
+    body += "gate: {kind: zz}\n" if kind == "gate" else "sweep: [0.0]\n"
+    path.write_text(body + model % "1.0e-12")
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "drift the trace" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    path.write_text(body + model % "3.0")
+    assert cli_main(["validate", str(path)]) == 0
+    # the refusal is not spurious: below the file check, the run fails
+    with pytest.raises(PropagationError, match="trace drift"):
+        simulate(ModelConfig(n_tlf=1, seed=1, ratio_eps=1e-12), 0.1 * 2 * np.pi, 0.01 * 2 * np.pi)
+
+
+# without a strength the gate runs at the sampled coupling nu = omega_min / 3;
+# ratio_eps = 0.01 puts the TLF frequencies above 60, so nu * dt is above 1
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_sampled_gate_strength_the_step_cannot_resolve_is_config_error(command, tmp_path, capsys):
+    path = tmp_path / "gate.yaml"
+    body = "schema_version: 1\nkind: gate\nduration: 0.1\ngate: {kind: zz}\n"
+    model = "model: {n_tlf: 1, seed: 1, ratio_eps: %s}\n"
+    path.write_text(body + model % "0.01" + f"output: {tmp_path / 'out'}\n")
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "pi/4" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    path.write_text(body + model % "1.0")
+    assert cli_main(["validate", str(path)]) == 0
+
+
 def test_oracle_subcommand_reports_each_check(monkeypatch, capsys):
     from tlfsim.oracles import OracleResult
 
@@ -396,6 +438,13 @@ MALFORMED_VALUES = {
     "sweep-string": "kind: entanglement_sweep\nsweep: [\"0.5\", \"1e-1\"]\n",
     "epsilons-bool": "kind: bell_decay\nbell: phi+\nepsilons: [true]\n",
     "epsilons-empty": "kind: bell_decay\nbell: phi+\nepsilons: []\n",
+    "kind-unknown": "kind: spectra\n",
+    "gate-kind-unknown": "kind: gate\ngate: {kind: cnot}\n",
+    "gate-strength-zero": "kind: gate\ngate: {kind: zz, strength: 0.0}\n",
+    "n_samples-below-16": "kind: spectrum_sweep\nn_samples: 15\n",
+    "trace_step_cycles-zero": "kind: entanglement_sweep\ntrace_step_cycles: 0.0\n",
+    "model-list": "kind: entanglement_sweep\nmodel: [1, 2]\n",
+    "yaml-unclosed-list": "kind: entanglement_sweep\nsweep: [0.0\n",
 }
 
 
@@ -488,6 +537,20 @@ duration: 1.0
 grid: {grid}
 output: {out}
 """
+
+
+def test_grid_file_runs_each_member_into_its_directory(tmp_path, capsys):
+    path = tmp_path / "grid.yaml"
+    path.write_text(GRID_SCENARIO.format(grid="{ratio_eps: [1.0, 3.0]}", out=tmp_path / "out"))
+    assert cli_main(["run", str(path)]) == 0
+    printed = capsys.readouterr().out
+    for label, ratio in (("ratio_eps=1", 1.0), ("ratio_eps=3", 3.0)):
+        member = tmp_path / "out" / label
+        manifest = yaml.safe_load((member / "manifest.yaml").read_text())
+        assert manifest["scenario"]["model"]["ratio_eps"] == ratio
+        assert manifest["files"] == ["entanglement_mu0.00.csv"]
+        assert (member / "entanglement_mu0.00.csv").is_file()
+        assert f"[{label}]" in printed
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

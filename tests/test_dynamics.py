@@ -736,6 +736,20 @@ class TestRk4:
             with pytest.raises(PropagationError):
                 rk4_reference(gen, EXCITED, 40.0, dt=1.0)
 
+    @pytest.mark.parametrize("state", ["plus_plus", "phi+"])
+    def test_marginals_match_the_block_engine(self, state):
+        # RK4 takes each marginal by partial trace of its full state, and shares
+        # no code with the block engine's weight rows
+        gen, rho0 = probe_tlf_system(2, state, "zz", "warm")
+        layout = SubsystemLayout((2,) * 4)
+        a = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=(0, 1), layout=layout)
+        b = rk4_reference(
+            gen, rho0, 2.0, dt=0.002, marginal_keep=(0, 1), layout=layout, record_every=10
+        )
+        assert a.marginals.shape == b.marginals.shape == (101, 4, 4)
+        assert np.max(np.abs(b.marginals[-1] - b.marginals[0])) > 0.1
+        assert np.max(np.abs(a.marginals - b.marginals)) < 1e-6
+
     def test_record_every_must_divide(self):
         gen = damping_generator()
         with pytest.raises(ValueError):

@@ -96,6 +96,40 @@ class TestScenarioValidation:
         b = small_scenario("spectrum_sweep", output="runs/b")
         assert a.hash() == b.hash()
 
+    def test_points_carry_their_labels_in_run_order(self):
+        assert small_scenario("spectrum_sweep", sweep=[0.0, 0.5]).points() == [
+            ("mu0.00", 0.0), ("mu0.50", 0.5), ("control", None)
+        ]
+        assert small_scenario("bound_compare", sweep=[1.0]).points() == [("mu1.00", 1.0)]
+        assert small_scenario("bell_decay", bell="phi+").points() == [
+            ("mu0.00", 0.0), ("mu1.00", 1.0)
+        ]
+        assert small_scenario("gate", gate={"kind": "zz"}).points() == [
+            ("ideal", None), ("mu0.00", 0.0), ("mu1.00", 1.0)
+        ]
+
+    def test_one_draw_serves_every_point_and_the_gate(self, monkeypatch, tmp_path):
+        import tlfsim.scenarios as scenarios
+
+        draws = []
+        real = scenarios.sample_ensemble
+        monkeypatch.setattr(
+            scenarios, "sample_ensemble", lambda cfg: draws.append(cfg) or real(cfg)
+        )
+        small_scenario("entanglement_sweep")
+        assert len(draws) == 1  # six sweep points
+        sc = small_scenario("gate", gate={"kind": "zz"}, duration=0.1)
+        assert len(draws) == 2
+        assert sc.gate_strength() == float(real(sc.model).nu)
+        run_scenario(sc, out_dir=tmp_path)
+        assert len(draws) == 4  # the run draws once for each point with fluctuators
+
+    def test_unknown_table_format_is_refused(self, tmp_path):
+        sc = small_scenario("entanglement_sweep", sweep=[0.0], duration=0.1)
+        with pytest.raises(ConfigurationError, match="xml"):
+            run_scenario(sc, out_dir=tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
+
     def test_seed_changes_hash(self):
         a = small_scenario("spectrum_sweep")
         model = dict(SMALL_MODEL, seed=6)
@@ -259,8 +293,8 @@ class TestFindPeaks:
     def test_matches_scipy_on_shipped_spectra(self):
         path = Path(__file__).parent.parent / "scenarios" / "spectrum_weak_fields.yaml"
         ((_, sc),) = load_scenario_file(path)
-        for mu in (None, *sc.sweep):
-            spectrum = _spectrum_point(sc, mu)["tables"][1]
+        for label, mu in sc.points():
+            spectrum = _spectrum_point(sc, label, mu)["tables"][1]
             assert spectrum[0].startswith("spectrum_")
             power = np.array([p for _, p in spectrum[3]])
             assert_peaks_match_scipy(power)
