@@ -22,7 +22,11 @@ test suite:
   a cost rule (:func:`_chunk_size`), divides ``EIG_CHECK_STRIDE`` and is 1
   with ``keep_states``; with B = 1 the loop is one step per grid point.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
-  one-sector route through the same engine and is its oracle;
+  one-sector route through the same engine and is its oracle. The engine runs
+  on numpy alone: the sectors are a transitive closure of the operators'
+  joint sparsity pattern, the Hermitian basis W is applied by index
+  arithmetic on the diagonal and each (ij, ji) pair of vec entries (never
+  built), and the exponential is :func:`tlfsim.linalg.expm`;
 * a classic fixed-step fourth-order Runge-Kutta integrator on the operator
   form of the equation of motion, recording from the full state, kept as an
   independent oracle.
@@ -47,8 +51,6 @@ import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .linalg import SubsystemLayout, dag, expm, is_hermitian, partial_trace
 
@@ -127,9 +129,9 @@ def _liouvillian_block(h_row, h_col, rates, jumps_row, jumps_col) -> np.ndarray:
     l = np.empty((nc * nr, nc * nr), dtype=complex)
     l4 = l.reshape(nc, nr, nc, nr)
     weighted = rates[:, None, None] * jumps_col.conj()
-    # not through BLAS: numpy's OpenBLAS threads would then spin against
-    # scipy's during the exponential that follows (2x slower on 2 cores)
-    np.einsum("kab,kij->aibj", weighted, jumps_row, out=l4)
+    # through BLAS (optimize=True): 15-20 ms on a 1024^2 block, against 35-75 ms
+    # for einsum's own loop
+    l4[...] = np.einsum("kab,kij->aibj", weighted, jumps_row, optimize=True)
     ic, ir = np.arange(nc), np.arange(nr)
     l4[ic, :, ic, :] += _effective_hamiltonian(h_row, rates, jumps_row)
     l4[:, ir, :, ir] += _effective_hamiltonian(h_col, rates, jumps_col).conj()
@@ -166,10 +168,15 @@ def find_invariant_sectors(gen: LindbladGenerator) -> list[np.ndarray]:
     A single sector means no usable block structure.
     """
     pattern = (gen.h != 0) | np.any(gen.jump_ops != 0, axis=0)
-    pattern = pattern | pattern.T
-    graph = scipy.sparse.csr_matrix(pattern)
-    n_comp, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    return [np.nonzero(labels == c)[0] for c in range(n_comp)]
+    reach = pattern | pattern.T | np.eye(gen.dim, dtype=bool)
+    while True:  # transitive closure by squaring: paths of length 2^k
+        longer = reach @ reach
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    # row i of the closure is i's sector, listed once, at its first index
+    firsts = np.flatnonzero(np.argmax(reach, axis=1) == np.arange(gen.dim))
+    return [np.nonzero(reach[i])[0] for i in firsts]
 
 
 _CLASS_ULPS = 8  # identical sectors assembled in another term order differ by ~2 ulps
@@ -189,25 +196,55 @@ def _same_dynamics(a: tuple, b: tuple) -> bool:
 
 _REAL_BASIS_TOL = 1e-12  # largest |Im| of W^dagger L W, relative to its largest entry
 
+# W on one pair of entries: rows E_ij, E_ji (i < j) of vec, columns the coordinates
+# of (E_ij + E_ji)/sqrt(2) and i(E_ij - E_ji)/sqrt(2)
+_W_PAIR = np.sqrt(0.5) * np.array([[1.0, 1.0j], [1.0, -1.0j]])
 
-def _hermitian_basis(n: int) -> scipy.sparse.csr_array:
-    """Unitary W whose columns are vec of an orthonormal Hermitian basis of n x n matrices.
 
-    The basis is E_ii, then (E_ij + E_ji)/sqrt(2), then i(E_ij - E_ji)/sqrt(2)
-    for i < j; vec is column stacking, so E_ij sits at i + j n.
+def _hermitian_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vec positions of E_ij and E_ji, i < j, of n x n matrices (column stacking).
+
+    They define the unitary W whose columns are vec of an orthonormal
+    Hermitian basis of n x n matrices, in vec order: E_ii at i + i n,
+    (E_ij + E_ji)/sqrt(2) at i + j n and i(E_ij - E_ji)/sqrt(2) at j + i n.
+    W is the identity on the diagonal and ``_W_PAIR`` on each pair, so it is
+    applied by :func:`_mix_pairs`, never built.
     """
-    d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    ij, ji = i + j * n, j + i * n
-    sym = n + np.arange(len(i))
-    asym = sym + len(i)
-    s = np.sqrt(0.5)
-    rows = np.concatenate([d * (n + 1), ij, ji, ij, ji])
-    cols = np.concatenate([d, sym, sym, asym, asym])
-    vals = np.concatenate(
-        [np.ones(n), np.full(2 * len(i), s), np.full(len(i), 1j * s), np.full(len(i), -1j * s)]
-    )
-    return scipy.sparse.csr_array((vals, (rows, cols)), shape=(n * n, n * n))
+    return i + j * n, j + i * n
+
+
+def _mix_pairs(x: np.ndarray, pairs: tuple | None, m: np.ndarray) -> np.ndarray:
+    """Map each pair (x[..., ij], x[..., ji]) of the last axis by the 2 x 2 ``m``, in place.
+
+    With ``m`` = ``_W_PAIR`` this is W x, with its adjoint W^dagger x, and
+    with its transpose x W (on rows x). ``pairs=None`` stands for the
+    identity basis and leaves x as it is.
+    """
+    if pairs is None:
+        return x
+    ij, ji = pairs
+    a, b = x[..., ij], x[..., ji]
+    x[..., ij] = m[0, 0] * a + m[0, 1] * b
+    x[..., ji] = m[1, 0] * a + m[1, 1] * b
+    return x
+
+
+def _real_basis_generator(l: np.ndarray, n: int) -> np.ndarray:
+    """The real W^dagger L W of a self-adjoint pair's block Liouvillian (n x n sectors).
+
+    It is formed in the buffer of ``l``, whose imaginary part must then be
+    rounding: anything larger raises PropagationError.
+    """
+    pairs = _hermitian_pairs(n)
+    _mix_pairs(l, pairs, _W_PAIR.T)  # L W
+    _mix_pairs(l.T, pairs, _W_PAIR.conj().T)  # W^dagger (L W), on the rows
+    imag = np.max(np.abs(l.imag))
+    if imag > _REAL_BASIS_TOL * np.max(np.abs(l)):
+        raise PropagationError(
+            f"self-adjoint block is not real in the Hermitian basis (|Im| up to {imag:.3e})"
+        )
+    return l.real.copy()
 
 
 def _block_propagator(
@@ -223,15 +260,8 @@ def _block_propagator(
     l = _liouvillian_block(ops_r[0], ops_c[0], rates, ops_r[1], ops_c[1])
     if not self_adjoint:
         return step_propagator(l, dt)
-    w = _hermitian_basis(ops_r[0].shape[0])
-    r = w.conj().T @ l @ w
-    del l
-    imag = np.max(np.abs(r.imag))
-    if imag > _REAL_BASIS_TOL * np.max(np.abs(r)):
-        raise PropagationError(
-            f"self-adjoint block is not real in the Hermitian basis (|Im| up to {imag:.3e})"
-        )
-    r = r.real.copy()  # frees the complex buffer before the exponential
+    r = _real_basis_generator(l, ops_r[0].shape[0])
+    del l  # frees the complex buffer before the exponential
     p = step_propagator(r, dt)
     if np.iscomplexobj(p):  # the steps would no longer keep real coordinates real
         raise PropagationError(
@@ -286,27 +316,27 @@ class _BlockStepper:
 
         slices: dict[tuple, slice] = {}  # (c1, c2, initial coordinates) -> its evolution's
         evolutions = []  # (class pair, slice of the state vector, complex (c, c) coordinates)
-        self.pairs = []  # (slice, flat indices, mirror, basis) of every stepped pair
+        self.pairs = []  # (slice, flat indices, mirror, Hermitian pairs or None) per stepped pair
         v0 = []
         for a, b in zip(*np.triu_indices(len(sectors))):
             if classes[a] > classes[b]:
                 a, b = b, a
             rows, cols, c = sectors[a], sectors[b], (classes[a], classes[b])
             flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
-            same = c[0] == c[1]  # held as coordinates in the Hermitian basis, else as the vec
-            basis = _hermitian_basis(len(rows)) if same else scipy.sparse.eye_array(len(flat))
-            block = basis.conj().T @ rho0.reshape(-1)[flat]
+            # a (c, c) pair is held as coordinates in the Hermitian basis, any other as the vec
+            pairs = _hermitian_pairs(len(rows)) if c[0] == c[1] else None
+            block = _mix_pairs(rho0.reshape(-1)[flat], pairs, _W_PAIR.conj().T)
             if not np.any(block != 0):
                 continue
             key = (*c, block.tobytes())
             if key not in slices:
                 start = sum(map(len, v0))
                 slices[key] = slice(start, start + len(block))
-                evolutions.append((c, slices[key], same and np.any(block.imag)))
+                evolutions.append((c, slices[key], pairs is not None and np.any(block.imag)))
                 v0.append(block)
             sl = slices[key]
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
-            self.pairs.append((sl, flat, mirror, basis))
+            self.pairs.append((sl, flat, mirror, pairs))
         self.v0 = np.concatenate(v0)
         # built after the pair loop: interleaved with its small allocations, the
         # exponentials' temporaries left about 1 MB more peak RSS at n_tlf=4
@@ -340,12 +370,12 @@ class _BlockStepper:
     def weights(self, f: np.ndarray) -> np.ndarray:
         """Rows ``(a; b)`` with sum_ij f[k, i, j] rho[i, j] = a[k] v + conj(b[k] v),
         for a ``(k, dim, dim)`` stack ``f``; ``b`` reads the mirrored blocks."""
-        f = f.reshape(len(f), self.dim * self.dim)
+        f = f.reshape(len(f), self.dim * self.dim).astype(complex, copy=False)  # mixed in place
         w = np.zeros((2, len(f), len(self.v0)), dtype=complex)
-        for sl, flat, mirror, basis in self.pairs:
-            w[0][:, sl] += f[:, flat] @ basis
+        for sl, flat, mirror, pairs in self.pairs:
+            w[0][:, sl] += _mix_pairs(f[:, flat], pairs, _W_PAIR.T)
             if mirror is not None:
-                w[1][:, sl] += f[:, mirror].conj() @ basis
+                w[1][:, sl] += _mix_pairs(f[:, mirror].conj(), pairs, _W_PAIR.T)
         return w.reshape(2 * len(f), len(self.v0))
 
     def chunk(self, weights: np.ndarray, b: int) -> tuple[np.ndarray, list]:
@@ -378,24 +408,20 @@ class _BlockStepper:
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
-        for sl, flat, mirror, basis in self.pairs:
-            rho[flat] = basis @ v[sl]
+        for sl, flat, mirror, pairs in self.pairs:
+            rho[flat] = _mix_pairs(v[sl].astype(complex), pairs, _W_PAIR)
             if mirror is not None:
                 rho[mirror] = rho[flat].conj()
         return rho.reshape(self.dim, self.dim)
 
 
-# The cost rule's unit is one multiply-add of a real mat-vec, about 0.19 ns with
-# 2-thread OpenBLAS on 256^2 to 1024^2 blocks. A square product's multiply-adds
-# run 7-9 times faster alone, but only 2-4 times in the first 0.1 s after the
-# exponentials, while scipy's BLAS threads still spin; the powers fall there.
-_GEMM_GAIN = 4
+# The cost rule's unit is one multiply-add of a real mat-vec, about 0.2-0.35 ns
+# with 2-thread OpenBLAS on 256^2 to 1024^2 blocks. A square product's
+# multiply-adds run 7-15 times faster (8-13 on most points), as fast right after
+# the exponentials as later, since both run in the same BLAS.
+_GEMM_GAIN = 8
 _ROWS_GAIN = 2  # the same for a product of a few dozen rows
 _PASS_COST = 5e5  # the Python of one pass of the step loop (70-150 us)
-# Any chunk also pays about 0.1 s once: its stacked rows wake numpy's BLAS
-# threads even on small blocks, and scipy's next exponential (the next
-# point's) then runs that much slower.
-_CHUNK_COST = 5e8
 _ROWS_BYTES = 8 << 20  # the most the stacked recording rows may take
 
 
@@ -407,8 +433,8 @@ def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
     powers ``P^B`` (squarings and products, per distinct propagator), the
     ``B - 1`` right products of the ``n_rows`` recording rows per evolution,
     and one mat-vec per evolution and one Python pass for each chunk and each
-    step of the tail, plus a fixed cost for chunking at all. Candidates
-    whose rows would pass ``_ROWS_BYTES`` are left out.
+    step of the tail. Candidates whose rows would pass ``_ROWS_BYTES`` are
+    left out.
     """
     evolutions = stepper.evolutions
     props = {id(p): p for p, _, _ in evolutions}.values()
@@ -423,7 +449,7 @@ def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
     def cost(b: int) -> float:
         products = b.bit_length() + b.bit_count() - 2  # squarings, then the products
         passes = n_steps // b + n_steps % b
-        return (b > 1) * _CHUNK_COST + products * square + (b - 1) * rows + passes * step
+        return products * square + (b - 1) * rows + passes * step
 
     candidates = [
         b for b in range(1, EIG_CHECK_STRIDE + 1)

@@ -607,18 +607,31 @@ def test_unreadable_scenario_file_is_config_error(command, tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # they cost about a second and 40 MB of every run's start-up
+def test_cli_import_and_run_load_no_scipy(tmp_path):
+    # scipy's import is most of a run's start-up, and its own BLAS would run
+    # beside numpy's; the run path needs neither
     src = str(Path(tlfsim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    scenario = tmp_path / "gate.yaml"
+    scenario.write_text(
+        "schema_version: 1\nkind: gate\ngate: {kind: xxyy}\n"
+        "model: {n_tlf: 2, ratio_eps: 1.0, seed: 3}\nduration: 2.0\n"
+    )
     code = (
-        "import sys, tlfsim.cli; "
-        "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        "import sys\n"
+        "from tlfsim.cli import cli_main\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print(scipy_modules())\n"
+        f"code = cli_main(['run', {str(scenario)!r}, '--out-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(code, scipy_modules())\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines()[0] == "[]"
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "manifest.yaml").is_file()
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -1,10 +1,18 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from numpy import kron
 
+from tlfsim import linalg
+from tlfsim.dynamics import (
+    LindbladGenerator,
+    _liouvillian_block,
+    _real_basis_generator,
+    find_invariant_sectors,
+)
 from tlfsim.linalg import (
     I2,
     SIGMA_X,
@@ -18,6 +26,7 @@ from tlfsim.linalg import (
     partial_trace,
     pauli_string,
 )
+from tlfsim.model import ModelConfig, add_gate, build_operators, sample_ensemble
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 LAYOUT_2Q = SubsystemLayout((2, 2))
@@ -248,14 +257,65 @@ class TestExpm:
         a = rng.normal(size=(6, 6))
         out = expm(a)
         assert out.dtype == np.float64
-        assert np.array_equal(out, scipy.linalg.expm(a))
+        exact = scipy.linalg.expm(a)
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_complex_input_unchanged(self):
         rng = np.random.default_rng(14)
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         out = expm(a)
         assert out.dtype == np.complex128
-        assert np.array_equal(out, scipy.linalg.expm(a))
+        exact = scipy.linalg.expm(a)
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    # the 1-norm of a random 6 x 6 input that reaches each Pade order; 13 with squarings
+    ORDER_NORMS = {3: 0.01, 5: 0.2, 7: 0.9, 9: 2.0, 13: 12.0}
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", sorted(ORDER_NORMS))
+    def test_matches_scipy_at_each_order(self, monkeypatch, m, dtype):
+        rng = np.random.default_rng(13 + m)
+        a = rng.normal(size=(6, 6)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(6, 6))
+        a *= self.ORDER_NORMS[m] / np.abs(a).sum(axis=0).max()
+        taken = []
+        pade = linalg._pade
+        monkeypatch.setattr(
+            linalg, "_pade", lambda x, powers, order: taken.append((order, x)) or pade(x, powers, order)
+        )
+        out = expm(a)
+        assert [order for order, _ in taken] == [m]
+        if m == 13:  # r_13 was taken of a halved A, then squared
+            assert np.abs(taken[0][1]).max() <= np.abs(a).max() / 2
+        assert out.dtype == (np.complex128 if dtype is complex else np.float64)
+        exact = scipy.linalg.expm(a)
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    def test_matches_scipy_on_gate_block_liouvillian(self):
+        # the real 1024 x 1024 step generator of the merged |01>,|10> sector of an
+        # XX+YY gate point at n_tlf=4, in the Hermitian basis, as the engine takes it
+        cfg = ModelConfig(n_tlf=4, ratio_eps=1.0, mu_over_nu=1.0, seed=1)
+        ens = sample_ensemble(cfg)
+        gen = LindbladGenerator.from_system(add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu)))
+        s = max(find_invariant_sectors(gen), key=len)
+        h, jumps = gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]
+        l = _liouvillian_block(h, h, gen.rates, jumps, jumps)
+        a = _real_basis_generator(l, len(s)) * (0.01 * 2 * np.pi)
+        assert a.shape == (1024, 1024) and a.dtype == np.float64
+        out = expm(a)
+        assert out.dtype == np.float64
+        exact = scipy.linalg.expm(a)
+        assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize(
+        "a", [np.diag([1e300, 0.0]), np.full((3, 3), 1e308), np.full((3, 3), 1e308 + 1e308j)]
+    )
+    def test_overflow_is_non_finite_without_warnings(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = expm(a)
+        assert not np.isfinite(out).all()
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_non_finite_rejected_for_both_dtypes(self, dtype):
