@@ -35,7 +35,7 @@ Scenario file schema (YAML)
     kind: spectrum_sweep         # spectrum_sweep | entanglement_sweep |
                                  # bound_compare | bell_decay | gate
     model:                       # all optional, defaults shown
-      omega_p: 1.0               # probe frequency (sets the unit)
+      omega_p: 1.0               # probe frequency: the unit of energy, must be 1
       n_tlf: 4                   # number of fluctuators, at most 6 (5 under xxyy)
       ratio_eps: 3.0             # probe splitting / mean TLF bias
       tan_theta_bar: 0.3333333   # mean TLF local field / mean TLF bias

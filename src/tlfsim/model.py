@@ -1,15 +1,16 @@
 """System construction for a two-qubit probe coupled to damped fluctuators.
 
 The probe is two identical, non-interacting qubits with purely longitudinal
-splitting (frequency ``omega_p``, which sets the unit of energy). The
+splitting ``omega_p``. It is the unit of energy: every other energy the model
+draws is a ratio to it, so ``omega_p`` is 1 and no formula reads it. The
 environment is a small ring of two-level fluctuators (TLFs), each damped by
 its own bath. TLF bias energies follow a linear density, local fields a
 log-uniform density, and bath rates a log-uniform density; all couplings are
 referenced to the slowest fluctuator frequency.
 
-Conventions: hbar = 1; one probe cycle is 2*pi/omega_p. In each eigenbasis
-the Pauli ``Z`` has the upper state first, so a free spin's ground state is
-the second basis vector. The charge operator of a TLF with mixing angle
+Conventions: hbar = 1 and omega_p = 1, so one probe cycle is 2*pi. In each
+eigenbasis the Pauli ``Z`` has the upper state first, so a free spin's ground
+state is the second basis vector. The charge operator of a TLF with mixing angle
 ``theta`` (tan(theta) = local field / bias) reads
 ``cos(theta) Z - sin(theta) X`` in its eigenbasis.
 """
@@ -83,10 +84,11 @@ def check_field_types(obj) -> None:
 class ModelConfig:
     """User-facing knobs of the probe + fluctuator model.
 
-    ``ratio_eps`` is probe splitting over mean TLF bias; ``tan_theta_bar``
-    is mean TLF local field over mean TLF bias. ``mu_over_nu`` sets the
-    TLF-TLF coupling relative to the probe-TLF coupling. ``nbar`` is the
-    mean bath occupation used by the default absorption-rate mode.
+    ``omega_p`` is the unit of energy and must be 1. ``ratio_eps`` is probe
+    splitting over mean TLF bias; ``tan_theta_bar`` is mean TLF local field
+    over mean TLF bias. ``mu_over_nu`` sets the TLF-TLF coupling relative to
+    the probe-TLF coupling. ``nbar`` is the mean bath occupation used by the
+    default absorption-rate mode.
     """
 
     omega_p: float = 1.0
@@ -101,8 +103,11 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.omega_p <= 0:
-            raise ConfigurationError("omega_p must be positive")
+        if self.omega_p != 1.0:
+            raise ConfigurationError(
+                f"omega_p must be 1, got {self.omega_p!r}: it is the unit of energy, "
+                "so scale ratio_eps instead"
+            )
         if self.n_tlf < 1:
             raise ConfigurationError("n_tlf must be at least 1")
         if self.ratio_eps <= 0:
@@ -123,7 +128,7 @@ class ModelConfig:
     @property
     def eps_bar(self) -> float:
         """Mean TLF bias energy."""
-        return self.omega_p / self.ratio_eps
+        return 1.0 / self.ratio_eps
 
     @property
     def delta_bar(self) -> float:
@@ -173,14 +178,14 @@ class TlfEnsemble:
     gamma_z: np.ndarray
     gamma_minus: np.ndarray
     gamma_plus: np.ndarray
-    theta: np.ndarray = field(repr=False, default=None)
-    omega: np.ndarray = field(repr=False, default=None)
-    Gamma_z: np.ndarray = field(repr=False, default=None)
-    Gamma_minus: np.ndarray = field(repr=False, default=None)
-    Gamma_plus: np.ndarray = field(repr=False, default=None)
-    omega_min: float = 0.0
-    nu: float = 0.0
-    mu: float = 0.0
+    theta: np.ndarray = field(repr=False)
+    omega: np.ndarray = field(repr=False)
+    Gamma_z: np.ndarray = field(repr=False)
+    Gamma_minus: np.ndarray = field(repr=False)
+    Gamma_plus: np.ndarray = field(repr=False)
+    omega_min: float
+    nu: float
+    mu: float
 
     @property
     def n_tlf(self) -> int:
@@ -231,23 +236,22 @@ class TlfEnsemble:
         return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
-def sample_ensemble(cfg: ModelConfig, rng=None) -> TlfEnsemble:
+def sample_ensemble(cfg: ModelConfig) -> TlfEnsemble:
     """Draw a fluctuator ensemble.
 
     Biases are drawn first (linear density on (1 +/- 0.5) * eps_bar), then
-    local fields (log-uniform on delta_bar +/- 0.5 * min(omega_p, delta_bar)).
+    local fields (log-uniform on delta_bar +/- 0.5 * min(1, delta_bar)).
     Spin frequencies fix the slowest fluctuator, after which all bath rates
     are drawn log-uniform on [omega_min/6, omega_min/2] in blocks: all
     dephasing rates, then all emission rates, then (in "sampled" mode) all
     absorption rates. In "scaled-by-nbar" mode absorption is nbar times
     emission instead. The probe-TLF coupling is omega_min/3.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     n = cfg.n_tlf
 
     eps = sample_linear(rng, 0.5 * cfg.eps_bar, 1.5 * cfg.eps_bar, n)
-    half_width = 0.5 * min(cfg.omega_p, cfg.delta_bar)
+    half_width = 0.5 * min(1.0, cfg.delta_bar)
     delta = sample_loguniform(
         rng, cfg.delta_bar - half_width, cfg.delta_bar + half_width, n
     )
@@ -265,11 +269,11 @@ def sample_ensemble(cfg: ModelConfig, rng=None) -> TlfEnsemble:
     ens = TlfEnsemble.from_bare(
         eps, delta, gamma_z, gamma_minus, gamma_plus, cfg.mu_over_nu
     )
-    _warn_on_regime_violations(ens, cfg)
+    _warn_on_regime_violations(ens)
     return ens
 
 
-def _warn_on_regime_violations(ens: TlfEnsemble, cfg: ModelConfig) -> None:
+def _warn_on_regime_violations(ens: TlfEnsemble) -> None:
     # Underdamped requirement: every bath rate below its TLF frequency.
     for name, rates in (
         ("gamma_z", ens.gamma_z),
@@ -283,16 +287,11 @@ def _warn_on_regime_violations(ens: TlfEnsemble, cfg: ModelConfig) -> None:
                 "the two-level description is overdamped there",
                 RuntimeWarning,
             )
-    # Weak-coupling heuristic: frequencies should stay at or above three
-    # times the couplings (equality holds by construction for the slowest
-    # fluctuator, so only strict violations are flagged).
-    slack = 1.0 - 1e-12
-    if np.any(ens.omega < 3.0 * ens.nu * slack):
-        warnings.warn(
-            "probe-TLF coupling is not weak against all TLF frequencies",
-            RuntimeWarning,
-        )
-    if ens.mu > 0 and ens.omega_min < 3.0 * ens.mu * slack:
+    # Weak-coupling heuristic: frequencies should stay at or above three times
+    # the couplings. The probe-TLF coupling nu = omega_min/3 meets it by
+    # construction; the TLF-TLF coupling mu = mu_over_nu * nu only up to
+    # mu_over_nu = 1, where equality holds (so only strict violations count).
+    if ens.mu > 0 and ens.omega_min < 3.0 * ens.mu * (1.0 - 1e-12):
         warnings.warn(
             "TLF-TLF coupling is not weak against all TLF frequencies",
             RuntimeWarning,
@@ -338,7 +337,7 @@ def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, s
 
     cos_t = np.cos(ens.theta)
     sin_t = np.sin(ens.theta)
-    terms = _probe_terms(cfg, n_sites)
+    terms = _probe_terms(n_sites)
     for j in range(n):
         terms.append((ens.omega[j] / 2.0, label({2 + j: "Z"})))
     # Probe-TLF coupling: nu * (Z_A + Z_B) * charge operator of each TLF.
@@ -447,10 +446,10 @@ def _plus_terms(h: np.ndarray, terms) -> np.ndarray:
     return h
 
 
-def _probe_terms(cfg: ModelConfig, n_sites: int) -> list[tuple[float, str]]:
-    """The probe splitting, omega_p/2 (Z_A + Z_B), as Pauli terms on ``n_sites`` sites."""
+def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
+    """The probe splitting, (Z_A + Z_B)/2, as Pauli terms on ``n_sites`` sites."""
     rest = "I" * (n_sites - 2)
-    return [(cfg.omega_p / 2.0, "ZI" + rest), (cfg.omega_p / 2.0, "IZ" + rest)]
+    return [(0.5, "ZI" + rest), (0.5, "IZ" + rest)]
 
 
 def _m_x(layout: SubsystemLayout) -> np.ndarray:
@@ -459,10 +458,10 @@ def _m_x(layout: SubsystemLayout) -> np.ndarray:
     return pauli_string("XI" + rest) + pauli_string("IX" + rest)
 
 
-def probe_only_operators(cfg: ModelConfig) -> SystemOperators:
+def probe_only_operators() -> SystemOperators:
     """Isolated two-qubit probe (no fluctuators)."""
     layout = SubsystemLayout((2, 2))
-    terms = _probe_terms(cfg, 2)
+    terms = _probe_terms(2)
     h = _plus_terms(np.zeros((4, 4), dtype=complex), terms)
     return SystemOperators(hamiltonian=h, jumps=[], m_x=_m_x(layout), layout=layout, terms=terms)
 

@@ -90,9 +90,8 @@ def larmor_precession() -> OracleResult:
 def ideal_zz_gate() -> OracleResult:
     """A bare ZZ gate entangles |++> maximally after a quarter phase."""
     g = 0.3
-    omega_p = 1.0
     layout = SubsystemLayout((2, 2))
-    h = 0.5 * omega_p * (embed(SIGMA_Z, 0, layout) + embed(SIGMA_Z, 1, layout))
+    h = 0.5 * (embed(SIGMA_Z, 0, layout) + embed(SIGMA_Z, 1, layout))
     h = h + g * np.kron(SIGMA_Z, SIGMA_Z)
     gen = LindbladGenerator(h=h, jumps=[])
     rho0 = np.outer(PLUS_PLUS, PLUS_PLUS.conj())
@@ -110,12 +109,12 @@ def ideal_zz_gate() -> OracleResult:
     )
 
 
-def _one_probe_two_tlf_generator(seed: int = 7) -> LindbladGenerator:
+def _one_probe_two_tlf_generator() -> LindbladGenerator:
     """Single probe qubit coupled to two damped fluctuators (desk instance)."""
-    cfg = ModelConfig(n_tlf=2, ratio_eps=3.0, tan_theta_bar=1.0 / 3.0, mu_over_nu=0.5, seed=seed)
+    cfg = ModelConfig(n_tlf=2, ratio_eps=3.0, tan_theta_bar=1.0 / 3.0, mu_over_nu=0.5, seed=7)
     ens = sample_ensemble(cfg)
     layout = SubsystemLayout((2, 2, 2))
-    h = 0.5 * cfg.omega_p * embed(SIGMA_Z, 0, layout)
+    h = 0.5 * embed(SIGMA_Z, 0, layout)
     x_ops = []
     for j in range(2):
         site = 1 + j
@@ -136,15 +135,16 @@ def _one_probe_two_tlf_generator(seed: int = 7) -> LindbladGenerator:
     return LindbladGenerator(h=h, jumps=jumps)
 
 
-def integrator_cross_check(cycles: float = 100.0) -> OracleResult:
-    """Step-exponential route against RK4 on one probe qubit plus two TLFs."""
+def integrator_cross_check() -> OracleResult:
+    """Step-exponential route against RK4 on one probe qubit plus two TLFs, over
+    100 probe cycles."""
     gen = _one_probe_two_tlf_generator()
     tlf_ground = np.zeros(4)
     tlf_ground[3] = 1.0  # both fluctuators in their lower eigenstate
     psi = np.kron(PLUS, tlf_ground)
     rho0 = np.outer(psi, psi.conj())
 
-    t_end = cycles * 2 * np.pi
+    t_end = 100 * 2 * np.pi
     dt = 2 * np.pi / 100
     traj_a = propagate(gen, rho0, t_end, dt=dt, keep_states=True, method="dense")
     traj_b = rk4_reference(

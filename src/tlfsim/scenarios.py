@@ -22,7 +22,8 @@ scenario hash, seed and resolved parameters; a YAML manifest accompanies
 each run. CSV columns are fixed per kind: time series (t, value), spectra
 (omega, power), entanglement traces (t, E_P, C2prime), decay tables
 (epsilon, t_eps, p_t_eps, neg_log_eps). Time columns are in units of
-1/omega_p; cycle counts refer to the probe period 2*pi/omega_p.
+1/omega_p, the inverse probe splitting (omega_p = 1, the unit of energy);
+cycle counts refer to the probe period 2*pi.
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ class Scenario:
             raise ConfigurationError(
                 f"time grid: {n_steps} steps per point, more than {MAX_GRID_STEPS}"
             )
-        # each step's exponential keeps the trace to about eps * omega * dt, and
-        # the drift adds up over the steps
-        omega = max(self.model.omega_p, float(np.max(self.ensemble.omega)))
+        # each step's exponential keeps the trace to about eps * omega * dt, with
+        # omega the fastest frequency (the probe's is 1), and the drift adds up
+        # over the steps
+        omega = max(1.0, float(np.max(self.ensemble.omega)))
         if np.finfo(float).eps * omega * dt * n_steps > TRACE_ABORT_TOL:
             raise ConfigurationError(
                 f"frequency {omega:.3g} times the step {dt:.3g} over {n_steps} steps: "
@@ -258,8 +260,7 @@ class Scenario:
         if self.kind == "spectrum_sweep":
             return (self.n_samples - 1) * self.sample_step, self.sample_step
         step = self.bell_step_cycles if self.kind == "bell_decay" else self.trace_step_cycles
-        cycle = 2 * np.pi / self.model.omega_p
-        return self.resolved_duration() * cycle, step * cycle
+        return self.resolved_duration() * 2 * np.pi, step * 2 * np.pi
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Scenario":
@@ -306,24 +307,16 @@ class RunRecord:
     library_version: str = __version__
 
 
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_table(path, fmt: str, header_lines: list[str], columns: list[str], rows) -> None:
     """Write one table with a commented provenance header."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     if fmt == "csv":
+        # None is written as an empty field, and a float as its repr
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_value(v) for v in row])
+        writer.writerows(rows)
     else:
         for row in rows:
             buf.write(json.dumps(dict(zip(columns, row))) + "\n")
@@ -437,7 +430,7 @@ def simulate(
         ops = build_operators(ens, cfg)
         tlf = tlf_ground_state(ens, cfg)
     else:
-        ens, ops, tlf = None, probe_only_operators(cfg), np.eye(1)
+        ens, ops, tlf = None, probe_only_operators(), np.eye(1)
     if gate is not None:
         ops = add_gate(ops, gate, g)
     rho0 = initial_state(probe, tlf, ops.layout)
@@ -701,7 +694,7 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
     for label, r in results.items():
         for key, value in r["summary"].items():
             summary.setdefault(key, {})[label] = value
-    summary["cptp"] = {label: _stats_plain(r["stats"]) for label, r in results.items()}
+    summary["cptp"] = {label: r["stats"] for label, r in results.items()}
     record = RunRecord(
         scenario_hash=scenario.hash(),
         seed=scenario.model.seed,
@@ -713,10 +706,3 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
     )
     _write(out / "manifest.yaml", yaml.safe_dump(dataclasses.asdict(record), sort_keys=False))
     return record
-
-
-def _stats_plain(stats: dict) -> dict:
-    return {
-        k: (None if v is None else float(v)) if not isinstance(v, int) else v
-        for k, v in stats.items()
-    }

@@ -208,7 +208,7 @@ class TestCriterion1AnalyticOracles:
 
 class TestCriterion2IntegratorCrossValidation:
     def test_cross_check(self):
-        res = integrator_cross_check(cycles=100.0)
+        res = integrator_cross_check()
         report("2a", res.passed, f"{res.name}: {res.detail}")
 
     def test_convergence_order(self):

@@ -356,6 +356,35 @@ def test_model_that_cannot_be_sampled_is_config_error(command, kind, tmp_path, c
     assert cli_main(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_omega_p_other_than_one_is_config_error(command, tmp_path, capsys):
+    path = tmp_path / "omega.yaml"
+    path.write_text(
+        "schema_version: 1\nkind: entanglement_sweep\nmodel: {n_tlf: 1, omega_p: 2.0}\n"
+        f"sweep: [0.0]\nduration: 0.1\noutput: {tmp_path / 'out'}\n"
+    )
+    assert cli_main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error: omega_p must be 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# mu = mu_over_nu * omega_min / 3, so mu/nu above 1 puts 3 mu past the slowest
+# TLF frequency; at 1 the two are equal, which the heuristic allows
+@pytest.mark.parametrize("mu_over_nu, warned", [(1.1, True), (1.0, False)])
+def test_strong_tlf_tlf_coupling_warns(mu_over_nu, warned, tmp_path):
+    path = tmp_path / "strong.yaml"
+    path.write_text(
+        "schema_version: 1\nkind: entanglement_sweep\nmodel: {n_tlf: 2, seed: 5}\n"
+        f"sweep: [{mu_over_nu}]\nduration: 1.0\n"
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # the once-per-location registry hides nothing
+        assert cli_main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+    assert ("TLF-TLF coupling is not weak against all TLF frequencies" in messages) is warned
+
+
 # ratio_eps = 1e-12 puts a TLF frequency near 1.2e12, so omega * dt is 7e10 at the
 # trace step of 0.01 cycles: each step's exponential loses a few percent of
 # eps * omega * dt of the trace, and the run would pass the abort tolerance

@@ -853,6 +853,16 @@ class TestRk4:
         assert np.max(np.abs(b.marginals[-1] - b.marginals[0])) > 0.1
         assert np.max(np.abs(a.marginals - b.marginals)) < 1e-6
 
+    # the right-hand side keeps Hermiticity for any generator, so only a step that
+    # overflows to NaN reaches the Hermiticity abort
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:RK4 step looks too coarse")
+    def test_non_finite_step_trips_the_hermiticity_abort(self):
+        gen = LindbladGenerator(h=1e300 * SIGMA_X, jumps=[])
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(PropagationError, match="Hermiticity deviation nan at t=0.5 "):
+            rk4_reference(gen, rho0, 1.0, 0.5)
+
     def test_record_every_must_divide(self):
         gen = damping_generator()
         with pytest.raises(ValueError):

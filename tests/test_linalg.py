@@ -308,6 +308,13 @@ class TestExpm:
         exact = scipy.linalg.expm(a)
         assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
+    def test_nilpotent_input(self):
+        # A^2 = 0 picks order 3, whose squaring count stops at abs(A)^2 = 0
+        a = np.array([[0.0, 1e3], [0.0, 0.0]])
+        out = expm(a)
+        for exact in (np.eye(2) + a, scipy.linalg.expm(a)):
+            assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
     @pytest.mark.parametrize(
         "a", [np.diag([1e300, 0.0]), np.full((3, 3), 1e308), np.full((3, 3), 1e308 + 1e308j)]
     )

@@ -91,6 +91,7 @@ class TestConfig:
             {"mu_over_nu": -0.1},
             {"nbar": -1.0},
             {"gamma_plus_mode": "bogus"},
+            {"omega_p": 2.0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -249,10 +250,9 @@ PAULI = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
 @pytest.mark.parametrize("gate", sorted(GATE_TERMS))
 def test_gated_isolated_probe_against_kron(gate):
-    cfg = ModelConfig(omega_p=1.3)
     s = 0.37
-    ops = add_gate(probe_only_operators(cfg), gate, s)
-    h = 0.5 * cfg.omega_p * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
+    ops = add_gate(probe_only_operators(), gate, s)
+    h = 0.5 * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
     for a, b in GATE_TERMS[gate]:
         h = h + s * kron(PAULI[a], PAULI[b])
     assert np.max(np.abs(ops.hamiltonian - h)) <= 1e-15

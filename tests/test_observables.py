@@ -50,23 +50,20 @@ class TestTimeSeries:
 
 class TestMagnetization:
     def test_plus_plus_is_two(self):
-        cfg = ModelConfig()
-        ops = probe_only_operators(cfg)
+        ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
         traj = propagate(gen, dm(PLUS_PLUS), 0.1, dt=0.1, record={"M_x": ops.m_x})
         series = magnetization_series(traj)
         assert np.isclose(series.values[0], 2.0, atol=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        cfg = ModelConfig()
-        ops = probe_only_operators(cfg)
+        ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
         traj = propagate(gen, np.eye(4, dtype=complex) / 4, 0.1, dt=0.1, record={"M_x": ops.m_x})
         assert np.allclose(magnetization_series(traj).values, 0.0, atol=1e-12)
 
     def test_isolated_probe_precession(self):
-        cfg = ModelConfig()
-        ops = probe_only_operators(cfg)
+        ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
         traj = propagate(gen, dm(PLUS_PLUS), 4 * 2 * np.pi, dt=2 * np.pi / 100,
                          record={"M_x": ops.m_x})
@@ -87,8 +84,7 @@ class TestMagnetization:
         assert np.allclose(magnetization_series(traj).values, from_marginal, atol=1e-12)
 
     def test_missing_record_raises(self):
-        cfg = ModelConfig()
-        ops = probe_only_operators(cfg)
+        ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
         traj = propagate(gen, dm(PLUS_PLUS), 0.1, dt=0.1)
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from tlfsim.scenarios import (
     _find_peaks,
     _first_local_max,
     _spectrum_point,
+    _write_table,
     detect_peaks,
     load_scenario_file,
     run_scenario,
@@ -595,6 +596,33 @@ class TestPlateauDetector:
         rep = _plateau_report(t, np.sin(t))
         assert rep["plateau"] is False
         assert rep["steady_value"] is None
+
+
+def test_csv_table_writes_numpy_floats_plainly_and_none_empty(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [(np.float64(0.1), None, "a,b"), (1 / 3, 2, True)]
+    _write_table(path, "csv", ["note"], ["x", "y", "z"], rows)
+    header, lines = read_table(path)
+    assert header == ["# note"]
+    assert lines == ["x,y,z", '0.1,,"a,b"', "0.3333333333333333,2,True"]
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        # M_x points and the isolated-probe control
+        ("spectrum_sweep", {"sweep": [0.5], "n_samples": 64}),
+        # marginal points, with the ideal register among them
+        ("gate", {"gate": {"kind": "zz"}, "duration": 1.0, "trace_step_cycles": 0.05}),
+    ],
+)
+def test_manifest_cptp_values_are_plain(kind, extra, tmp_path):
+    record = run_scenario(small_scenario(kind, **extra), out_dir=tmp_path)
+    manifest = yaml.safe_load((tmp_path / "manifest.yaml").read_text())
+    for cptp in (record.summary["cptp"], manifest["summary"]["cptp"]):
+        values = [v for stats in cptp.values() for v in stats.values()]
+        assert values and all(type(v) in (int, float, type(None)) for v in values)
+    assert manifest["summary"]["cptp"] == record.summary["cptp"]
 
 
 def test_bell_decay_epsilon_one_row(tmp_path):
