@@ -9,7 +9,8 @@ test suite:
   share a block structure, the state splits into sector pairs (row sector,
   column sector), each mapped into itself by the flow, and the exponential
   is taken per pair of sector classes (sectors whose restricted H and jumps
-  agree). Block Liouvillians are assembled from the effective Hamiltonians
+  agree). The model's systems take the probe pair in a basis in which each
+  probe state spans a sector under every gate (see :mod:`tlfsim.model`). Block Liouvillians are assembled from the effective Hamiltonians
   G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a (c, c) pair is stepped in
   real arithmetic in a Hermitian basis. :class:`_BlockStepper` holds the
   state as its distinct block evolutions and records every observable as a

@@ -13,6 +13,17 @@ eigenbasis the Pauli ``Z`` has the upper state first, so a free spin's ground
 state is the second basis vector. The charge operator of a TLF with mixing angle
 ``theta`` (tan(theta) = local field / bias) reads
 ``cos(theta) Z - sin(theta) X`` in its eigenbasis.
+
+The probe pair is held in a probe basis that follows from the gate
+(``GATE_TERMS``). It is the computational basis ``|00>, |01>, |10>, |11>``
+without a gate and under the ZZ gate. Under the XX+YY gate it is the
+singlet-triplet basis ``|00>, |T0>, |S>, |11>``, with ``|T0>, |S> = (|01> +-
+|10>)/sqrt(2)``. There the gate, the probe splitting and the probe-TLF coupling
+``(Z_A + Z_B) x_j`` are all diagonal on the probe pair, so the invariant sectors
+stay one probe state each; in the computational basis XX+YY would join ``|01>``
+and ``|10>`` into one sector of twice the size. :class:`SystemOperators` says
+which basis its operators and its initial states are in, and
+:func:`change_probe_basis` takes probe vectors and matrices between the two.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,8 +50,27 @@ GAMMA_PLUS_MODES = ("scaled-by-nbar", "sampled")
 
 PROBE_STATES = ("plus_plus", "phi+", "phi-", "psi+", "psi-")
 
-# two-qubit Pauli terms of each gate Hamiltonian, on the probe pair
-GATE_TERMS = {"zz": ("ZZ",), "xxyy": ("XX", "YY")}
+# two-qubit Pauli terms of each gate Hamiltonian on the probe pair, and the probe
+# basis in which the gated system is assembled
+GATE_TERMS = {"zz": (("ZZ",), "computational"), "xxyy": (("XX", "YY"), "singlet-triplet")}
+
+_SQRT_HALF = np.sqrt(0.5)
+
+# The probe Paulis the model uses, in the singlet-triplet basis |00>, |T0>, |S>, |11>.
+# Their entries are exact, so that in the sums the model forms the (T0, S) entries
+# of Z_A and Z_B, and the (00, 11) entries of XX and YY, cancel to exact zeros: no
+# threshold decides the sectors.
+_SINGLET_TRIPLET = {
+    label: np.array(m, dtype=complex)
+    for label, m in {
+        "II": np.eye(4),
+        "ZI": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]],
+        "IZ": [[1, 0, 0, 0], [0, 0, -1, 0], [0, -1, 0, 0], [0, 0, 0, -1]],
+        "ZZ": np.diag([1, -1, -1, 1]),
+        "XX": [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [1, 0, 0, 0]],
+        "YY": [[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, -1, 0], [-1, 0, 0, 0]],
+    }.items()
+}
 
 
 class ConfigurationError(ValueError):
@@ -75,9 +105,14 @@ def check_value(name: str, v, kind: str) -> None:
 
 
 def check_field_types(obj) -> None:
-    """:func:`check_value` on each field of the dataclass ``obj``, for its annotation."""
+    """:func:`check_value` on each field of the frozen dataclass ``obj``, for its
+    annotation. An integer given for a float field is stored as that float, so
+    that ``3`` and ``3.0`` make one value, one canonical form and one hash."""
     for f in fields(obj):
-        check_value(f.name, getattr(obj, f.name), f.type)
+        v = getattr(obj, f.name)
+        check_value(f.name, v, f.type)
+        if f.type.startswith("float") and isinstance(v, numbers.Integral):
+            object.__setattr__(obj, f.name, float(v))
 
 
 @dataclass(frozen=True)
@@ -313,7 +348,10 @@ class SystemOperators:
 
     ``terms`` is the scaled Pauli-string decomposition of the Hamiltonian
     (site order: probe A, probe B, TLF 1..N); the dense matrix is assembled
-    from it, and it doubles as machine-readable provenance.
+    from it, and it doubles as machine-readable provenance. The matrices take
+    the probe pair in ``basis``, "computational" or "singlet-triplet", and the
+    fluctuators in their eigenbases; the jumps act on the fluctuators alone, so
+    they read the same in either probe basis.
     """
 
     hamiltonian: np.ndarray
@@ -321,6 +359,7 @@ class SystemOperators:
     m_x: np.ndarray
     layout: SubsystemLayout
     terms: list  # (coefficient, pauli label) pairs
+    basis: str = "computational"
 
 
 def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, str]]:
@@ -367,10 +406,6 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
     n = ens.n_tlf
     layout = SubsystemLayout((2,) * (2 + n))
     terms = hamiltonian_terms(ens, cfg)
-    h = _plus_terms(np.zeros((layout.total_dim, layout.total_dim), dtype=complex), terms)
-    if not is_hermitian(h):
-        raise RuntimeError("assembled Hamiltonian is not Hermitian")
-
     jumps = []
     for j in range(n):
         site = 2 + j
@@ -382,17 +417,15 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
             if rate > 0.0:
                 jumps.append((float(rate), embed(op, site, layout)))
 
-    return SystemOperators(
-        hamiltonian=h, jumps=jumps, m_x=_m_x(layout), layout=layout, terms=terms
-    )
+    return _system(terms, jumps, layout, "computational")
 
 
 def tlf_hamiltonian(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
     """Fluctuator-register Hamiltonian: the terms of :func:`hamiltonian_terms`
     that act on neither probe qubit (free terms plus ring coupling)."""
     terms = [(c, lab[2:]) for c, lab in hamiltonian_terms(ens, cfg) if lab[:2] == "II"]
-    dim = 2**ens.n_tlf
-    return _plus_terms(np.zeros((dim, dim), dtype=complex), terms)
+    # no probe pair: the computational basis takes each label as its Pauli string
+    return _sum_terms(terms, 2**ens.n_tlf, "computational")
 
 
 def tlf_ground_state(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
@@ -423,9 +456,10 @@ def probe_state_vector(kind: str) -> np.ndarray:
     return table[kind]
 
 
-def initial_state(probe: str, tlf: np.ndarray, layout: SubsystemLayout) -> np.ndarray:
-    """Joint initial state: chosen probe state tensored with a TLF state."""
-    n_tlf_dim = int(np.prod(layout.dims[2:]))
+def initial_state(probe: str, tlf: np.ndarray, ops: SystemOperators) -> np.ndarray:
+    """Joint initial state of the system ``ops``: the chosen probe state, in the
+    probe basis of ``ops``, tensored with a TLF state."""
+    n_tlf_dim = int(np.prod(ops.layout.dims[2:]))
     if tlf.shape != (n_tlf_dim, n_tlf_dim):
         raise ValueError(f"TLF state shape {tlf.shape} != register dim {n_tlf_dim}")
     if not is_hermitian(tlf, atol=1e-9):
@@ -434,16 +468,57 @@ def initial_state(probe: str, tlf: np.ndarray, layout: SubsystemLayout) -> np.nd
         raise ValueError("TLF state is not unit trace")
     if np.min(np.linalg.eigvalsh(tlf)) < -1e-9:
         raise ValueError("TLF state is not positive semidefinite")
-    psi = probe_state_vector(probe)
+    psi = change_probe_basis(probe_state_vector(probe), ops.basis, (0,))
     probe_dm = np.outer(psi, psi.conj())
     return np.kron(probe_dm, tlf)
 
 
-def _plus_terms(h: np.ndarray, terms) -> np.ndarray:
-    """``h`` plus each scaled Pauli string of ``terms``, added one at a time."""
+def change_probe_basis(x: np.ndarray, basis: str, axes) -> np.ndarray:
+    """``x`` with each of its probe ``axes`` (of length 4) taken from the computational
+    basis to ``basis``, or back: each change is its own inverse.
+
+    The singlet-triplet change maps entries 1 and 2 (``|01>``, ``|10>``) to
+    their sum and difference times sqrt(1/2). It is written out rather than
+    taken as a matrix product, so that equal entries leave an exact zero (the
+    ``|S>`` amplitude of ``|++>``). The computational basis returns ``x`` itself.
+    """
+    if basis == "computational":
+        return x
+    x = np.array(x, dtype=complex)
+    for axis in axes:
+        y = np.moveaxis(x, axis, 0)  # a view: the change is written into x
+        y[1], y[2] = (y[1] + y[2]) * _SQRT_HALF, (y[1] - y[2]) * _SQRT_HALF
+    return x
+
+
+def term_matrix(label: str, basis: str) -> np.ndarray:
+    """The Pauli string ``label`` (probe A, probe B, TLF 1..N) with the probe pair
+    in ``basis``: the exact tables of ``_SINGLET_TRIPLET`` there, the Pauli
+    string itself in the computational basis."""
+    if basis == "computational":
+        return pauli_string(label)
+    rest = label[2:]
+    return np.kron(_SINGLET_TRIPLET[label[:2]], pauli_string(rest) if rest else 1)
+
+
+def _sum_terms(terms, dim: int, basis: str) -> np.ndarray:
+    """The sum of the scaled Pauli strings ``terms`` in ``basis``, added one at a time
+    in order."""
+    h = np.zeros((dim, dim), dtype=complex)
     for coeff, lab in terms:
-        h = h + coeff * pauli_string(lab)
+        h = h + coeff * term_matrix(lab, basis)
     return h
+
+
+def _system(terms, jumps, layout: SubsystemLayout, basis: str) -> SystemOperators:
+    """The system of Hamiltonian ``terms`` and ``jumps`` with the probe pair in ``basis``."""
+    h = _sum_terms(terms, layout.total_dim, basis)
+    if not is_hermitian(h):
+        raise RuntimeError("assembled Hamiltonian is not Hermitian")
+    return SystemOperators(
+        hamiltonian=h, jumps=jumps, m_x=_m_x(layout, basis), layout=layout, terms=terms,
+        basis=basis,
+    )
 
 
 def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
@@ -452,26 +527,25 @@ def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
     return [(0.5, "ZI" + rest), (0.5, "IZ" + rest)]
 
 
-def _m_x(layout: SubsystemLayout) -> np.ndarray:
-    """Transverse probe magnetization X_A + X_B on ``layout``."""
+def _m_x(layout: SubsystemLayout, basis: str) -> np.ndarray:
+    """Transverse probe magnetization X_A + X_B on ``layout``, the probe pair in ``basis``."""
     rest = "I" * (layout.n_sites - 2)
-    return pauli_string("XI" + rest) + pauli_string("IX" + rest)
+    m = pauli_string("XI" + rest) + pauli_string("IX" + rest)
+    d = layout.total_dim // 4
+    return change_probe_basis(m.reshape(4, d, 4, d), basis, (0, 2)).reshape(m.shape)
 
 
 def probe_only_operators() -> SystemOperators:
     """Isolated two-qubit probe (no fluctuators)."""
-    layout = SubsystemLayout((2, 2))
-    terms = _probe_terms(2)
-    h = _plus_terms(np.zeros((4, 4), dtype=complex), terms)
-    return SystemOperators(hamiltonian=h, jumps=[], m_x=_m_x(layout), layout=layout, terms=terms)
+    return _system(_probe_terms(2), [], SubsystemLayout((2, 2)), "computational")
 
 
 def add_gate(ops: SystemOperators, gate: str, gate_strength: float) -> SystemOperators:
-    """Return a copy of the system with a static two-qubit gate term added."""
+    """The system with a static two-qubit gate term added, reassembled from its
+    terms in the gate's probe basis (the initial state must then be built for it)."""
     if gate not in GATE_TERMS:
         raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
+    labels, basis = GATE_TERMS[gate]
     rest = "I" * (ops.layout.n_sites - 2)
-    terms = [(gate_strength, lab + rest) for lab in GATE_TERMS[gate]]
-    return replace(
-        ops, hamiltonian=_plus_terms(ops.hamiltonian, terms), terms=list(ops.terms) + terms
-    )
+    terms = list(ops.terms) + [(gate_strength, lab + rest) for lab in labels]
+    return _system(terms, ops.jumps, ops.layout, basis)

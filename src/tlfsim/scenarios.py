@@ -52,6 +52,7 @@ from .model import (
     TlfEnsemble,
     add_gate,
     build_operators,
+    change_probe_basis,
     check_field_types,
     check_value,
     initial_state,
@@ -79,8 +80,8 @@ DEFAULT_SWEEP = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 DEFAULT_EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 
 # ceilings on the work one file may ask for: the largest block Liouvillian's
-# dimension, as n_tlf=6 gives without a gate, and far more steps per point
-# than the longest shipped trace
+# dimension, as n_tlf=6 gives, and far more steps per point than the longest
+# shipped trace
 MAX_BLOCK_DIM = 4096
 MAX_GRID_STEPS = 10**6
 
@@ -186,14 +187,12 @@ class Scenario:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
             if self.gate.strength is not None and self.gate.strength <= 0:
                 raise ConfigurationError("gate strength must be positive")
-        # the largest sector holds 2^n_tlf states, twice that where XX+YY merges
-        # |01> and |10>; its block Liouvillian's dimension is that squared
-        merged = self.gate is not None and self.gate.kind == "xxyy"
-        n_max = int(np.log2(MAX_BLOCK_DIM)) // 2 - merged
+        # each sector holds one probe state (in its gate's probe basis) and all
+        # 2^n_tlf fluctuator states; its block Liouvillian's dimension is that squared
+        n_max = int(np.log2(MAX_BLOCK_DIM)) // 2
         if self.model.n_tlf > n_max:
-            under = " under the xxyy gate" if merged else ""
             raise ConfigurationError(
-                f"n_tlf must be at most {n_max}{under}, got {self.model.n_tlf}: "
+                f"n_tlf must be at most {n_max}, got {self.model.n_tlf}: "
                 f"a block Liouvillian would exceed {MAX_BLOCK_DIM}^2"
             )
         if self.kind == "bell_decay":
@@ -422,8 +421,9 @@ def simulate(
     The fluctuators are sampled from ``cfg`` and start in their ground state,
     the probe in ``probe``. ``fluctuators=False`` runs the isolated probe
     instead and returns no ensemble. ``gate`` adds a static gate term of
-    strength ``g``. The trajectory records ``M_x`` when ``magnetization`` is
-    set and the probe marginals otherwise.
+    strength ``g``, and the system is propagated in that gate's probe basis.
+    The trajectory records ``M_x`` when ``magnetization`` is set and the probe
+    marginals otherwise, taken back to the computational basis.
     """
     if fluctuators:
         ens = sample_ensemble(cfg)
@@ -433,12 +433,14 @@ def simulate(
         ens, ops, tlf = None, probe_only_operators(), np.eye(1)
     if gate is not None:
         ops = add_gate(ops, gate, g)
-    rho0 = initial_state(probe, tlf, ops.layout)
+    rho0 = initial_state(probe, tlf, ops)
     gen = LindbladGenerator.from_system(ops)
     if magnetization:
         traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
     else:
         traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
+        # log-negativity needs the product basis
+        traj.marginals = change_probe_basis(traj.marginals, ops.basis, (1, 2))
     return ens, traj
 
 

@@ -17,6 +17,7 @@ from tlfsim.linalg import (
     embed,
     expm,
     partial_trace,
+    pauli_string,
 )
 from tlfsim import dynamics
 from tlfsim.dynamics import (
@@ -385,7 +386,7 @@ class TestSectors:
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         return gen, rho0, ops
 
     def test_probe_sectors_found(self):
@@ -400,14 +401,29 @@ class TestSectors:
         split = propagate(gen, rho0, t_end, dt=dt, method="sector", keep_states=True)
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
 
-    def test_sector_matches_dense_with_gate(self):
-        from tlfsim.model import add_gate
+    @pytest.mark.parametrize("n_tlf", [1, 2, 3, 4, 5])
+    def test_xxyy_sectors_are_the_probe_states(self, n_tlf):
+        # the singlet-triplet tables cancel the cross entries to exact zeros, so the
+        # sparsity pattern alone, with no tolerance, splits off each probe state
+        for seed in (1, 2, 3, 21):
+            cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed)
+            ens = sample_ensemble(cfg)
+            ops = add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu))
+            sectors = find_invariant_sectors(LindbladGenerator.from_system(ops))
+            size = 2**n_tlf
+            assert [list(s) for s in sectors] == [
+                list(range(p * size, (p + 1) * size)) for p in range(4)
+            ]
 
-        gen, rho0, ops = self.make_system(seed=22)
-        noisy = add_gate(ops, "xxyy", 0.2)
+    def test_sector_matches_dense_with_gate(self):
+        # in the singlet-triplet probe basis XX+YY keeps the four probe sectors apart
+        cfg = ModelConfig(n_tlf=2, mu_over_nu=1.0, seed=22)
+        ens = sample_ensemble(cfg)
+        noisy = add_gate(build_operators(ens, cfg), "xxyy", 0.2)
         gen = LindbladGenerator.from_system(noisy)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), noisy)
         sectors = find_invariant_sectors(gen)
-        assert sorted(len(s) for s in sectors) == [4, 4, 8]
+        assert sorted(len(s) for s in sectors) == [4, 4, 4, 4]
         dense = propagate(gen, rho0, 5.0, dt=0.05, method="dense", keep_states=True)
         split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
@@ -442,13 +458,22 @@ MODEL_VARIANTS = {
 }
 
 
-def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, **model):
+def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, computational=False,
+                     **model):
+    """(generator, initial state) of a probe-TLF system with the probe pair in its
+    gate's basis; ``computational`` takes it in the computational basis instead, the
+    Hamiltonian summed from the system's terms as plain Pauli strings."""
     cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant], **model)
     ens = sample_ensemble(cfg)
-    ops = build_operators(ens, cfg)
+    ops = ungated = build_operators(ens, cfg)
     if gate is not None:
         ops = add_gate(ops, gate, float(ens.nu))
-    rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
+    if computational:
+        h = sum(c * pauli_string(lab) for c, lab in ops.terms)
+        return LindbladGenerator(h=h, jumps=ops.jumps), initial_state(
+            state, tlf_ground_state(ens, cfg), ungated
+        )
+    rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops)
     return LindbladGenerator.from_system(ops), rho0
 
 
@@ -495,7 +520,7 @@ class TestBlockEngine:
     STEPPED_EVOLUTIONS_REAL_AND_DIM = {
         ("plus_plus", None): (10, 6, 3, 256),
         ("phi+", None): (3, 3, 2, 256),
-        ("plus_plus", "xxyy"): (6, 6, 3, 1024),
+        ("plus_plus", "xxyy"): (6, 6, 3, 256),
     }
 
     @pytest.mark.parametrize(
@@ -505,8 +530,9 @@ class TestBlockEngine:
             ("plus_plus", None, 4, 16, 6),
             # only the |00>,|11> pairs are live
             ("phi+", None, 4, 4, 3),
-            # XX+YY merges |01>,|10>; the three sectors all differ
-            ("plus_plus", "xxyy", 3, 9, 6),
+            # XX+YY in the singlet-triplet basis: |++> leaves |S> empty, and the
+            # three live sectors |00>, |T0>, |11> all differ
+            ("plus_plus", "xxyy", 4, 9, 6),
         ],
     )
     def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
@@ -515,8 +541,7 @@ class TestBlockEngine:
         names = ("sectors", "pairs_live", "pairs_stepped", "evolutions", "propagators",
                  "propagators_real", "block_dim_max")
         counters = {k: traj.stats[k] for k in names}
-        # diagonal class pairs take the real basis; 16-dim sectors give 256-dim
-        # blocks, the XX+YY-merged 32-dim sector a 1024-dim one
+        # diagonal class pairs take the real basis; 16-dim sectors give 256-dim blocks
         stepped, evolutions, real, dim_max = self.STEPPED_EVOLUTIONS_REAL_AND_DIM[(state, gate)]
         assert counters == {
             "sectors": sectors,
@@ -528,6 +553,16 @@ class TestBlockEngine:
             "block_dim_max": dim_max,
         }
         assert all(type(v) is int for v in counters.values())
+
+    @pytest.mark.parametrize("n_tlf", [1, 2, 3])
+    def test_xxyy_from_plus_plus_steps_probe_state_blocks(self, n_tlf):
+        # |++> leaves the singlet empty: 9 of the 16 pairs are live, each block
+        # 2^n_tlf square, so the block Liouvillians are 4^n_tlf square (n_tlf=4
+        # is a case of test_engine_counters)
+        gen, rho0 = probe_tlf_system(n_tlf, "plus_plus", "xxyy")
+        traj = propagate(gen, rho0, 0.05, dt=0.05)
+        assert (traj.stats["sectors"], traj.stats["pairs_live"]) == (4, 9)
+        assert traj.stats["block_dim_max"] == 4**n_tlf
 
     @pytest.mark.parametrize("n_tlf", [1, 2])
     @pytest.mark.parametrize("gate", [None, "zz"])
@@ -763,10 +798,12 @@ class TestChunkedRecording:
         assert (traj.stats["chunk"], traj.stats["powers"]) == (1, 0)
 
     def test_large_blocks_take_shorter_chunks(self):
-        # an XX+YY gate point at the benchmark's size: 300 steps with blocks up to
-        # 1024^2, where each power costs about as much as the mat-vecs it saves,
-        # so B stays far below the 16-dim blocks' B at the same step count
-        gen, rho0 = probe_tlf_system(4, "plus_plus", "xxyy", ratio_eps=1.0)
+        # an XX+YY gate point at the benchmark's size, with the probe pair in the
+        # computational basis, where |01> and |10> share one 32-state sector: 300
+        # steps with blocks up to 1024^2, where each power costs about as much as
+        # the mat-vecs it saves, so B stays far below the 16-dim blocks' B at the
+        # same step count
+        gen, rho0 = probe_tlf_system(4, "plus_plus", "xxyy", ratio_eps=1.0, computational=True)
         layout = SubsystemLayout((2,) * 6)
         traj = propagate(gen, rho0, 3 * 2 * np.pi, dt=0.01 * 2 * np.pi,
                          marginal_keep=(0, 1), layout=layout)
@@ -794,7 +831,7 @@ class TestStationaryBellStates:
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops.layout)
+        rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 5 * 2 * np.pi, dt=2 * np.pi / 50,
                          marginal_keep=(0, 1), layout=ops.layout)
         assert np.max(np.abs(traj.marginals - traj.marginals[0])) < 1e-8

@@ -293,11 +293,13 @@ class TestExpm:
         assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_matches_scipy_on_gate_block_liouvillian(self):
-        # the real 1024 x 1024 step generator of the merged |01>,|10> sector of an
-        # XX+YY gate point at n_tlf=4, in the Hermitian basis, as the engine takes it
+        # the real 1024 x 1024 step generator of an XX+YY gate point at n_tlf=4, with
+        # the probe pair in the computational basis, where |01> and |10> share one
+        # 32-state sector; in the Hermitian basis, as the engine would take it
         cfg = ModelConfig(n_tlf=4, ratio_eps=1.0, mu_over_nu=1.0, seed=1)
         ens = sample_ensemble(cfg)
-        gen = LindbladGenerator.from_system(add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu)))
+        ops = add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu))
+        gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps)
         s = max(find_invariant_sectors(gen), key=len)
         h, jumps = gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]
         l = _liouvillian_block(h, h, gen.rates, jumps, jumps)

@@ -6,9 +6,10 @@ import pytest
 import scipy.stats
 from numpy import kron
 
-from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, embed
+from tlfsim.linalg import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, SubsystemLayout, embed, pauli_string
 from tlfsim.model import (
     GATE_TERMS,
+    PROBE_STATES,
     ConfigurationError,
     GroundStateDegeneracyError,
     ModelConfig,
@@ -23,6 +24,7 @@ from tlfsim.model import (
     sample_ensemble,
     sample_linear,
     sample_loguniform,
+    term_matrix,
     tlf_ground_state,
     tlf_hamiltonian,
 )
@@ -239,7 +241,7 @@ class TestBuildOperators:
         ens = dataclasses.replace(sample_ensemble(cfg), nu=0.0, mu=0.0)
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         sx_a = kron(SIGMA_X, np.eye(8, dtype=complex))
         traj = propagate(gen, rho0, t_end=4 * 2 * np.pi, dt=2 * np.pi / 200, record={"sx_a": sx_a})
         assert np.max(np.abs(traj.expectations["sx_a"] - np.cos(cfg.omega_p * traj.t_grid))) < 1e-8
@@ -247,17 +249,77 @@ class TestBuildOperators:
 
 PAULI = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
+# columns: each probe basis's states in the computational basis
+PROBE_BASIS = {
+    "computational": np.eye(4),
+    "singlet-triplet": np.array(
+        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]
+    ) * np.sqrt([1.0, 0.5, 0.5, 1.0]),
+}
+
 
 @pytest.mark.parametrize("gate", sorted(GATE_TERMS))
 def test_gated_isolated_probe_against_kron(gate):
     s = 0.37
     ops = add_gate(probe_only_operators(), gate, s)
+    labels, basis = GATE_TERMS[gate]
     h = 0.5 * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
-    for a, b in GATE_TERMS[gate]:
+    for a, b in labels:
         h = h + s * kron(PAULI[a], PAULI[b])
-    assert np.max(np.abs(ops.hamiltonian - h)) <= 1e-15
-    assert np.array_equal(ops.m_x, kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
+    m_x = kron(SIGMA_X, I2) + kron(I2, SIGMA_X)
+    u = PROBE_BASIS[basis]
+    assert ops.basis == basis
+    assert np.max(np.abs(ops.hamiltonian - u.T @ h @ u)) <= 1e-15
+    assert np.max(np.abs(ops.m_x - u.T @ m_x @ u)) <= 1e-15
+    if basis == "computational":
+        assert np.array_equal(ops.m_x, m_x)
     assert ops.jumps == []
+
+
+@pytest.mark.parametrize("label", ["II", "ZI", "IZ", "ZZ", "XX", "YY"])
+def test_singlet_triplet_paulis_are_exact(label):
+    # with the unnormalized |00>, |01> + |10>, |01> - |10>, |11> every product is an
+    # exact integer: the table's (T0, S) block is half of it, the rest equal
+    u = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+    scale = np.array([[1, 1, 1, 1], [1, 2, 2, 1], [1, 2, 2, 1], [1, 1, 1, 1]])
+    p = kron(PAULI[label[0]], PAULI[label[1]])
+    assert np.array_equal(u.T @ p @ u, scale * term_matrix(label, "singlet-triplet"))
+    assert np.array_equal(term_matrix(label + "XZ", "singlet-triplet"),
+                          kron(term_matrix(label, "singlet-triplet"), kron(SIGMA_X, SIGMA_Z)))
+
+
+@pytest.mark.parametrize("n_tlf", [1, 2, 4])
+@pytest.mark.parametrize("gate", [None, "zz"])
+def test_computational_hamiltonian_is_the_pauli_sum(n_tlf, gate):
+    # without a gate and under ZZ the probe pair stays in the computational basis,
+    # where the assembly is the plain sum of the scaled Pauli strings, bit for bit
+    for seed in (1, 2, 3):
+        cfg = ModelConfig(n_tlf=n_tlf, seed=seed, mu_over_nu=1.0)
+        ens = sample_ensemble(cfg)
+        ops = build_operators(ens, cfg)
+        if gate is not None:
+            ops = add_gate(ops, gate, float(ens.nu))
+        assert ops.basis == "computational"
+        assert np.array_equal(ops.hamiltonian, sum(c * pauli_string(lab) for c, lab in ops.terms))
+
+
+@pytest.mark.parametrize("state", PROBE_STATES)
+def test_singlet_triplet_initial_state(state):
+    # the probe vector is (psi_01 +- psi_10) sqrt(1/2) in the T0 and S places: |++>
+    # and the triplets leave |S> exactly empty, the singlet fills it alone
+    cfg = ModelConfig(n_tlf=2, seed=17)
+    ens = sample_ensemble(cfg)
+    tlf = tlf_ground_state(ens, cfg)
+    ops = add_gate(build_operators(ens, cfg), "xxyy", 0.2)
+    rho = initial_state(state, tlf, ops).reshape(4, 4, 4, 4)
+    u = PROBE_BASIS["singlet-triplet"]
+    psi = probe_state_vector(state)
+    expected = np.kron(np.outer(u.T @ psi, (u.T @ psi).conj()), tlf).reshape(4, 4, 4, 4)
+    assert np.max(np.abs(rho - expected)) <= 1e-15
+    singlet = np.abs(rho[2]).max() + np.abs(rho[:, :, 2]).max()
+    assert (singlet > 0) == (state == "psi-")
+    if state == "psi-":
+        assert not rho[[0, 1, 3]].any() and not rho[:, :, [0, 1, 3]].any()
 
 
 def embedded_register_hamiltonian(ens, cfg):
@@ -340,11 +402,12 @@ class TestInitialState:
     def setup_method(self):
         self.cfg = ModelConfig(n_tlf=2, seed=17)
         self.ens = sample_ensemble(self.cfg)
-        self.layout = SubsystemLayout((2, 2, 2, 2))
+        self.ops = build_operators(self.ens, self.cfg)
+        self.layout = self.ops.layout
         self.tlf = tlf_ground_state(self.ens, self.cfg)
 
     def test_plus_plus_magnetization(self):
-        rho = initial_state("plus_plus", self.tlf, self.layout)
+        rho = initial_state("plus_plus", self.tlf, self.ops)
         from tlfsim.linalg import embed, partial_trace
 
         for qubit in (0, 1):
@@ -355,7 +418,7 @@ class TestInitialState:
         from tlfsim.observables import log_negativity
         from tlfsim.linalg import partial_trace
 
-        rho = initial_state("phi+", self.tlf, self.layout)
+        rho = initial_state("phi+", self.tlf, self.ops)
         probe = partial_trace(rho, (0, 1), self.layout)
         assert np.isclose(log_negativity(probe), 1.0, atol=1e-12)
 
@@ -365,7 +428,7 @@ class TestInitialState:
         assert np.allclose(total_z @ psi, 0.0, atol=1e-15)
 
     def test_unit_trace_hermitian_psd(self):
-        rho = initial_state("psi+", self.tlf, self.layout)
+        rho = initial_state("psi+", self.tlf, self.ops)
         assert np.isclose(np.trace(rho).real, 1.0, atol=1e-12)
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-12
@@ -373,6 +436,6 @@ class TestInitialState:
     def test_malformed_tlf_state_rejected(self):
         bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(ValueError):
-            initial_state("plus_plus", bad, self.layout)
+            initial_state("plus_plus", bad, self.ops)
         with pytest.raises(ConfigurationError):
             probe_state_vector("nope")

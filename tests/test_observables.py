@@ -76,7 +76,7 @@ class TestMagnetization:
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 1.0, dt=0.05, record={"M_x": ops.m_x},
                          marginal_keep=(0, 1), layout=ops.layout)
         m_x = kron(SIGMA_X, I2) + kron(I2, SIGMA_X)
@@ -222,7 +222,7 @@ class TestLowerBound:
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops.layout)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 20 * 2 * np.pi, dt=2 * np.pi / 50,
                          marginal_keep=(0, 1), layout=ops.layout)
         et = entanglement_trace(traj.t_grid, traj.marginals)

@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlfsim.cli import cli_main
-from tlfsim.model import ConfigurationError, ModelConfig
+from tlfsim.dynamics import LindbladGenerator, propagate, rk4_reference
+from tlfsim.linalg import pauli_string
+from tlfsim.model import (
+    PROBE_STATES,
+    ConfigurationError,
+    ModelConfig,
+    add_gate,
+    build_operators,
+    probe_state_vector,
+    tlf_ground_state,
+)
 from tlfsim.observables import SpectrumEstimate
 from tlfsim.scenarios import (
     KINDS,
@@ -24,6 +34,7 @@ from tlfsim.scenarios import (
     detect_peaks,
     load_scenario_file,
     run_scenario,
+    simulate,
 )
 
 SMALL_MODEL = {"n_tlf": 2, "ratio_eps": 3.0, "tan_theta_bar": 1.0 / 3.0, "seed": 5}
@@ -197,6 +208,23 @@ def test_shipped_hashes_are_pinned(path, capsys):
     lines = capsys.readouterr().out.splitlines()
     printed = [line.split(": ")[1] for line in lines if line.startswith("scenario_hash: ")]
     assert printed == SHIPPED_HASHES[path.stem]
+
+
+def test_integer_for_a_float_field_is_the_float(tmp_path, capsys):
+    # ratio_eps: 3 and 3.0 are one model: one resolved form and one hash, the one
+    # the float spelling has always had
+    printed = []
+    for spelling in ("3", "3.0"):
+        path = tmp_path / f"ratio_{spelling}.yaml"
+        path.write_text(
+            "schema_version: 1\nkind: gate\ngate: {kind: zz}\n"
+            f"model: {{n_tlf: 2, ratio_eps: {spelling}}}\n"
+        )
+        assert cli_main(["validate", str(path)]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert "scenario_hash: 19e79c7c942d7414" in printed[0]
+    assert type(load_scenario_file(tmp_path / "ratio_3.yaml")[0][1].model.ratio_eps) is float
 
 
 class TestPeakDetection:
@@ -493,6 +521,32 @@ class TestGate:
         assert 0.0 <= float(rows[1].split(",")[1]) <= 1e-15
         assert record.summary["gate_strength"] == 0.25
         assert "plateau" in record.summary
+
+
+@pytest.mark.parametrize("n_tlf", [1, 2, 3])
+@pytest.mark.parametrize("probe", PROBE_STATES)
+def test_xxyy_marginals_match_the_computational_basis(n_tlf, probe):
+    # The XX+YY gate runs with the probe pair in the singlet-triplet basis and its
+    # marginals are taken back to the computational basis. The oracle steps the same
+    # system in the computational basis, the Hamiltonian summed from the terms as
+    # plain Pauli strings: with the dense (one-sector) engine and with RK4.
+    cfg = ModelConfig(n_tlf=n_tlf, ratio_eps=1.0, mu_over_nu=1.0, seed=7)
+    t_end, dt = 2.0, 0.02
+    ens, traj = simulate(cfg, t_end, dt, probe=probe, gate="xxyy", g=0.3)
+    ops = add_gate(build_operators(ens, cfg), "xxyy", 0.3)
+    assert ops.basis == "singlet-triplet"
+    gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps)
+    psi = probe_state_vector(probe)
+    rho0 = np.kron(np.outer(psi, psi.conj()), tlf_ground_state(ens, cfg))
+    dense = propagate(gen, rho0, t_end, dt, marginal_keep=(0, 1), layout=ops.layout,
+                      method="dense")
+    rk4 = rk4_reference(gen, rho0, t_end, dt / 10, marginal_keep=(0, 1), layout=ops.layout,
+                        record_every=10)
+    assert np.max(np.abs(traj.marginals - dense.marginals)) < 1e-10
+    assert np.max(np.abs(traj.marginals - rk4.marginals)) < 1e-7
+    # the rotated route reads no merged sector: four of 2^n_tlf states each
+    assert traj.stats["sectors"] == 4
+    assert traj.stats["block_dim_max"] == 4**n_tlf
 
 
 def yaml_nu(manifest_path):
