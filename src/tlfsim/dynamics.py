@@ -8,17 +8,17 @@ test suite:
   once per (generator, step) and applied repeatedly. When H and every jump
   share a block structure, the state splits into sector pairs (row sector,
   column sector), each mapped into itself by the flow, and the exponential
-  is taken per pair of sector classes (sectors whose restricted H and jumps
-  agree). The model's systems take the probe pair in a basis in which each
-  probe state spans a sector under every gate (see :mod:`tlfsim.model`). Block Liouvillians are assembled from the effective Hamiltonians
-  G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a (c, c) pair is stepped in
-  real arithmetic in a Hermitian basis. :class:`_BlockStepper` holds the
-  state as its distinct block evolutions and records every observable as a
-  linear functional of them; the full state is assembled only for the
-  strided eigenvalue check, the final state and ``keep_states``.
+  is taken per live pair. The model's systems take the probe pair in a basis
+  in which each probe state spans a sector under every gate (see
+  :mod:`tlfsim.model`). Block Liouvillians are assembled from the effective
+  Hamiltonians G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a diagonal
+  (a, a) pair is stepped in real arithmetic in a Hermitian basis.
+  :class:`_BlockStepper` holds the state as its live pairs and records every
+  observable as a linear functional of them; the full state is assembled
+  only for the strided eigenvalue check, the final state and ``keep_states``.
   The loop runs in chunks of B grid points: one product of the stacked rows
   ``weights P^j`` (j < B) with the state records all B of them, trace
-  included, and one mat-vec per evolution with ``P^B`` reaches the next
+  included, and one mat-vec per pair with ``P^B`` reaches the next
   chunk start; a tail of fewer than B steps takes single steps. B comes from
   a cost rule (:func:`_chunk_size`), divides ``EIG_CHECK_STRIDE`` and is 1
   with ``keep_states``; with B = 1 the loop is one step per grid point.
@@ -40,10 +40,10 @@ of its full state each step.
 Positivity is never enforced, only checked every ``EIG_CHECK_STRIDE`` steps
 and at the end. ``Trajectory.stats`` carries these hygiene figures and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
-``pairs_stepped`` (unordered pairs), ``evolutions`` (the stepped state slices),
-``propagators`` built, ``propagators_real`` (those taken in the real basis),
-``block_dim_max`` (the largest block Liouvillian's dimension), ``chunk`` (B)
-and ``powers`` (the ``P^B`` formed, 0 when B = 1).
+``pairs_stepped`` (unordered pairs, each with the propagator built for it),
+``propagators_real`` (those taken in the real basis), ``block_dim_max`` (the
+largest block Liouvillian's dimension), ``chunk`` (B) and ``powers`` (the
+``P^B`` formed, 0 when B = 1).
 """
 
 from __future__ import annotations
@@ -180,21 +180,6 @@ def find_invariant_sectors(gen: LindbladGenerator) -> list[np.ndarray]:
     return [np.nonzero(reach[i])[0] for i in firsts]
 
 
-_CLASS_ULPS = 8  # identical sectors assembled in another term order differ by ~2 ulps
-
-
-def _same_dynamics(a: tuple, b: tuple) -> bool:
-    """Whether two sectors' restricted (H, jumps) agree to a few ulps of each block."""
-    (h_a, j_a), (h_b, j_b) = a, b
-    if h_a.shape != h_b.shape:
-        return False
-    for x, y in zip([h_a, *j_a], [h_b, *j_b]):
-        scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
-        if np.max(np.abs(x - y)) > _CLASS_ULPS * np.finfo(float).eps * scale:
-            return False
-    return True
-
-
 _REAL_BASIS_TOL = 1e-12  # largest |Im| of W^dagger L W, relative to its largest entry
 
 # W on one pair of entries: rows E_ij, E_ji (i < j) of vec, columns the coordinates
@@ -251,9 +236,9 @@ def _real_basis_generator(l: np.ndarray, n: int) -> np.ndarray:
 def _block_propagator(
     ops_r: tuple, ops_c: tuple, rates: np.ndarray, dt: float, self_adjoint: bool
 ) -> np.ndarray:
-    """exp(L dt) for the pair of sector classes with restricted (H, jumps) ``ops_r``, ``ops_c``.
+    """exp(L dt) for the pair of sectors with restricted (H, jumps) ``ops_r``, ``ops_c``.
 
-    A ``self_adjoint`` pair has the same operators on rows and columns, so
+    A ``self_adjoint`` pair has one sector on rows and columns, so
     its flow maps Hermitian blocks to Hermitian blocks and L is real in the
     Hermitian basis W. Its propagator is then the real exp(W^dagger L W dt),
     which acts on a block's coordinates W^dagger vec(X), not on vec(X).
@@ -272,100 +257,75 @@ def _block_propagator(
 
 
 class _BlockStepper:
-    """Holds the state as the distinct block evolutions that are live in ``rho0``.
+    """Holds the state as the sector pairs that are live in ``rho0``.
 
     A pair (a, b) is the block of rows in sector a and columns in sector b;
     the flow maps each pair into itself, so pairs that start exactly zero
-    stay zero and are never built or stepped. Sectors whose restricted H and
-    jumps agree share a class, and a pair's propagator depends only on its
-    pair of classes. Block (b, a) of the Hermitian state is block (a, b)^dagger
-    and Phi(X)^dagger = Phi(X^dagger), so each unordered pair is stepped once,
-    oriented so that its classes run (c1, c2) with c1 <= c2, and its mirror
-    is read as the conjugate. Pairs of one class pair whose initial blocks are
-    byte-identical share one evolution (under |++> every block is rho_tlf / 4).
+    stay zero and are never built or stepped. Block (b, a) of the Hermitian
+    state is block (a, b)^dagger and Phi(X)^dagger = Phi(X^dagger), so each
+    unordered pair is stepped once, as (a, b) with a <= b and with its own
+    propagator, and its mirror is read as the conjugate.
 
-    The state is one vector, the evolutions end to end, and a step is one
-    mat-vec per evolution on its slice. A (c, c) evolution is its coordinates
-    W^dagger vec(X) in the Hermitian basis, real for a Hermitian block, which
-    the real propagator then keeps exactly Hermitian (complex coordinates take
-    a second real mat-vec); any other is its F-order vec. Every recorded scalar
+    The state is one vector, the stepped pairs end to end, and a step is one
+    mat-vec per pair on its slice. A diagonal (a, a) pair is its coordinates
+    W^dagger vec(X) in the Hermitian basis, real for the Hermitian block of a
+    Hermitian state, which the real propagator then keeps exactly Hermitian;
+    any other is its F-order vec. Every recorded scalar
     is linear in the state, so it is one weight row on the vector plus one on
     its conjugate (:meth:`weights`).
 
     Chunked recording (:meth:`chunk`) moves the propagators onto the rows:
     row ``w P^j`` read on the state at grid point i is ``w`` read at i + j, so
     stacking the rows for j < B records B grid points with one product, and
-    the evolutions with ``P^B`` in place of ``P`` step from one chunk start to
-    the next. A real ``P`` has a real ``P^B``, so real coordinates stay real.
+    the pairs with ``P^B`` in place of ``P`` step from one chunk start to the
+    next. A real ``P`` has a real ``P^B``, so real coordinates stay real.
     """
 
     def __init__(
         self, gen: LindbladGenerator, dt: float, sectors: list[np.ndarray], rho0: np.ndarray
     ):
         self.dim = dim = gen.dim
-        restricted = [(gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]) for s in sectors]
-        reps: list[int] = []  # first sector of each class
-        classes: list[int] = []
-        for a, ops in enumerate(restricted):
-            for c, r in enumerate(reps):
-                if _same_dynamics(restricted[r], ops):
-                    classes.append(c)
-                    break
-            else:
-                classes.append(len(reps))
-                reps.append(a)
-
-        slices: dict[tuple, slice] = {}  # (c1, c2, initial coordinates) -> its evolution's
-        evolutions = []  # (class pair, slice of the state vector, complex (c, c) coordinates)
-        self.pairs = []  # (slice, flat indices, mirror, Hermitian pairs or None) per stepped pair
-        v0 = []
+        # (slice of the state vector, flat indices, mirror, Hermitian pairs or None)
+        # per stepped pair
+        self.pairs = []
+        stepped, v0, start = [], [], 0
         for a, b in zip(*np.triu_indices(len(sectors))):
-            if classes[a] > classes[b]:
-                a, b = b, a
-            rows, cols, c = sectors[a], sectors[b], (classes[a], classes[b])
+            rows, cols = sectors[a], sectors[b]
             flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
-            # a (c, c) pair is held as coordinates in the Hermitian basis, any other as the vec
-            pairs = _hermitian_pairs(len(rows)) if c[0] == c[1] else None
+            # an (a, a) pair is held as coordinates in the Hermitian basis, any other as the vec
+            pairs = _hermitian_pairs(len(rows)) if a == b else None
             block = _mix_pairs(rho0.reshape(-1)[flat], pairs, _W_PAIR.conj().T)
             if not np.any(block != 0):
                 continue
-            key = (*c, block.tobytes())
-            if key not in slices:
-                start = sum(map(len, v0))
-                slices[key] = slice(start, start + len(block))
-                evolutions.append((c, slices[key], pairs is not None and np.any(block.imag)))
-                v0.append(block)
-            sl = slices[key]
+            sl = slice(start, start + len(block))
+            start = sl.stop
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
             self.pairs.append((sl, flat, mirror, pairs))
+            stepped.append((a, b))
+            v0.append(block)
         self.v0 = np.concatenate(v0)
         # built after the pair loop: interleaved with its small allocations, the
         # exponentials' temporaries left about 1 MB more peak RSS at n_tlf=4
-        props = {
-            (c1, c2): _block_propagator(
-                restricted[reps[c1]], restricted[reps[c2]], gen.rates, dt, self_adjoint=c1 == c2
-            )
-            for c1, c2 in dict.fromkeys(c for c, _, _ in evolutions)
-        }
-        self.evolutions = [(props[c], sl, imag) for c, sl, imag in evolutions]
+        restricted = [(gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]) for s in sectors]
+        self.props = [
+            _block_propagator(restricted[a], restricted[b], gen.rates, dt, self_adjoint=a == b)
+            for a, b in stepped
+        ]
         self.stats = {
             "sectors": len(sectors),
             "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror, _ in self.pairs),
             "pairs_stepped": len(self.pairs),
-            "evolutions": len(self.evolutions),
-            "propagators": len(props),
-            "propagators_real": sum(c1 == c2 for c1, c2 in props),
-            "block_dim_max": max(prop.shape[0] for prop in props.values()),
+            "propagators_real": sum(mirror is None for _, _, mirror, _ in self.pairs),
+            "block_dim_max": max(prop.shape[0] for prop in self.props),
             "powers": 0,
         }
 
-    def step(self, v: np.ndarray, evolutions: list | None = None) -> np.ndarray:
-        """Apply each evolution's propagator (``evolutions`` may swap in its powers)."""
+    def step(self, v: np.ndarray, props: list | None = None) -> np.ndarray:
+        """Apply each pair's propagator (``props`` may swap in their powers)."""
         out = np.empty_like(v)
-        for prop, sl, imag in self.evolutions if evolutions is None else evolutions:
+        for prop, (sl, *_) in zip(self.props if props is None else props, self.pairs):
+            # real coordinates take the real propagator, never cast to complex
             np.matmul(prop, v[sl].real if np.isrealobj(prop) else v[sl], out=out[sl])
-            if imag:  # never cast a real propagator to complex
-                np.matmul(prop, v[sl].imag, out=out[sl].imag)
         return out
 
     def weights(self, f: np.ndarray) -> np.ndarray:
@@ -374,28 +334,27 @@ class _BlockStepper:
         f = f.reshape(len(f), self.dim * self.dim).astype(complex, copy=False)  # mixed in place
         w = np.zeros((2, len(f), len(self.v0)), dtype=complex)
         for sl, flat, mirror, pairs in self.pairs:
-            w[0][:, sl] += _mix_pairs(f[:, flat], pairs, _W_PAIR.T)
+            w[0][:, sl] = _mix_pairs(f[:, flat], pairs, _W_PAIR.T)
             if mirror is not None:
-                w[1][:, sl] += _mix_pairs(f[:, mirror].conj(), pairs, _W_PAIR.T)
+                w[1][:, sl] = _mix_pairs(f[:, mirror].conj(), pairs, _W_PAIR.T)
         return w.reshape(2 * len(f), len(self.v0))
 
     def chunk(self, weights: np.ndarray, b: int) -> tuple[np.ndarray, list]:
         """The rows ``R_j = weights P^j`` for ``j < b``, stacked as ``(b * len(weights), n)``,
-        and the evolutions with ``P^b`` in place of ``P``.
+        and the propagators' powers ``P^b``.
 
         ``R @ v`` then records the ``b`` grid points from ``v`` on, and one
-        :meth:`step` with the powered evolutions reaches the next chunk start.
-        ``P^b`` is formed once per distinct propagator, ``R_j`` by ``b - 1``
-        right products per evolution slice, a real ``P`` taking the rows'
-        real and imaginary parts as one real product.
+        :meth:`step` with the powers reaches the next chunk start. ``R_j`` takes
+        ``b - 1`` right products per pair, a real ``P`` taking the rows' real and
+        imaginary parts as one real product.
         """
         if b == 1:
-            return weights, self.evolutions
-        powers = {id(p): np.linalg.matrix_power(p, b) for p, _, _ in self.evolutions}
+            return weights, self.props
+        powers = [np.linalg.matrix_power(p, b) for p in self.props]
         rows = np.empty((b, *weights.shape), dtype=complex)
         rows[0] = weights
         m = len(weights)
-        for prop, sl, _ in self.evolutions:
+        for prop, (sl, *_) in zip(self.props, self.pairs):
             real = np.isrealobj(prop)
             x = weights[:, sl]
             if real:  # never cast a real propagator to complex
@@ -404,8 +363,7 @@ class _BlockStepper:
                 x = x @ prop
                 rows[j, :, sl] = x[:m] + 1j * x[m:] if real else x
         self.stats["powers"] = len(powers)
-        powered = [(powers[id(p)], sl, imag) for p, sl, imag in self.evolutions]
-        return rows.reshape(-1, weights.shape[1]), powered
+        return rows.reshape(-1, weights.shape[1]), powers
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
@@ -431,20 +389,16 @@ def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
 
     B divides ``EIG_CHECK_STRIDE``, so every eigenvalue check falls on a chunk
     start. Of those B, this takes the one with the least modelled work: the
-    powers ``P^B`` (squarings and products, per distinct propagator), the
-    ``B - 1`` right products of the ``n_rows`` recording rows per evolution,
-    and one mat-vec per evolution and one Python pass for each chunk and each
-    step of the tail. Candidates whose rows would pass ``_ROWS_BYTES`` are
-    left out.
+    powers ``P^B`` (squarings and products, per pair), the ``B - 1`` right
+    products of the ``n_rows`` recording rows per pair, and one mat-vec per
+    pair and one Python pass for each chunk and each step of the tail.
+    Candidates whose rows would pass ``_ROWS_BYTES`` are left out.
     """
-    evolutions = stepper.evolutions
-    props = {id(p): p for p, _, _ in evolutions}.values()
-    step = _PASS_COST + sum(
-        p.shape[0] ** 2 * (2 if imag or np.iscomplexobj(p) else 1) for p, _, imag in evolutions
-    )
+    props = stepper.props
+    step = _PASS_COST + sum(p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1) for p in props)
     square = sum(p.shape[0] ** 3 * (4 if np.iscomplexobj(p) else 1) for p in props) / _GEMM_GAIN
     rows = sum(2 * n_rows * p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1)
-               for p, _, _ in evolutions) / _ROWS_GAIN
+               for p in props) / _ROWS_GAIN
     n = len(stepper.v0)
 
     def cost(b: int) -> float:
@@ -621,7 +575,7 @@ def propagate(
 
     t_grid = dt * np.arange(n_steps + 1)
     b = 1 if keep_states else _chunk_size(stepper, len(weights), n_steps)
-    chunk_rows, powered = stepper.chunk(weights, b)
+    chunk_rows, powers = stepper.chunk(weights, b)
 
     def record(i: int, rows: np.ndarray, v: np.ndarray) -> None:
         """Record grid points i, i + 1, ... from the state v at i, one per block of rows."""
@@ -639,11 +593,11 @@ def propagate(
 
     # chunks of b grid points while a whole one fits, then single steps
     v, i = stepper.v0, 0
-    for rows, evolutions in ((chunk_rows, powered), (weights, stepper.evolutions)):
+    for rows, props in ((chunk_rows, powers), (weights, stepper.props)):
         span = len(rows) // len(weights)
         while i + span <= n_steps:
             record(i, rows, v)
-            v = stepper.step(v, evolutions)
+            v = stepper.step(v, props)
             i += span
     record(n_steps, weights, v)
     rho = stepper.assemble(v)

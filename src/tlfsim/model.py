@@ -14,16 +14,14 @@ state is the second basis vector. The charge operator of a TLF with mixing angle
 ``theta`` (tan(theta) = local field / bias) reads
 ``cos(theta) Z - sin(theta) X`` in its eigenbasis.
 
-The probe pair is held in a probe basis that follows from the gate
-(``GATE_TERMS``). It is the computational basis ``|00>, |01>, |10>, |11>``
-without a gate and under the ZZ gate. Under the XX+YY gate it is the
-singlet-triplet basis ``|00>, |T0>, |S>, |11>``, with ``|T0>, |S> = (|01> +-
-|10>)/sqrt(2)``. There the gate, the probe splitting and the probe-TLF coupling
-``(Z_A + Z_B) x_j`` are all diagonal on the probe pair, so the invariant sectors
-stay one probe state each; in the computational basis XX+YY would join ``|01>``
-and ``|10>`` into one sector of twice the size. :class:`SystemOperators` says
-which basis its operators and its initial states are in, and
-:func:`change_probe_basis` takes probe vectors and matrices between the two.
+Every system holds the probe pair in the singlet-triplet basis ``|00>, |T0>,
+|S>, |11>``, with ``|T0>, |S> = (|01> +- |10>)/sqrt(2)``. There the probe
+splitting, the probe-TLF coupling ``(Z_A + Z_B) x_j`` and both gates
+(``GATE_TERMS``) are diagonal on the probe pair, so each probe state spans its
+own invariant sector; in the computational basis the XX+YY gate would join
+``|01>`` and ``|10>`` into one sector of twice the size.
+:func:`change_probe_basis` takes probe vectors and matrices to and from the
+computational basis ``|00>, |01>, |10>, |11>``.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,9 +48,8 @@ GAMMA_PLUS_MODES = ("scaled-by-nbar", "sampled")
 
 PROBE_STATES = ("plus_plus", "phi+", "phi-", "psi+", "psi-")
 
-# two-qubit Pauli terms of each gate Hamiltonian on the probe pair, and the probe
-# basis in which the gated system is assembled
-GATE_TERMS = {"zz": (("ZZ",), "computational"), "xxyy": (("XX", "YY"), "singlet-triplet")}
+# two-qubit Pauli terms of each gate Hamiltonian, on the probe pair
+GATE_TERMS = {"zz": ("ZZ",), "xxyy": ("XX", "YY")}
 
 _SQRT_HALF = np.sqrt(0.5)
 
@@ -349,9 +346,8 @@ class SystemOperators:
     ``terms`` is the scaled Pauli-string decomposition of the Hamiltonian
     (site order: probe A, probe B, TLF 1..N); the dense matrix is assembled
     from it, and it doubles as machine-readable provenance. The matrices take
-    the probe pair in ``basis``, "computational" or "singlet-triplet", and the
-    fluctuators in their eigenbases; the jumps act on the fluctuators alone, so
-    they read the same in either probe basis.
+    the probe pair in the singlet-triplet basis and the fluctuators in their
+    eigenbases.
     """
 
     hamiltonian: np.ndarray
@@ -359,7 +355,6 @@ class SystemOperators:
     m_x: np.ndarray
     layout: SubsystemLayout
     terms: list  # (coefficient, pauli label) pairs
-    basis: str = "computational"
 
 
 def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, str]]:
@@ -417,15 +412,15 @@ def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
             if rate > 0.0:
                 jumps.append((float(rate), embed(op, site, layout)))
 
-    return _system(terms, jumps, layout, "computational")
+    return _system(terms, jumps, layout)
 
 
 def tlf_hamiltonian(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
     """Fluctuator-register Hamiltonian: the terms of :func:`hamiltonian_terms`
     that act on neither probe qubit (free terms plus ring coupling)."""
     terms = [(c, lab[2:]) for c, lab in hamiltonian_terms(ens, cfg) if lab[:2] == "II"]
-    # no probe pair: the computational basis takes each label as its Pauli string
-    return _sum_terms(terms, 2**ens.n_tlf, "computational")
+    dim = 2**ens.n_tlf
+    return _plus_terms(np.zeros((dim, dim), dtype=complex), terms, pauli_string)
 
 
 def tlf_ground_state(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
@@ -458,7 +453,7 @@ def probe_state_vector(kind: str) -> np.ndarray:
 
 def initial_state(probe: str, tlf: np.ndarray, ops: SystemOperators) -> np.ndarray:
     """Joint initial state of the system ``ops``: the chosen probe state, in the
-    probe basis of ``ops``, tensored with a TLF state."""
+    singlet-triplet basis, tensored with a TLF state."""
     n_tlf_dim = int(np.prod(ops.layout.dims[2:]))
     if tlf.shape != (n_tlf_dim, n_tlf_dim):
         raise ValueError(f"TLF state shape {tlf.shape} != register dim {n_tlf_dim}")
@@ -468,22 +463,20 @@ def initial_state(probe: str, tlf: np.ndarray, ops: SystemOperators) -> np.ndarr
         raise ValueError("TLF state is not unit trace")
     if np.min(np.linalg.eigvalsh(tlf)) < -1e-9:
         raise ValueError("TLF state is not positive semidefinite")
-    psi = change_probe_basis(probe_state_vector(probe), ops.basis, (0,))
+    psi = change_probe_basis(probe_state_vector(probe), (0,))
     probe_dm = np.outer(psi, psi.conj())
     return np.kron(probe_dm, tlf)
 
 
-def change_probe_basis(x: np.ndarray, basis: str, axes) -> np.ndarray:
-    """``x`` with each of its probe ``axes`` (of length 4) taken from the computational
-    basis to ``basis``, or back: each change is its own inverse.
+def change_probe_basis(x: np.ndarray, axes) -> np.ndarray:
+    """A copy of ``x`` with each of its probe ``axes`` (of length 4) taken from the
+    computational basis to the singlet-triplet basis, or back: the change is its
+    own inverse.
 
-    The singlet-triplet change maps entries 1 and 2 (``|01>``, ``|10>``) to
-    their sum and difference times sqrt(1/2). It is written out rather than
-    taken as a matrix product, so that equal entries leave an exact zero (the
-    ``|S>`` amplitude of ``|++>``). The computational basis returns ``x`` itself.
+    It maps entries 1 and 2 (``|01>``, ``|10>``) to their sum and difference
+    times sqrt(1/2). It is written out rather than taken as a matrix product,
+    so that equal entries leave an exact zero (the ``|S>`` amplitude of ``|++>``).
     """
-    if basis == "computational":
-        return x
     x = np.array(x, dtype=complex)
     for axis in axes:
         y = np.moveaxis(x, axis, 0)  # a view: the change is written into x
@@ -491,33 +484,27 @@ def change_probe_basis(x: np.ndarray, basis: str, axes) -> np.ndarray:
     return x
 
 
-def term_matrix(label: str, basis: str) -> np.ndarray:
+def term_matrix(label: str) -> np.ndarray:
     """The Pauli string ``label`` (probe A, probe B, TLF 1..N) with the probe pair
-    in ``basis``: the exact tables of ``_SINGLET_TRIPLET`` there, the Pauli
-    string itself in the computational basis."""
-    if basis == "computational":
-        return pauli_string(label)
+    in the singlet-triplet basis, from the exact tables of ``_SINGLET_TRIPLET``."""
     rest = label[2:]
     return np.kron(_SINGLET_TRIPLET[label[:2]], pauli_string(rest) if rest else 1)
 
 
-def _sum_terms(terms, dim: int, basis: str) -> np.ndarray:
-    """The sum of the scaled Pauli strings ``terms`` in ``basis``, added one at a time
-    in order."""
-    h = np.zeros((dim, dim), dtype=complex)
+def _plus_terms(h: np.ndarray, terms, matrix=term_matrix) -> np.ndarray:
+    """``h`` plus each scaled ``matrix(label)`` of ``terms``, added one at a time."""
     for coeff, lab in terms:
-        h = h + coeff * term_matrix(lab, basis)
+        h = h + coeff * matrix(lab)
     return h
 
 
-def _system(terms, jumps, layout: SubsystemLayout, basis: str) -> SystemOperators:
-    """The system of Hamiltonian ``terms`` and ``jumps`` with the probe pair in ``basis``."""
-    h = _sum_terms(terms, layout.total_dim, basis)
+def _system(terms, jumps, layout: SubsystemLayout) -> SystemOperators:
+    """The system of Hamiltonian ``terms`` and ``jumps``."""
+    h = _plus_terms(np.zeros((layout.total_dim, layout.total_dim), dtype=complex), terms)
     if not is_hermitian(h):
         raise RuntimeError("assembled Hamiltonian is not Hermitian")
     return SystemOperators(
-        hamiltonian=h, jumps=jumps, m_x=_m_x(layout, basis), layout=layout, terms=terms,
-        basis=basis,
+        hamiltonian=h, jumps=jumps, m_x=_m_x(layout), layout=layout, terms=terms
     )
 
 
@@ -527,25 +514,25 @@ def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
     return [(0.5, "ZI" + rest), (0.5, "IZ" + rest)]
 
 
-def _m_x(layout: SubsystemLayout, basis: str) -> np.ndarray:
-    """Transverse probe magnetization X_A + X_B on ``layout``, the probe pair in ``basis``."""
+def _m_x(layout: SubsystemLayout) -> np.ndarray:
+    """Transverse probe magnetization X_A + X_B on ``layout``."""
     rest = "I" * (layout.n_sites - 2)
     m = pauli_string("XI" + rest) + pauli_string("IX" + rest)
     d = layout.total_dim // 4
-    return change_probe_basis(m.reshape(4, d, 4, d), basis, (0, 2)).reshape(m.shape)
+    return change_probe_basis(m.reshape(4, d, 4, d), (0, 2)).reshape(m.shape)
 
 
 def probe_only_operators() -> SystemOperators:
     """Isolated two-qubit probe (no fluctuators)."""
-    return _system(_probe_terms(2), [], SubsystemLayout((2, 2)), "computational")
+    return _system(_probe_terms(2), [], SubsystemLayout((2, 2)))
 
 
 def add_gate(ops: SystemOperators, gate: str, gate_strength: float) -> SystemOperators:
-    """The system with a static two-qubit gate term added, reassembled from its
-    terms in the gate's probe basis (the initial state must then be built for it)."""
+    """Return a copy of the system with a static two-qubit gate term added."""
     if gate not in GATE_TERMS:
         raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
-    labels, basis = GATE_TERMS[gate]
     rest = "I" * (ops.layout.n_sites - 2)
-    terms = list(ops.terms) + [(gate_strength, lab + rest) for lab in labels]
-    return _system(terms, ops.jumps, ops.layout, basis)
+    terms = [(gate_strength, lab + rest) for lab in GATE_TERMS[gate]]
+    return replace(
+        ops, hamiltonian=_plus_terms(ops.hamiltonian, terms), terms=list(ops.terms) + terms
+    )

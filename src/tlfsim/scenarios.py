@@ -187,7 +187,7 @@ class Scenario:
                 raise ConfigurationError(f"unknown gate kind {self.gate.kind!r}")
             if self.gate.strength is not None and self.gate.strength <= 0:
                 raise ConfigurationError("gate strength must be positive")
-        # each sector holds one probe state (in its gate's probe basis) and all
+        # each sector holds one probe state (in the singlet-triplet basis) and all
         # 2^n_tlf fluctuator states; its block Liouvillian's dimension is that squared
         n_max = int(np.log2(MAX_BLOCK_DIM)) // 2
         if self.model.n_tlf > n_max:
@@ -421,7 +421,7 @@ def simulate(
     The fluctuators are sampled from ``cfg`` and start in their ground state,
     the probe in ``probe``. ``fluctuators=False`` runs the isolated probe
     instead and returns no ensemble. ``gate`` adds a static gate term of
-    strength ``g``, and the system is propagated in that gate's probe basis.
+    strength ``g``. The system is propagated in the singlet-triplet probe basis.
     The trajectory records ``M_x`` when ``magnetization`` is set and the probe
     marginals otherwise, taken back to the computational basis.
     """
@@ -440,7 +440,7 @@ def simulate(
     else:
         traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
         # log-negativity needs the product basis
-        traj.marginals = change_probe_basis(traj.marginals, ops.basis, (1, 2))
+        traj.marginals = change_probe_basis(traj.marginals, (1, 2))
     return ens, traj
 
 

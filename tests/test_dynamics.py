@@ -42,9 +42,11 @@ from tlfsim.model import (
     add_gate,
     build_operators,
     initial_state,
+    probe_state_vector,
     sample_ensemble,
     tlf_ground_state,
 )
+from test_model import SINGLET_TRIPLET, to_singlet_triplet
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
 EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -250,19 +252,23 @@ class TestBlockAssembly:
             _block_propagator(ops_r, ops_c, np.array([0.5]), 0.2, self_adjoint=True)
 
     @pytest.mark.parametrize("n_tlf", [1, 2])
-    def test_same_class_off_diagonal_pair(self, n_tlf):
-        # under psi+ the |01> and |10> sectors share a class, so the (|01>, |10>)
-        # pair is stepped by the real-basis propagator; feed it a non-Hermitian
-        # block, inside a Hermitian state as the stepper requires
+    def test_t0_s_pair_is_complex(self, n_tlf):
+        # the |T0> and |S> sectors carry the same restricted dynamics, but their pair
+        # is off-diagonal, so it is stepped by its own complex propagator; feed it a
+        # non-Hermitian block, inside a Hermitian state as the stepper requires
         gen, _ = probe_tlf_system(n_tlf, "psi+")
         dt = 0.05
         d = 2**n_tlf
+        t0, s = slice(d, 2 * d), slice(2 * d, 3 * d)
+        assert np.array_equal(gen.h[t0, t0], gen.h[s, s])
         rng = np.random.default_rng(52)
         x = np.zeros((gen.dim, gen.dim), dtype=complex)
-        x[d : 2 * d, 2 * d : 3 * d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        x[t0, s] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = x + x.conj().T
         stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), x)
-        assert stepper.stats["propagators"] == stepper.stats["propagators_real"] == 1
+        counters = [stepper.stats[k] for k in ("pairs_live", "pairs_stepped", "propagators_real")]
+        assert counters == [2, 1, 0]
+        assert np.iscomplexobj(stepper.props[0])
         jumps = list(zip(gen.rates, gen.jump_ops, gen.jump_ops))
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
         stepped = stepper.assemble(stepper.step(stepper.v0))
@@ -460,25 +466,25 @@ MODEL_VARIANTS = {
 
 def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, computational=False,
                      **model):
-    """(generator, initial state) of a probe-TLF system with the probe pair in its
-    gate's basis; ``computational`` takes it in the computational basis instead, the
-    Hamiltonian summed from the system's terms as plain Pauli strings."""
+    """(generator, initial state) of a probe-TLF system with the probe pair in the
+    singlet-triplet basis; ``computational`` takes it in the computational basis
+    instead, the Hamiltonian summed from the system's terms as plain Pauli strings
+    and the probe state from its computational vector."""
     cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant], **model)
     ens = sample_ensemble(cfg)
-    ops = ungated = build_operators(ens, cfg)
+    ops = build_operators(ens, cfg)
     if gate is not None:
         ops = add_gate(ops, gate, float(ens.nu))
+    tlf = tlf_ground_state(ens, cfg)
     if computational:
         h = sum(c * pauli_string(lab) for c, lab in ops.terms)
-        return LindbladGenerator(h=h, jumps=ops.jumps), initial_state(
-            state, tlf_ground_state(ens, cfg), ungated
-        )
-    rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops)
-    return LindbladGenerator.from_system(ops), rho0
+        psi = probe_state_vector(state)
+        return LindbladGenerator(h=h, jumps=ops.jumps), np.kron(np.outer(psi, psi.conj()), tlf)
+    return LindbladGenerator.from_system(ops), initial_state(state, tlf, ops)
 
 
 class TestBlockEngine:
-    """The live-pair, class-shared block engine against the dense propagator and RK4."""
+    """The live-pair block engine against the dense propagator and RK4."""
 
     @pytest.mark.parametrize(
         "n_tlf, state, gate, variant",
@@ -496,13 +502,13 @@ class TestBlockEngine:
         dense = propagate(gen, rho0, 5.0, dt=0.05, method="dense", keep_states=True)
         split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
-        assert (dense.stats["sectors"], dense.stats["propagators"]) == (1, 1)
-        # the recorded scalars come from weight rows on the evolutions, not from
+        assert (dense.stats["sectors"], dense.stats["pairs_stepped"]) == (1, 1)
+        # the recorded scalars come from weight rows on the stepped pairs, not from
         # states; check them against the dense states' full-state contractions
         # (M_y, with complex entries, checks the conjugation of the mirrored blocks)
         layout = SubsystemLayout((2,) * (2 + n_tlf))
         record = {
-            name: embed(op, 0, layout) + embed(op, 1, layout)
+            name: to_singlet_triplet(embed(op, 0, layout) + embed(op, 1, layout))
             for name, op in (("M_x", SIGMA_X), ("M_y", SIGMA_Y))
         }
         rec = propagate(gen, rho0, 5.0, dt=0.05, record=record, marginal_keep=(0, 1),
@@ -514,41 +520,40 @@ class TestBlockEngine:
         marginals_dense = np.array([partial_trace(r, (0, 1), layout) for r in dense.states])
         assert np.max(np.abs(rec.marginals - marginals_dense)) < 1e-10
 
-    # (pairs_stepped, evolutions, propagators_real, block_dim_max) of the counter
-    # cases below; each adjoint pair of off-diagonal blocks is stepped once, and
-    # under |++> pairs of one class pair share an evolution (every block is rho_tlf / 4)
-    STEPPED_EVOLUTIONS_REAL_AND_DIM = {
-        ("plus_plus", None): (10, 6, 3, 256),
-        ("phi+", None): (3, 3, 2, 256),
-        ("plus_plus", "xxyy"): (6, 6, 3, 256),
+    # (propagators_real, block_dim_max) of the counter cases below: diagonal pairs
+    # take the real basis, and 16-dim sectors give 256-dim blocks
+    REAL_AND_DIM = {
+        ("plus_plus", None): (3, 256),
+        ("plus_plus", "zz"): (3, 256),
+        ("phi+", None): (2, 256),
+        ("plus_plus", "xxyy"): (3, 256),
+        ("psi-", None): (1, 256),
     }
 
     @pytest.mark.parametrize(
-        "state, gate, sectors, pairs_live, propagators",
+        "state, gate, sectors, pairs_live, pairs_stepped",
         [
-            # |01> and |10> carry the same dynamics: 3 classes, 6 class pairs up to adjoints
-            ("plus_plus", None, 4, 16, 6),
+            # |++> leaves |S> empty: 9 live pairs of |00>, |T0>, |11>, each adjoint
+            # pair of off-diagonal blocks stepped once
+            ("plus_plus", None, 4, 9, 6),
+            ("plus_plus", "zz", 4, 9, 6),
             # only the |00>,|11> pairs are live
             ("phi+", None, 4, 4, 3),
-            # XX+YY in the singlet-triplet basis: |++> leaves |S> empty, and the
-            # three live sectors |00>, |T0>, |11> all differ
             ("plus_plus", "xxyy", 4, 9, 6),
+            # the singlet alone
+            ("psi-", None, 4, 1, 1),
         ],
     )
-    def test_engine_counters(self, state, gate, sectors, pairs_live, propagators):
+    def test_engine_counters(self, state, gate, sectors, pairs_live, pairs_stepped):
         gen, rho0 = probe_tlf_system(4, state, gate)
         traj = propagate(gen, rho0, 0.1, dt=0.05)
-        names = ("sectors", "pairs_live", "pairs_stepped", "evolutions", "propagators",
-                 "propagators_real", "block_dim_max")
+        names = ("sectors", "pairs_live", "pairs_stepped", "propagators_real", "block_dim_max")
         counters = {k: traj.stats[k] for k in names}
-        # diagonal class pairs take the real basis; 16-dim sectors give 256-dim blocks
-        stepped, evolutions, real, dim_max = self.STEPPED_EVOLUTIONS_REAL_AND_DIM[(state, gate)]
+        real, dim_max = self.REAL_AND_DIM[(state, gate)]
         assert counters == {
             "sectors": sectors,
             "pairs_live": pairs_live,
-            "pairs_stepped": stepped,
-            "evolutions": evolutions,
-            "propagators": propagators,
+            "pairs_stepped": pairs_stepped,
             "propagators_real": real,
             "block_dim_max": dim_max,
         }
@@ -567,8 +572,8 @@ class TestBlockEngine:
     @pytest.mark.parametrize("n_tlf", [1, 2])
     @pytest.mark.parametrize("gate", [None, "zz"])
     def test_distinct_blocks_are_not_merged(self, n_tlf, gate):
-        # a random entangled state: pairs of one class pair start from different
-        # blocks, so each stepped pair must be its own evolution
+        # a random full-rank state: all 16 pairs are live, and each of the 10
+        # unordered ones is stepped on its own, the 4 diagonal ones in the real basis
         gen, _ = probe_tlf_system(n_tlf, "plus_plus", gate)
         rng = np.random.default_rng(55)
         a = rng.normal(size=(gen.dim, gen.dim)) + 1j * rng.normal(size=(gen.dim, gen.dim))
@@ -576,15 +581,15 @@ class TestBlockEngine:
         rho0 /= np.trace(rho0).real
         dense = propagate(gen, rho0, 2.0, dt=0.05, method="dense", keep_states=True)
         split = propagate(gen, rho0, 2.0, dt=0.05, keep_states=True)
-        assert split.stats["evolutions"] == split.stats["pairs_stepped"]
-        assert split.stats["propagators"] < split.stats["pairs_stepped"]
+        counters = [split.stats[k] for k in ("pairs_live", "pairs_stepped", "propagators_real")]
+        assert counters == [16, 10, 4]
         assert np.max(np.abs(dense.states - split.states)) < 1e-10
 
     @pytest.mark.parametrize(
         "state, gate", [("plus_plus", None), ("phi+", None), ("plus_plus", "xxyy")]
     )
     def test_hermitian_by_construction_over_a_long_horizon(self, state, gate):
-        # nothing re-Hermitizes the state: the (c, c) blocks are stepped as real
+        # nothing re-Hermitizes the state: the (a, a) blocks are stepped as real
         # coordinates in the Hermitian basis, so 3000 steps leave no rounding there
         gen, rho0 = probe_tlf_system(2, state, gate)
         traj = propagate(gen, rho0, 150.0, dt=0.05, keep_states=True)
@@ -717,7 +722,7 @@ class TestChunkedRecording:
         gen, rho0 = probe_tlf_system(n_tlf, state, variant=variant)
         layout = SubsystemLayout((2,) * (2 + n_tlf))
         if what == "M_x":
-            m_x = embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout)
+            m_x = to_singlet_triplet(embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout))
             return propagate(gen, rho0, n_steps * dt, dt=dt, record={"M_x": m_x})
         return propagate(gen, rho0, n_steps * dt, dt=dt, marginal_keep=(0, 1), layout=layout)
 
@@ -725,7 +730,7 @@ class TestChunkedRecording:
     def assert_matches(got, ref, b):
         assert (got.stats["chunk"], ref.stats["chunk"]) == (b, 1)
         assert ref.stats["powers"] == 0
-        assert got.stats["powers"] == got.stats["propagators"]
+        assert got.stats["powers"] == got.stats["pairs_stepped"]
         for name, series in ref.expectations.items():
             assert np.max(np.abs(got.expectations[name] - series)) <= 1e-12
         if ref.marginals is not None:
@@ -787,10 +792,10 @@ class TestChunkedRecording:
         assert traj.stats["chunk"] > 1
 
     def test_rule_chunks_a_spectrum_point(self):
-        # the acceptance bank's spectrum point: 3999 steps of six 256-dim evolutions
+        # the acceptance bank's spectrum point: 3999 steps of six 256-dim pairs
         traj = self.run("plus_plus-n4", 3999)
         assert traj.stats["chunk"] > 1
-        assert traj.stats["powers"] == traj.stats["propagators"] == 6
+        assert traj.stats["powers"] == traj.stats["pairs_stepped"] == 6
 
     def test_keep_states_steps_one_point_at_a_time(self):
         gen, rho0 = probe_tlf_system(2, "plus_plus")
@@ -838,8 +843,9 @@ class TestStationaryBellStates:
 
         from tlfsim.observables import log_negativity
 
+        u = SINGLET_TRIPLET
         for marg in traj.marginals[:: len(traj.marginals) // 10]:
-            assert abs(log_negativity(marg) - 1.0) < 1e-8
+            assert abs(log_negativity(u @ marg @ u.T) - 1.0) < 1e-8  # the product basis
 
 
 class TestRk4:

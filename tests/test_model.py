@@ -28,7 +28,7 @@ from tlfsim.model import (
     tlf_ground_state,
     tlf_hamiltonian,
 )
-from tlfsim.dynamics import LindbladGenerator, propagate
+from tlfsim.dynamics import LindbladGenerator, find_invariant_sectors, propagate
 
 
 class FixedRng:
@@ -242,37 +242,36 @@ class TestBuildOperators:
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
-        sx_a = kron(SIGMA_X, np.eye(8, dtype=complex))
+        sx_a = to_singlet_triplet(kron(SIGMA_X, np.eye(8, dtype=complex)))
         traj = propagate(gen, rho0, t_end=4 * 2 * np.pi, dt=2 * np.pi / 200, record={"sx_a": sx_a})
         assert np.max(np.abs(traj.expectations["sx_a"] - np.cos(cfg.omega_p * traj.t_grid))) < 1e-8
 
 
 PAULI = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
-# columns: each probe basis's states in the computational basis
-PROBE_BASIS = {
-    "computational": np.eye(4),
-    "singlet-triplet": np.array(
-        [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]
-    ) * np.sqrt([1.0, 0.5, 0.5, 1.0]),
-}
+# columns: the singlet-triplet probe states |00>, |T0>, |S>, |11> in the computational basis
+SINGLET_TRIPLET = np.array(
+    [[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]
+) * np.sqrt([1.0, 0.5, 0.5, 1.0])
+
+
+def to_singlet_triplet(op):
+    """The computational-basis operator ``op`` (probe pair first) with its probe pair
+    taken to the singlet-triplet basis, as a dense product."""
+    u = kron(SINGLET_TRIPLET, np.eye(len(op) // 4))
+    return u.T @ op @ u
 
 
 @pytest.mark.parametrize("gate", sorted(GATE_TERMS))
 def test_gated_isolated_probe_against_kron(gate):
     s = 0.37
     ops = add_gate(probe_only_operators(), gate, s)
-    labels, basis = GATE_TERMS[gate]
     h = 0.5 * (kron(SIGMA_Z, I2) + kron(I2, SIGMA_Z))
-    for a, b in labels:
+    for a, b in GATE_TERMS[gate]:
         h = h + s * kron(PAULI[a], PAULI[b])
     m_x = kron(SIGMA_X, I2) + kron(I2, SIGMA_X)
-    u = PROBE_BASIS[basis]
-    assert ops.basis == basis
-    assert np.max(np.abs(ops.hamiltonian - u.T @ h @ u)) <= 1e-15
-    assert np.max(np.abs(ops.m_x - u.T @ m_x @ u)) <= 1e-15
-    if basis == "computational":
-        assert np.array_equal(ops.m_x, m_x)
+    assert np.max(np.abs(ops.hamiltonian - to_singlet_triplet(h))) <= 1e-15
+    assert np.max(np.abs(ops.m_x - to_singlet_triplet(m_x))) <= 1e-15
     assert ops.jumps == []
 
 
@@ -283,24 +282,27 @@ def test_singlet_triplet_paulis_are_exact(label):
     u = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
     scale = np.array([[1, 1, 1, 1], [1, 2, 2, 1], [1, 2, 2, 1], [1, 1, 1, 1]])
     p = kron(PAULI[label[0]], PAULI[label[1]])
-    assert np.array_equal(u.T @ p @ u, scale * term_matrix(label, "singlet-triplet"))
-    assert np.array_equal(term_matrix(label + "XZ", "singlet-triplet"),
-                          kron(term_matrix(label, "singlet-triplet"), kron(SIGMA_X, SIGMA_Z)))
+    assert np.array_equal(u.T @ p @ u, scale * term_matrix(label))
+    assert np.array_equal(term_matrix(label + "XZ"),
+                          kron(term_matrix(label), kron(SIGMA_X, SIGMA_Z)))
 
 
 @pytest.mark.parametrize("n_tlf", [1, 2, 4])
-@pytest.mark.parametrize("gate", [None, "zz"])
+@pytest.mark.parametrize("gate", [None, "zz", "xxyy"])
 def test_computational_hamiltonian_is_the_pauli_sum(n_tlf, gate):
-    # without a gate and under ZZ the probe pair stays in the computational basis,
-    # where the assembly is the plain sum of the scaled Pauli strings, bit for bit
+    # the plain sum of the scaled Pauli strings, taken to the singlet-triplet basis
+    # as a dense product, is the assembled Hamiltonian; and there the sparsity
+    # pattern alone, with no tolerance, splits off each probe state
     for seed in (1, 2, 3):
         cfg = ModelConfig(n_tlf=n_tlf, seed=seed, mu_over_nu=1.0)
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         if gate is not None:
             ops = add_gate(ops, gate, float(ens.nu))
-        assert ops.basis == "computational"
-        assert np.array_equal(ops.hamiltonian, sum(c * pauli_string(lab) for c, lab in ops.terms))
+        h_pauli = sum(c * pauli_string(lab) for c, lab in ops.terms)
+        assert np.max(np.abs(to_singlet_triplet(h_pauli) - ops.hamiltonian)) <= 1e-15
+        sectors = find_invariant_sectors(LindbladGenerator.from_system(ops))
+        assert [len(s) for s in sectors] == [2**n_tlf] * 4
 
 
 @pytest.mark.parametrize("state", PROBE_STATES)
@@ -310,11 +312,9 @@ def test_singlet_triplet_initial_state(state):
     cfg = ModelConfig(n_tlf=2, seed=17)
     ens = sample_ensemble(cfg)
     tlf = tlf_ground_state(ens, cfg)
-    ops = add_gate(build_operators(ens, cfg), "xxyy", 0.2)
-    rho = initial_state(state, tlf, ops).reshape(4, 4, 4, 4)
-    u = PROBE_BASIS["singlet-triplet"]
-    psi = probe_state_vector(state)
-    expected = np.kron(np.outer(u.T @ psi, (u.T @ psi).conj()), tlf).reshape(4, 4, 4, 4)
+    rho = initial_state(state, tlf, build_operators(ens, cfg)).reshape(4, 4, 4, 4)
+    psi = SINGLET_TRIPLET.T @ probe_state_vector(state)
+    expected = np.kron(np.outer(psi, psi.conj()), tlf).reshape(4, 4, 4, 4)
     assert np.max(np.abs(rho - expected)) <= 1e-15
     singlet = np.abs(rho[2]).max() + np.abs(rho[:, :, 2]).max()
     assert (singlet > 0) == (state == "psi-")
@@ -411,7 +411,7 @@ class TestInitialState:
         from tlfsim.linalg import embed, partial_trace
 
         for qubit in (0, 1):
-            sx = embed(SIGMA_X, qubit, self.layout)
+            sx = to_singlet_triplet(embed(SIGMA_X, qubit, self.layout))
             assert np.isclose(np.trace(sx @ rho).real, 1.0, atol=1e-12)
 
     def test_bell_marginal_maximally_entangled(self):
@@ -419,7 +419,8 @@ class TestInitialState:
         from tlfsim.linalg import partial_trace
 
         rho = initial_state("phi+", self.tlf, self.ops)
-        probe = partial_trace(rho, (0, 1), self.layout)
+        u = SINGLET_TRIPLET
+        probe = u @ partial_trace(rho, (0, 1), self.layout) @ u.T  # the product basis
         assert np.isclose(log_negativity(probe), 1.0, atol=1e-12)
 
     def test_singlet_annihilated_by_total_z(self):

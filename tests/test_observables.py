@@ -5,6 +5,7 @@ import pytest
 from numpy import kron
 
 from test_linalg import partial_transpose, trace_norm
+from test_model import SINGLET_TRIPLET, to_singlet_triplet
 from tlfsim.linalg import (
     I2,
     SIGMA_X,
@@ -31,6 +32,8 @@ from tlfsim.observables import (
 
 PHI_PLUS = probe_state_vector("phi+")
 PLUS_PLUS = probe_state_vector("plus_plus")
+# |++> with the probe pair in the singlet-triplet basis, as the model's systems take it
+PLUS_PLUS_ST = SINGLET_TRIPLET.T @ PLUS_PLUS
 
 
 def dm(psi):
@@ -52,7 +55,7 @@ class TestMagnetization:
     def test_plus_plus_is_two(self):
         ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
-        traj = propagate(gen, dm(PLUS_PLUS), 0.1, dt=0.1, record={"M_x": ops.m_x})
+        traj = propagate(gen, dm(PLUS_PLUS_ST), 0.1, dt=0.1, record={"M_x": ops.m_x})
         series = magnetization_series(traj)
         assert np.isclose(series.values[0], 2.0, atol=1e-12)
 
@@ -65,7 +68,7 @@ class TestMagnetization:
     def test_isolated_probe_precession(self):
         ops = probe_only_operators()
         gen = LindbladGenerator.from_system(ops)
-        traj = propagate(gen, dm(PLUS_PLUS), 4 * 2 * np.pi, dt=2 * np.pi / 100,
+        traj = propagate(gen, dm(PLUS_PLUS_ST), 4 * 2 * np.pi, dt=2 * np.pi / 100,
                          record={"M_x": ops.m_x})
         series = magnetization_series(traj)
         assert np.max(np.abs(series.values - 2 * np.cos(traj.t_grid))) < 1e-8
@@ -79,7 +82,7 @@ class TestMagnetization:
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 1.0, dt=0.05, record={"M_x": ops.m_x},
                          marginal_keep=(0, 1), layout=ops.layout)
-        m_x = kron(SIGMA_X, I2) + kron(I2, SIGMA_X)
+        m_x = to_singlet_triplet(kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
         from_marginal = np.einsum("ij,nji->n", m_x, traj.marginals).real
         assert np.allclose(magnetization_series(traj).values, from_marginal, atol=1e-12)
 
@@ -225,7 +228,8 @@ class TestLowerBound:
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 20 * 2 * np.pi, dt=2 * np.pi / 50,
                          marginal_keep=(0, 1), layout=ops.layout)
-        et = entanglement_trace(traj.t_grid, traj.marginals)
+        u = SINGLET_TRIPLET
+        et = entanglement_trace(traj.t_grid, u @ traj.marginals @ u.T)  # the product basis
         assert np.all(et.c2prime <= et.log_negativity + 1e-8)
 
 

@@ -374,10 +374,8 @@ class TestSpectrumSweep:
         # two fluctuators give 4-dim sectors; the isolated probe has 1-dim ones
         for label, dim_max in (("mu0.50", 16), ("control", 1)):
             cptp = manifest["summary"]["cptp"][label]
-            assert (cptp["sectors"], cptp["pairs_live"], cptp["propagators"]) == (4, 16, 6)
-            # from |++> every block is a quarter of the fluctuator state: of the 10
-            # stepped pairs, those of one class pair share an evolution
-            assert (cptp["pairs_stepped"], cptp["evolutions"]) == (10, 6)
+            # |++> leaves |S> empty: 9 live pairs, 6 stepped, 3 of them diagonal
+            assert (cptp["sectors"], cptp["pairs_live"], cptp["pairs_stepped"]) == (4, 9, 6)
             assert (cptp["propagators_real"], cptp["block_dim_max"]) == (3, dim_max)
 
     def test_manifest_reports_the_chunk(self, tmp_path):
@@ -388,7 +386,7 @@ class TestSpectrumSweep:
         for label in ("mu0.50", "control"):
             cptp = manifest["summary"]["cptp"][label]
             assert type(cptp["chunk"]) is int and 100 % cptp["chunk"] == 0 and cptp["chunk"] > 1
-            assert cptp["powers"] == cptp["propagators"] == 6
+            assert cptp["powers"] == cptp["pairs_stepped"] == 6
 
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
@@ -523,18 +521,17 @@ class TestGate:
         assert "plateau" in record.summary
 
 
-@pytest.mark.parametrize("n_tlf", [1, 2, 3])
-@pytest.mark.parametrize("probe", PROBE_STATES)
-def test_xxyy_marginals_match_the_computational_basis(n_tlf, probe):
-    # The XX+YY gate runs with the probe pair in the singlet-triplet basis and its
-    # marginals are taken back to the computational basis. The oracle steps the same
-    # system in the computational basis, the Hamiltonian summed from the terms as
-    # plain Pauli strings: with the dense (one-sector) engine and with RK4.
+def assert_marginals_match_the_computational_basis(gate, n_tlf, probe):
+    """The model runs with the probe pair in the singlet-triplet basis and takes its
+    marginals back to the computational basis. The oracle steps the same system in
+    the computational basis, the Hamiltonian summed from the terms as plain Pauli
+    strings: with the dense (one-sector) engine and with RK4."""
     cfg = ModelConfig(n_tlf=n_tlf, ratio_eps=1.0, mu_over_nu=1.0, seed=7)
     t_end, dt = 2.0, 0.02
-    ens, traj = simulate(cfg, t_end, dt, probe=probe, gate="xxyy", g=0.3)
-    ops = add_gate(build_operators(ens, cfg), "xxyy", 0.3)
-    assert ops.basis == "singlet-triplet"
+    ens, traj = simulate(cfg, t_end, dt, probe=probe, gate=gate, g=0.3)
+    ops = build_operators(ens, cfg)
+    if gate is not None:
+        ops = add_gate(ops, gate, 0.3)
     gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps)
     psi = probe_state_vector(probe)
     rho0 = np.kron(np.outer(psi, psi.conj()), tlf_ground_state(ens, cfg))
@@ -544,9 +541,22 @@ def test_xxyy_marginals_match_the_computational_basis(n_tlf, probe):
                         record_every=10)
     assert np.max(np.abs(traj.marginals - dense.marginals)) < 1e-10
     assert np.max(np.abs(traj.marginals - rk4.marginals)) < 1e-7
-    # the rotated route reads no merged sector: four of 2^n_tlf states each
+    # the rotated route steps one sector per probe state: four of 2^n_tlf states each
     assert traj.stats["sectors"] == 4
     assert traj.stats["block_dim_max"] == 4**n_tlf
+
+
+@pytest.mark.parametrize("n_tlf", [1, 2, 3])
+@pytest.mark.parametrize("probe", PROBE_STATES)
+def test_xxyy_marginals_match_the_computational_basis(n_tlf, probe):
+    assert_marginals_match_the_computational_basis("xxyy", n_tlf, probe)
+
+
+@pytest.mark.parametrize("n_tlf", [1, 2, 3])
+@pytest.mark.parametrize("probe", PROBE_STATES)
+@pytest.mark.parametrize("gate", [None, "zz"])
+def test_gate_free_and_zz_marginals_match_the_computational_basis(gate, n_tlf, probe):
+    assert_marginals_match_the_computational_basis(gate, n_tlf, probe)
 
 
 def yaml_nu(manifest_path):
