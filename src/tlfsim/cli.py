@@ -201,7 +201,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, FileNotFoundError, yaml.YAMLError) as exc:
+    except (ConfigurationError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except (PropagationError, GroundStateDegeneracyError) as exc:

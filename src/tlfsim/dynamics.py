@@ -42,8 +42,7 @@ and at the end. ``Trajectory.stats`` carries these hygiene figures and, from
 :func:`propagate`, the engine's counters: ``sectors``, ``pairs_live``,
 ``pairs_stepped`` (unordered pairs, each with the propagator built for it),
 ``propagators_real`` (those taken in the real basis), ``block_dim_max`` (the
-largest block Liouvillian's dimension), ``chunk`` (B) and ``powers`` (the
-``P^B`` formed, 0 when B = 1).
+largest block Liouvillian's dimension) and ``chunk`` (B).
 """
 
 from __future__ import annotations
@@ -271,8 +270,8 @@ class _BlockStepper:
     W^dagger vec(X) in the Hermitian basis, real for the Hermitian block of a
     Hermitian state, which the real propagator then keeps exactly Hermitian;
     any other is its F-order vec. Every recorded scalar
-    is linear in the state, so it is one weight row on the vector plus one on
-    its conjugate (:meth:`weights`).
+    is real and linear in the state, so it is Re(w v) for one weight row w
+    (:meth:`weights`).
 
     Chunked recording (:meth:`chunk`) moves the propagators onto the rows:
     row ``w P^j`` read on the state at grid point i is ``w`` read at i + j, so
@@ -317,7 +316,6 @@ class _BlockStepper:
             "pairs_stepped": len(self.pairs),
             "propagators_real": sum(mirror is None for _, _, mirror, _ in self.pairs),
             "block_dim_max": max(prop.shape[0] for prop in self.props),
-            "powers": 0,
         }
 
     def step(self, v: np.ndarray, props: list | None = None) -> np.ndarray:
@@ -329,15 +327,15 @@ class _BlockStepper:
         return out
 
     def weights(self, f: np.ndarray) -> np.ndarray:
-        """Rows ``(a; b)`` with sum_ij f[k, i, j] rho[i, j] = a[k] v + conj(b[k] v),
-        for a ``(k, dim, dim)`` stack ``f``; ``b`` reads the mirrored blocks."""
+        """Rows w with sum_ij f[k, i, j] rho[i, j] = Re(w[k] v), for a ``(k, dim, dim)`` stack
+        ``f`` with f[k, j, i] = conj(f[k, i, j]): a mirrored block and what ``f`` reads
+        there are the conjugates of the pair's, so the pair's row is 2 f."""
         f = f.reshape(len(f), self.dim * self.dim).astype(complex, copy=False)  # mixed in place
-        w = np.zeros((2, len(f), len(self.v0)), dtype=complex)
+        w = np.empty((len(f), len(self.v0)), dtype=complex)
         for sl, flat, mirror, pairs in self.pairs:
-            w[0][:, sl] = _mix_pairs(f[:, flat], pairs, _W_PAIR.T)
-            if mirror is not None:
-                w[1][:, sl] = _mix_pairs(f[:, mirror].conj(), pairs, _W_PAIR.T)
-        return w.reshape(2 * len(f), len(self.v0))
+            x = f[:, flat]
+            w[:, sl] = 2 * x if mirror is not None else _mix_pairs(x, pairs, _W_PAIR.T)
+        return w
 
     def chunk(self, weights: np.ndarray, b: int) -> tuple[np.ndarray, list]:
         """The rows ``R_j = weights P^j`` for ``j < b``, stacked as ``(b * len(weights), n)``,
@@ -345,24 +343,19 @@ class _BlockStepper:
 
         ``R @ v`` then records the ``b`` grid points from ``v`` on, and one
         :meth:`step` with the powers reaches the next chunk start. ``R_j`` takes
-        ``b - 1`` right products per pair, a real ``P`` taking the rows' real and
-        imaginary parts as one real product.
+        ``b - 1`` right products per pair. A real ``P`` acts on real coordinates,
+        which only the real part of a row reads, so its products are real.
         """
         if b == 1:
             return weights, self.props
         powers = [np.linalg.matrix_power(p, b) for p in self.props]
         rows = np.empty((b, *weights.shape), dtype=complex)
         rows[0] = weights
-        m = len(weights)
         for prop, (sl, *_) in zip(self.props, self.pairs):
-            real = np.isrealobj(prop)
-            x = weights[:, sl]
-            if real:  # never cast a real propagator to complex
-                x = np.concatenate([x.real, x.imag])
+            x = weights[:, sl].real if np.isrealobj(prop) else weights[:, sl]
             for j in range(1, b):
                 x = x @ prop
-                rows[j, :, sl] = x[:m] + 1j * x[m:] if real else x
-        self.stats["powers"] = len(powers)
+                rows[j, :, sl] = x
         return rows.reshape(-1, weights.shape[1]), powers
 
     def assemble(self, v: np.ndarray) -> np.ndarray:
@@ -379,7 +372,7 @@ class _BlockStepper:
 # multiply-adds run 7-15 times faster (8-13 on most points), as fast right after
 # the exponentials as later, since both run in the same BLAS.
 _GEMM_GAIN = 8
-_ROWS_GAIN = 2  # the same for a product of a few dozen rows
+_ROWS_GAIN = 2  # the same for a product of the 2 to 17 rows, one per recorded scalar
 _PASS_COST = 5e5  # the Python of one pass of the step loop (70-150 us)
 _ROWS_BYTES = 8 << 20  # the most the stacked recording rows may take
 
@@ -397,7 +390,7 @@ def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
     props = stepper.props
     step = _PASS_COST + sum(p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1) for p in props)
     square = sum(p.shape[0] ** 3 * (4 if np.iscomplexobj(p) else 1) for p in props) / _GEMM_GAIN
-    rows = sum(2 * n_rows * p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1)
+    rows = sum(n_rows * p.shape[0] ** 2 * (4 if np.iscomplexobj(p) else 1)
                for p in props) / _ROWS_GAIN
     n = len(stepper.v0)
 
@@ -447,8 +440,8 @@ def _grid_steps(t_end: float, dt: float) -> int:
 
 class _Recorder:
     """A run's recorded scalars, kept states and hygiene figures, and the aborts
-    that guard the figures. The recorded scalars are the expectation of each
-    ``record`` operator, then the marginal's entries in C order."""
+    that guard the figures. The recorded scalars are real: Re tr(O rho) for each
+    ``record`` operator O, then the marginal's coordinates W^dagger vec(m)."""
 
     def __init__(self, n_rec, record, marginal_keep, layout, keep_states, dim):
         self.record, self.keep, self.layout, self.dim = record or {}, marginal_keep, layout, dim
@@ -457,7 +450,8 @@ class _Recorder:
             if layout is None:
                 raise ValueError("marginal recording requires a layout")
             self.kd = int(np.prod([layout.dims[k] for k in marginal_keep]))
-        self.values = np.empty((n_rec, len(self.record) + self.kd**2), dtype=complex)
+        self.pairs = _hermitian_pairs(self.kd)
+        self.values = np.empty((n_rec, len(self.record) + self.kd**2))
         self.states = np.empty((n_rec, dim, dim), dtype=complex) if keep_states else None
         self.max_trace_drift, self.max_herm_dev = 0.0, 0.0
         self.min_eigenvalue, self.eig_checks = np.inf, 0
@@ -465,24 +459,27 @@ class _Recorder:
     def functionals(self) -> np.ndarray:
         """The recorded scalars as a ``(k, dim, dim)`` stack f, each sum_ij f[k, i, j] rho[i, j].
 
-        tr(O rho) is sum_ij O[j, i] rho[i, j]; marginal entry (x, y) is the
-        sum over the traced sites' index z of rho[(x, z), (y, z)].
+        Re tr(O rho) is sum_ij H[j, i] rho[i, j] for O's Hermitian part H; marginal
+        entry (x, y) is the sum over the traced sites' index z of rho[(x, z), (y, z)].
         """
-        f = [np.asarray(op, dtype=complex).T for op in self.record.values()]
+        f = [0.5 * (op + dag(op)).T.reshape(-1) for op in map(np.asarray, self.record.values())]
         if self.kd:
             keep = sorted(set(self.keep))
             order = keep + [s for s in range(self.layout.n_sites) if s not in keep]
             dim = self.layout.total_dim
             full = np.arange(dim).reshape(self.layout.dims).transpose(order).reshape(self.kd, -1)
-            one_hot = np.eye(dim)[full]  # (kept x, traced z, full index)
-            f += list(np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(-1, dim, dim))
+            one_hot = np.eye(dim, dtype=complex)[full]  # (kept x, traced z, full index)
+            entries = np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(self.kd**2, -1)
+            # W^dagger on the entries' axis; vec in C order is vec(m^T), m^T Hermitian too
+            f += list(_mix_pairs(entries.T, self.pairs, _W_PAIR.conj().T).T)
         return np.array(f, dtype=complex).reshape(-1, self.dim, self.dim)
 
     def take(self, i: int, rho: np.ndarray) -> None:
         """Record from the full state, for the RK4 oracle."""
-        values = [np.einsum("ij,ji->", op, rho) for op in self.record.values()]
+        values = [np.einsum("ij,ji->", op, rho).real for op in self.record.values()]
         if self.kd:
-            values += list(partial_trace(rho, self.keep, self.layout).reshape(-1))
+            marginal = partial_trace(rho, self.keep, self.layout).reshape(-1)
+            values += list(_mix_pairs(marginal, self.pairs, _W_PAIR.conj().T).real)
         self.values[i] = values
         if self.states is not None:
             self.states[i] = rho
@@ -520,12 +517,13 @@ class _Recorder:
 
     def trajectory(self, t_grid, step: float, final_state, stats: dict) -> Trajectory:
         n = len(self.record)
-        expect = {name: self.values[:, j].real.copy() for j, name in enumerate(self.record)}
+        expect = {name: self.values[:, j].copy() for j, name in enumerate(self.record)}
+        vec = _mix_pairs(self.values[:, n:].astype(complex), self.pairs, _W_PAIR)  # vec(m) = W c
         return Trajectory(
             t_grid=t_grid,
             step=step,
             expectations=expect,
-            marginals=self.values[:, n:].reshape(-1, self.kd, self.kd) if self.kd else None,
+            marginals=vec.reshape(-1, self.kd, self.kd) if self.kd else None,
             states=self.states,
             final_state=final_state,
             stats={
@@ -551,8 +549,8 @@ def propagate(
 ) -> Trajectory:
     """Propagate on the grid 0, dt, ..., t_end with a precomputed step map.
 
-    ``record`` maps names to Hermitian operators whose expectation values are
-    contracted on the fly; ``marginal_keep`` (with ``layout``) additionally
+    ``record`` maps names to operators O whose expectation values Re tr(O rho)
+    are contracted on the fly; ``marginal_keep`` (with ``layout``) additionally
     records the reduced state on the kept sites at every grid point. Full
     states are retained only on request (memory grows with the grid).
     ``method="sector"`` steps the invariant sector pairs; ``"dense"`` steps
@@ -571,7 +569,6 @@ def propagate(
     rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
     # the recorded scalars, then the trace
     weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
-    k = len(weights) // 2
 
     t_grid = dt * np.arange(n_steps + 1)
     b = 1 if keep_states else _chunk_size(stepper, len(weights), n_steps)
@@ -579,9 +576,8 @@ def propagate(
 
     def record(i: int, rows: np.ndarray, v: np.ndarray) -> None:
         """Record grid points i, i + 1, ... from the state v at i, one per block of rows."""
-        w = (rows @ v).reshape(-1, 2 * k)
-        w = w[:, :k] + w[:, k:].conj()
-        trace, t = w[:, -1].real, t_grid[i : i + len(w)]
+        w = (rows @ v).real.reshape(-1, len(weights))
+        trace, t = w[:, -1], t_grid[i : i + len(w)]
         if i % EIG_CHECK_STRIDE == 0:  # the order of one grid point at a time
             rec.audit(trace[:1], t[:1])
             rec.check_eigs(stepper.assemble(v), t[0])

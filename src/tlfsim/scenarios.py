@@ -696,7 +696,11 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
     for label, r in results.items():
         for key, value in r["summary"].items():
             summary.setdefault(key, {})[label] = value
-    summary["cptp"] = {label: r["stats"] for label, r in results.items()}
+    # plain Python scalars: the manifest's YAML cannot represent numpy's
+    summary["cptp"] = {
+        label: {k: v.item() if isinstance(v, np.generic) else v for k, v in r["stats"].items()}
+        for label, r in results.items()
+    }
     record = RunRecord(
         scenario_hash=scenario.hash(),
         seed=scenario.model.seed,

@@ -10,6 +10,7 @@ from numpy import kron
 from tlfsim.linalg import (
     I2,
     SIGMA_MINUS,
+    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -213,8 +214,8 @@ class TestBlockAssembly:
         f = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         rows = stepper.weights(f)
         flat = f.transpose(0, 2, 1).reshape(3, -1)  # f[k, i, j] at the vec position i + j n
-        assert np.max(np.abs(rows[:3] - flat @ w)) < 1e-14
-        assert not np.any(rows[3:])  # a diagonal pair has no mirror
+        assert rows.shape == (3, n * n)  # one row per functional
+        assert np.max(np.abs(rows - flat @ w)) < 1e-14
         c = rng.normal(size=n * n)
         assert np.max(np.abs(vec(stepper.assemble(c)) - w @ c)) < 1e-15
 
@@ -558,6 +559,8 @@ class TestBlockEngine:
             "block_dim_max": dim_max,
         }
         assert all(type(v) is int for v in counters.values())
+        hygiene = ("max_trace_drift", "max_herm_dev", "min_eigenvalue", "eig_checks")
+        assert set(traj.stats) == {*hygiene, *names, "chunk"}
 
     @pytest.mark.parametrize("n_tlf", [1, 2, 3])
     def test_xxyy_from_plus_plus_steps_probe_state_blocks(self, n_tlf):
@@ -729,8 +732,6 @@ class TestChunkedRecording:
     @staticmethod
     def assert_matches(got, ref, b):
         assert (got.stats["chunk"], ref.stats["chunk"]) == (b, 1)
-        assert ref.stats["powers"] == 0
-        assert got.stats["powers"] == got.stats["pairs_stepped"]
         for name, series in ref.expectations.items():
             assert np.max(np.abs(got.expectations[name] - series)) <= 1e-12
         if ref.marginals is not None:
@@ -740,7 +741,7 @@ class TestChunkedRecording:
         for key, value in ref.stats.items():
             if key in ("max_trace_drift", "min_eigenvalue"):
                 assert abs(got.stats[key] - value) <= 1e-12, key
-            elif key not in ("chunk", "powers"):
+            elif key != "chunk":
                 assert got.stats[key] == value, key
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -794,13 +795,13 @@ class TestChunkedRecording:
     def test_rule_chunks_a_spectrum_point(self):
         # the acceptance bank's spectrum point: 3999 steps of six 256-dim pairs
         traj = self.run("plus_plus-n4", 3999)
-        assert traj.stats["chunk"] > 1
-        assert traj.stats["powers"] == traj.stats["pairs_stepped"] == 6
+        assert traj.stats["chunk"] > 1 and 100 % traj.stats["chunk"] == 0
+        assert traj.stats["pairs_stepped"] == 6
 
     def test_keep_states_steps_one_point_at_a_time(self):
         gen, rho0 = probe_tlf_system(2, "plus_plus")
         traj = propagate(gen, rho0, 400 * 0.05, dt=0.05, keep_states=True)
-        assert (traj.stats["chunk"], traj.stats["powers"]) == (1, 0)
+        assert traj.stats["chunk"] == 1
 
     def test_large_blocks_take_shorter_chunks(self):
         # an XX+YY gate point at the benchmark's size, with the probe pair in the
@@ -815,6 +816,46 @@ class TestChunkedRecording:
         assert traj.stats["block_dim_max"] == 1024
         small = self.run("plus_plus-n2", 300)
         assert traj.stats["chunk"] < small.stats["chunk"] // 10
+
+
+def test_non_hermitian_record_operator_reads_the_real_part(monkeypatch):
+    # sigma+ on probe A: Re tr(O rho), read through O's Hermitian part, by the
+    # block engine in one step per point and in chunks, and by RK4
+    gen, rho0 = probe_tlf_system(2, "plus_plus")
+    layout = SubsystemLayout((2,) * 4)
+    op = to_singlet_triplet(embed(SIGMA_PLUS, 0, layout))
+    assert not np.allclose(op, op.conj().T)
+    dense = propagate(gen, rho0, 2.0, dt=0.02, method="dense", keep_states=True)
+    want = np.einsum("ij,nji->n", op, dense.states).real
+    assert np.max(np.abs(want)) > 0.1
+    for b in (1, 10):
+        force_chunk(monkeypatch, b)
+        traj = propagate(gen, rho0, 2.0, dt=0.02, record={"s+": op})
+        assert traj.stats["chunk"] == b
+        assert np.max(np.abs(traj.expectations["s+"] - want)) < 1e-12
+    rk4 = rk4_reference(gen, rho0, 2.0, dt=0.002, record={"s+": op}, record_every=10)
+    assert np.max(np.abs(rk4.expectations["s+"] - want)) < 1e-7
+
+
+@pytest.mark.parametrize("keep", [(0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
+def test_marginals_of_other_kept_sites(keep):
+    # one fluctuator: sites 0 and 1 hold the probe pair, 2 the fluctuator; each
+    # route's recorded marginals against the partial traces of the dense states
+    gen, rho0 = probe_tlf_system(1, "plus_plus", "xxyy")
+    layout = SubsystemLayout((2,) * 3)
+    dense = propagate(gen, rho0, 2.0, dt=0.02, method="dense", keep_states=True)
+    want = np.array([partial_trace(r, keep, layout) for r in dense.states])
+    kd = 2 ** len(keep)
+    for method in ("sector", "dense"):
+        traj = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=keep, layout=layout,
+                         method=method)
+        assert traj.marginals.shape == (101, kd, kd)
+        assert np.max(np.abs(traj.marginals - want)) < 1e-12
+    rk4 = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=keep, layout=layout,
+                        keep_states=True, record_every=10)
+    own = np.array([partial_trace(r, keep, layout) for r in rk4.states])
+    assert np.max(np.abs(rk4.marginals - own)) < 1e-14
+    assert np.max(np.abs(rk4.marginals - want)) < 1e-7
 
 
 def test_trace_drift_is_audited_not_repaired(monkeypatch):

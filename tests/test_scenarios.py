@@ -386,7 +386,7 @@ class TestSpectrumSweep:
         for label in ("mu0.50", "control"):
             cptp = manifest["summary"]["cptp"][label]
             assert type(cptp["chunk"]) is int and 100 % cptp["chunk"] == 0 and cptp["chunk"] > 1
-            assert cptp["powers"] == cptp["pairs_stepped"] == 6
+            assert cptp["pairs_stepped"] == 6
 
     def test_jsonl_format(self, tmp_path):
         sc = small_scenario("spectrum_sweep", sweep=[0.0], n_samples=64)
