@@ -14,14 +14,15 @@ test suite:
   Hamiltonians G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a diagonal
   (a, a) pair is stepped in real arithmetic in a Hermitian basis.
   :class:`_BlockStepper` holds the state as its live pairs and records every
-  observable as a linear functional of them; the full state is assembled
-  only for the strided eigenvalue check, the final state and ``keep_states``.
+  observable as a linear functional of them, a whole state as the marginal on
+  every site; the full state is assembled only for the strided eigenvalue
+  check and the final state.
   The loop runs in chunks of B grid points: one product of the stacked rows
   ``weights P^j`` (j < B) with the state records all B of them, trace
   included, and one mat-vec per pair with ``P^B`` reaches the next
   chunk start; a tail of fewer than B steps takes single steps. B comes from
-  a cost rule (:func:`_chunk_size`), divides ``EIG_CHECK_STRIDE`` and is 1
-  with ``keep_states``; with B = 1 the loop is one step per grid point.
+  a cost rule (:func:`_chunk_size`) and divides ``EIG_CHECK_STRIDE``; with
+  B = 1 the loop is one step per grid point.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
   one-sector route through the same engine and is its oracle. The engine runs
   on numpy alone: the sectors are a transitive closure of the operators'
@@ -47,6 +48,7 @@ largest block Liouvillian's dimension) and ``chunk`` (B).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import InitVar, dataclass, field
 
@@ -69,11 +71,14 @@ class LindbladGenerator:
     """Hamiltonian plus weighted jump operators on one Hilbert space.
 
     Built from ``(rate, operator)`` pairs, held as the rates ``(k,)`` and the
-    operators stacked as ``(k, dim, dim)``.
+    operators stacked as ``(k, dim, dim)``. ``layout`` splits the space into
+    the sites that recorded marginals keep; by default it is one site of size
+    ``dim``.
     """
 
     h: np.ndarray
     jumps: InitVar[list]  # (rate, operator) pairs
+    layout: SubsystemLayout | None = None
     rates: np.ndarray = field(init=False)
     jump_ops: np.ndarray = field(init=False)
 
@@ -83,6 +88,10 @@ class LindbladGenerator:
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
         dim = h.shape[0]
+        layout = SubsystemLayout((dim,)) if self.layout is None else self.layout
+        if layout.total_dim != dim:
+            raise ValueError(f"layout dim {layout.total_dim} != Hamiltonian dim {dim}")
+        object.__setattr__(self, "layout", layout)
         if not is_hermitian(h):
             raise ValueError("Hamiltonian is not Hermitian")
         rates = np.array([rate for rate, _ in jumps], dtype=float)
@@ -100,7 +109,7 @@ class LindbladGenerator:
 
     @classmethod
     def from_system(cls, ops) -> "LindbladGenerator":
-        return cls(h=ops.hamiltonian, jumps=ops.jumps)
+        return cls(h=ops.hamiltonian, jumps=ops.jumps, layout=ops.layout)
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the superoperator spectral norm."""
@@ -414,7 +423,6 @@ class Trajectory:
     step: float
     expectations: dict = field(default_factory=dict)
     marginals: np.ndarray | None = None
-    states: np.ndarray | None = None
     final_state: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
@@ -439,20 +447,15 @@ def _grid_steps(t_end: float, dt: float) -> int:
 
 
 class _Recorder:
-    """A run's recorded scalars, kept states and hygiene figures, and the aborts
-    that guard the figures. The recorded scalars are real: Re tr(O rho) for each
-    ``record`` operator O, then the marginal's coordinates W^dagger vec(m)."""
+    """A run's recorded scalars and hygiene figures, and the aborts that guard the
+    figures. The recorded scalars are real: Re tr(O rho) for each ``record``
+    operator O, then the marginal's coordinates W^dagger vec(m)."""
 
-    def __init__(self, n_rec, record, marginal_keep, layout, keep_states, dim):
-        self.record, self.keep, self.layout, self.dim = record or {}, marginal_keep, layout, dim
-        self.kd = 0
-        if marginal_keep is not None:
-            if layout is None:
-                raise ValueError("marginal recording requires a layout")
-            self.kd = int(np.prod([layout.dims[k] for k in marginal_keep]))
+    def __init__(self, n_rec, record, marginal_keep, layout: SubsystemLayout):
+        self.record, self.keep, self.layout = record or {}, marginal_keep, layout
+        self.kd = 0 if marginal_keep is None else math.prod(layout.dims[k] for k in marginal_keep)
         self.pairs = _hermitian_pairs(self.kd)
         self.values = np.empty((n_rec, len(self.record) + self.kd**2))
-        self.states = np.empty((n_rec, dim, dim), dtype=complex) if keep_states else None
         self.max_trace_drift, self.max_herm_dev = 0.0, 0.0
         self.min_eigenvalue, self.eig_checks = np.inf, 0
 
@@ -463,16 +466,16 @@ class _Recorder:
         entry (x, y) is the sum over the traced sites' index z of rho[(x, z), (y, z)].
         """
         f = [0.5 * (op + dag(op)).T.reshape(-1) for op in map(np.asarray, self.record.values())]
+        dim = self.layout.total_dim
         if self.kd:
             keep = sorted(set(self.keep))
             order = keep + [s for s in range(self.layout.n_sites) if s not in keep]
-            dim = self.layout.total_dim
             full = np.arange(dim).reshape(self.layout.dims).transpose(order).reshape(self.kd, -1)
             one_hot = np.eye(dim, dtype=complex)[full]  # (kept x, traced z, full index)
             entries = np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(self.kd**2, -1)
             # W^dagger on the entries' axis; vec in C order is vec(m^T), m^T Hermitian too
             f += list(_mix_pairs(entries.T, self.pairs, _W_PAIR.conj().T).T)
-        return np.array(f, dtype=complex).reshape(-1, self.dim, self.dim)
+        return np.array(f, dtype=complex).reshape(-1, dim, dim)
 
     def take(self, i: int, rho: np.ndarray) -> None:
         """Record from the full state, for the RK4 oracle."""
@@ -481,8 +484,6 @@ class _Recorder:
             marginal = partial_trace(rho, self.keep, self.layout).reshape(-1)
             values += list(_mix_pairs(marginal, self.pairs, _W_PAIR.conj().T).real)
         self.values[i] = values
-        if self.states is not None:
-            self.states[i] = rho
 
     def audit_hermiticity(self, herm_dev: float, t: float) -> None:
         """Record a step's Hermiticity deviation; abort past its tolerance (RK4 only:
@@ -524,7 +525,6 @@ class _Recorder:
             step=step,
             expectations=expect,
             marginals=vec.reshape(-1, self.kd, self.kd) if self.kd else None,
-            states=self.states,
             final_state=final_state,
             stats={
                 "max_trace_drift": self.max_trace_drift,
@@ -543,16 +543,14 @@ def propagate(
     dt: float,
     record: dict | None = None,
     marginal_keep=None,
-    layout: SubsystemLayout | None = None,
-    keep_states: bool = False,
     method: str = "sector",
 ) -> Trajectory:
     """Propagate on the grid 0, dt, ..., t_end with a precomputed step map.
 
     ``record`` maps names to operators O whose expectation values Re tr(O rho)
-    are contracted on the fly; ``marginal_keep`` (with ``layout``) additionally
-    records the reduced state on the kept sites at every grid point. Full
-    states are retained only on request (memory grows with the grid).
+    are contracted on the fly; ``marginal_keep`` additionally records the
+    reduced state on the kept sites of ``gen.layout`` at every grid point.
+    Keeping every site records the whole state (memory grows with the grid).
     ``method="sector"`` steps the invariant sector pairs; ``"dense"`` steps
     the whole state as one sector, the oracle of the sector route. The grid
     is recorded in chunks of ``stats["chunk"]`` points (see the module
@@ -566,12 +564,12 @@ def propagate(
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
     with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
         stepper = _BlockStepper(gen, dt, sectors, rho)
-    rec = _Recorder(n_steps + 1, record, marginal_keep, layout, keep_states, gen.dim)
+    rec = _Recorder(n_steps + 1, record, marginal_keep, gen.layout)
     # the recorded scalars, then the trace
     weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
 
     t_grid = dt * np.arange(n_steps + 1)
-    b = 1 if keep_states else _chunk_size(stepper, len(weights), n_steps)
+    b = _chunk_size(stepper, len(weights), n_steps)
     chunk_rows, powers = stepper.chunk(weights, b)
 
     def record(i: int, rows: np.ndarray, v: np.ndarray) -> None:
@@ -584,8 +582,6 @@ def propagate(
             trace, t = trace[1:], t[1:]
         rec.audit(trace, t)  # Hermitian by construction: only the trace is audited
         rec.values[i : i + len(w)] = w[:, :-1]
-        if keep_states:  # b is 1: one grid point
-            rec.states[i] = stepper.assemble(v)
 
     # chunks of b grid points while a whole one fits, then single steps
     v, i = stepper.v0, 0
@@ -608,8 +604,6 @@ def rk4_reference(
     dt: float,
     record: dict | None = None,
     marginal_keep=None,
-    layout: SubsystemLayout | None = None,
-    keep_states: bool = False,
     record_every: int = 1,
 ) -> Trajectory:
     """Fixed-step RK4 integration of the operator-form equation of motion.
@@ -638,7 +632,7 @@ def rk4_reference(
         return g @ r + r @ g_dag + (jumps @ r @ jumps_dag).sum(axis=0)
 
     n_rec = n_steps // record_every + 1
-    rec = _Recorder(n_rec, record, marginal_keep, layout, keep_states, gen.dim)
+    rec = _Recorder(n_rec, record, marginal_keep, gen.layout)
     t_grid = (dt * record_every) * np.arange(n_rec)
     rec.take(0, rho)
     rec.check_eigs(rho, 0.0)

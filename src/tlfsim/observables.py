@@ -192,9 +192,7 @@ def entanglement_lifetime(trace: EntanglementTrace, epsilon: float) -> float | N
     below = np.nonzero(e < level)[0]
     if below.size == 0:
         return None
-    i = int(below[0])
-    if i == 0:
-        return float(t[0])
+    i = int(below[0])  # >= 1: e[0] < epsilon * e[0] fails for 0 < epsilon <= 1
     frac = (e[i - 1] - level) / (e[i - 1] - e[i])
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 

@@ -438,7 +438,7 @@ def simulate(
     if magnetization:
         traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
     else:
-        traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1), layout=ops.layout)
+        traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1))
         # log-negativity needs the product basis
         traj.marginals = change_probe_basis(traj.marginals, (1, 2))
     return ens, traj

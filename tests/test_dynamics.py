@@ -58,6 +58,11 @@ def vec(m):
     return np.asarray(m).reshape(-1, order="F")
 
 
+def every_site(gen):
+    """The ``marginal_keep`` that records the whole state: the marginal on every site."""
+    return tuple(range(gen.layout.n_sites))
+
+
 def damping_generator(rate=1.0):
     return LindbladGenerator(h=np.zeros((2, 2)), jumps=[(rate, SIGMA_MINUS)])
 
@@ -125,6 +130,10 @@ class TestGenerator:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             LindbladGenerator(h=np.zeros((2, 2)), jumps=[(0.1, np.zeros((3, 3)))])
+        with pytest.raises(ValueError, match="must be square"):
+            LindbladGenerator(h=np.zeros((2, 3)), jumps=[])
+        with pytest.raises(ValueError, match="layout dim 8 != Hamiltonian dim 4"):
+            LindbladGenerator(h=np.zeros((4, 4)), jumps=[], layout=SubsystemLayout((2, 2, 2)))
 
 
 class TestLiouvillian:
@@ -147,8 +156,9 @@ class TestLiouvillian:
     def test_pure_dephasing_analytic(self):
         rate = 0.4
         gen = LindbladGenerator(h=np.zeros((2, 2)), jumps=[(rate, SIGMA_Z)])
-        traj = propagate(gen, np.outer(PLUS, PLUS.conj()), 5.0, dt=0.01, keep_states=True)
-        coh = traj.states[:, 0, 1]
+        traj = propagate(gen, np.outer(PLUS, PLUS.conj()), 5.0, dt=0.01,
+                         marginal_keep=every_site(gen))
+        coh = traj.marginals[:, 0, 1]
         assert np.max(np.abs(coh - 0.5 * np.exp(-2 * rate * traj.t_grid))) < 1e-8
 
 
@@ -315,25 +325,31 @@ class TestPropagate:
         gen = random_two_qubit_generator(2)
         gen = LindbladGenerator(h=gen.h, jumps=[])
         psi = np.kron(PLUS, PLUS)
-        traj = propagate(gen, np.outer(psi, psi.conj()), 2.0, dt=0.01, keep_states=True)
-        purity = np.einsum("nij,nji->n", traj.states, traj.states).real
+        traj = propagate(gen, np.outer(psi, psi.conj()), 2.0, dt=0.01,
+                         marginal_keep=every_site(gen))
+        purity = np.einsum("nij,nji->n", traj.marginals, traj.marginals).real
         assert np.max(np.abs(purity - 1.0)) < 1e-8
 
     def test_maximally_mixed_stationary(self):
         gen = LindbladGenerator(h=0.7 * SIGMA_X + 0.2 * SIGMA_Z, jumps=[])
         rho0 = np.eye(2, dtype=complex) / 2
-        traj = propagate(gen, rho0, 3.0, dt=0.01, keep_states=True)
-        assert np.max(np.abs(traj.states - rho0)) < 1e-12
+        traj = propagate(gen, rho0, 3.0, dt=0.01, marginal_keep=every_site(gen))
+        assert np.max(np.abs(traj.marginals - rho0)) < 1e-12
 
     def test_grid_must_divide(self):
         gen = damping_generator()
         with pytest.raises(ValueError):
             propagate(gen, EXCITED, 1.0, dt=0.3)
+        for t_end, dt in ((0.0, 0.1), (1.0, -0.1)):
+            with pytest.raises(ValueError, match="must be positive"):
+                propagate(gen, EXCITED, t_end, dt=dt)
 
     def test_invalid_initial_state(self):
         gen = damping_generator()
         with pytest.raises(ValueError):
             propagate(gen, 2 * EXCITED, 1.0, dt=0.1)
+        with pytest.raises(ValueError, match="initial state shape"):
+            propagate(gen, np.eye(4) / 4, 1.0, dt=0.1)
 
     def test_semigroup_of_runs(self):
         gen = random_two_qubit_generator(3)
@@ -348,8 +364,9 @@ class TestPropagate:
         gen = random_two_qubit_generator(4)
         rho0 = np.eye(4, dtype=complex) / 4
         obs = kron(SIGMA_X, SIGMA_X)
-        traj = propagate(gen, rho0, 1.0, dt=0.02, record={"xx": obs}, keep_states=True)
-        direct = np.einsum("ij,nji->n", obs, traj.states).real
+        traj = propagate(gen, rho0, 1.0, dt=0.02, record={"xx": obs},
+                         marginal_keep=every_site(gen))
+        direct = np.einsum("ij,nji->n", obs, traj.marginals).real
         assert np.allclose(traj.expectations["xx"], direct, atol=1e-12)
 
     def test_near_hermitian_initial_state(self):
@@ -359,9 +376,9 @@ class TestPropagate:
         rng = np.random.default_rng(54)
         a = rng.normal(size=rho0.shape) + 1j * rng.normal(size=rho0.shape)
         noisy = rho0 + 1e-10 * (a - a.conj().T) / 2
-        clean = propagate(gen, rho0, 2.0, dt=0.05, keep_states=True)
-        traj = propagate(gen, noisy, 2.0, dt=0.05, keep_states=True)
-        assert np.max(np.abs(traj.states - clean.states)) < 1e-14
+        clean = propagate(gen, rho0, 2.0, dt=0.05, marginal_keep=every_site(gen))
+        traj = propagate(gen, noisy, 2.0, dt=0.05, marginal_keep=every_site(gen))
+        assert np.max(np.abs(traj.marginals - clean.marginals)) < 1e-14
 
     def test_cptp_stats_clean(self, monkeypatch):
         monkeypatch.setattr(dynamics, "EIG_CHECK_STRIDE", 50)
@@ -404,9 +421,9 @@ class TestSectors:
     def test_sector_matches_dense(self):
         gen, rho0, _ = self.make_system()
         t_end, dt = 10.0, 0.05
-        dense = propagate(gen, rho0, t_end, dt=dt, method="dense", keep_states=True)
-        split = propagate(gen, rho0, t_end, dt=dt, method="sector", keep_states=True)
-        assert np.max(np.abs(dense.states - split.states)) < 1e-10
+        dense = propagate(gen, rho0, t_end, dt=dt, marginal_keep=every_site(gen), method="dense")
+        split = propagate(gen, rho0, t_end, dt=dt, marginal_keep=every_site(gen), method="sector")
+        assert np.max(np.abs(dense.marginals - split.marginals)) < 1e-10
 
     @pytest.mark.parametrize("n_tlf", [1, 2, 3, 4, 5])
     def test_xxyy_sectors_are_the_probe_states(self, n_tlf):
@@ -431,9 +448,9 @@ class TestSectors:
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), noisy)
         sectors = find_invariant_sectors(gen)
         assert sorted(len(s) for s in sectors) == [4, 4, 4, 4]
-        dense = propagate(gen, rho0, 5.0, dt=0.05, method="dense", keep_states=True)
-        split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
-        assert np.max(np.abs(dense.states - split.states)) < 1e-10
+        dense = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen), method="dense")
+        split = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen), method="sector")
+        assert np.max(np.abs(dense.marginals - split.marginals)) < 1e-10
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sectors_match_connected_components_on_random_patterns(self, seed):
@@ -480,7 +497,8 @@ def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, computat
     if computational:
         h = sum(c * pauli_string(lab) for c, lab in ops.terms)
         psi = probe_state_vector(state)
-        return LindbladGenerator(h=h, jumps=ops.jumps), np.kron(np.outer(psi, psi.conj()), tlf)
+        gen = LindbladGenerator(h=h, jumps=ops.jumps, layout=ops.layout)
+        return gen, np.kron(np.outer(psi, psi.conj()), tlf)
     return LindbladGenerator.from_system(ops), initial_state(state, tlf, ops)
 
 
@@ -500,9 +518,9 @@ class TestBlockEngine:
     )
     def test_sector_matches_dense(self, n_tlf, state, gate, variant):
         gen, rho0 = probe_tlf_system(n_tlf, state, gate, variant)
-        dense = propagate(gen, rho0, 5.0, dt=0.05, method="dense", keep_states=True)
-        split = propagate(gen, rho0, 5.0, dt=0.05, method="sector", keep_states=True)
-        assert np.max(np.abs(dense.states - split.states)) < 1e-10
+        dense = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen), method="dense")
+        split = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen), method="sector")
+        assert np.max(np.abs(dense.marginals - split.marginals)) < 1e-10
         assert (dense.stats["sectors"], dense.stats["pairs_stepped"]) == (1, 1)
         # the recorded scalars come from weight rows on the stepped pairs, not from
         # states; check them against the dense states' full-state contractions
@@ -512,13 +530,11 @@ class TestBlockEngine:
             name: to_singlet_triplet(embed(op, 0, layout) + embed(op, 1, layout))
             for name, op in (("M_x", SIGMA_X), ("M_y", SIGMA_Y))
         }
-        rec = propagate(gen, rho0, 5.0, dt=0.05, record=record, marginal_keep=(0, 1),
-                        layout=layout)
-        assert rec.states is None
+        rec = propagate(gen, rho0, 5.0, dt=0.05, record=record, marginal_keep=(0, 1))
         for name, op in record.items():
-            direct = np.einsum("ij,nji->n", op, dense.states).real
+            direct = np.einsum("ij,nji->n", op, dense.marginals).real
             assert np.max(np.abs(rec.expectations[name] - direct)) < 1e-10
-        marginals_dense = np.array([partial_trace(r, (0, 1), layout) for r in dense.states])
+        marginals_dense = np.array([partial_trace(r, (0, 1), layout) for r in dense.marginals])
         assert np.max(np.abs(rec.marginals - marginals_dense)) < 1e-10
 
     # (propagators_real, block_dim_max) of the counter cases below: diagonal pairs
@@ -582,11 +598,11 @@ class TestBlockEngine:
         a = rng.normal(size=(gen.dim, gen.dim)) + 1j * rng.normal(size=(gen.dim, gen.dim))
         rho0 = a @ a.conj().T
         rho0 /= np.trace(rho0).real
-        dense = propagate(gen, rho0, 2.0, dt=0.05, method="dense", keep_states=True)
-        split = propagate(gen, rho0, 2.0, dt=0.05, keep_states=True)
+        dense = propagate(gen, rho0, 2.0, dt=0.05, marginal_keep=every_site(gen), method="dense")
+        split = propagate(gen, rho0, 2.0, dt=0.05, marginal_keep=every_site(gen))
         counters = [split.stats[k] for k in ("pairs_live", "pairs_stepped", "propagators_real")]
         assert counters == [16, 10, 4]
-        assert np.max(np.abs(dense.states - split.states)) < 1e-10
+        assert np.max(np.abs(dense.marginals - split.marginals)) < 1e-10
 
     @pytest.mark.parametrize(
         "state, gate", [("plus_plus", None), ("phi+", None), ("plus_plus", "xxyy")]
@@ -594,11 +610,10 @@ class TestBlockEngine:
     def test_hermitian_by_construction_over_a_long_horizon(self, state, gate):
         # nothing re-Hermitizes the state: the (a, a) blocks are stepped as real
         # coordinates in the Hermitian basis, so 3000 steps leave no rounding there
+        # (the final state is assembled from those coordinates)
         gen, rho0 = probe_tlf_system(2, state, gate)
-        traj = propagate(gen, rho0, 150.0, dt=0.05, keep_states=True)
-        assert len(traj.states) == 3001
-        for s in [*traj.states, traj.final_state]:
-            assert np.array_equal(s, s.conj().T)
+        traj = propagate(gen, rho0, 150.0, dt=0.05)
+        assert np.array_equal(traj.final_state, traj.final_state.conj().T)
         assert traj.stats["max_herm_dev"] == 0.0
 
     @given(
@@ -610,10 +625,12 @@ class TestBlockEngine:
     )
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
     def test_matches_rk4(self, n_tlf, state, gate, variant, seed):
+        # the whole state, recorded in chunks of grid points by the block engine
         gen, rho0 = probe_tlf_system(n_tlf, state, gate, variant, seed)
-        a = propagate(gen, rho0, 2.0, dt=0.02, keep_states=True)
-        b = rk4_reference(gen, rho0, 2.0, dt=0.002, keep_states=True, record_every=10)
-        assert np.max(np.abs(a.states - b.states)) < 1e-7
+        a = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=every_site(gen))
+        b = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=every_site(gen), record_every=10)
+        assert a.stats["chunk"] > 1
+        assert np.max(np.abs(a.marginals - b.marginals)) < 1e-7
 
     @given(
         n_tlf=st.sampled_from([1, 2]),
@@ -627,11 +644,12 @@ class TestBlockEngine:
         gen, rho0 = probe_tlf_system(
             n_tlf, state, gate, seed=seed, nbar=nbar, gamma_plus_mode="sampled"
         )
-        traj = propagate(gen, rho0, 5.0, dt=0.05, keep_states=True)
-        for s in traj.states:
+        traj = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen))
+        for s in traj.marginals:
             assert abs(np.trace(s) - 1.0) <= 1e-12
-            assert np.array_equal(s, s.conj().T)
             assert np.min(np.linalg.eigvalsh(s)) >= -1e-10
+        assert np.array_equal(traj.final_state, traj.final_state.conj().T)
+        assert traj.stats["max_herm_dev"] == 0.0
 
 
 # each breaks the step propagators one way: (propagator fault, abort message)
@@ -660,7 +678,7 @@ def test_fault_trips_its_abort(fault, monkeypatch):
 
 
 def force_chunk(monkeypatch, b):
-    """Make the cost rule choose B = b (keep_states still forces B = 1)."""
+    """Make the cost rule choose B = b."""
     monkeypatch.setattr(dynamics, "_chunk_size", lambda *args: b)
 
 
@@ -727,7 +745,7 @@ class TestChunkedRecording:
         if what == "M_x":
             m_x = to_singlet_triplet(embed(SIGMA_X, 0, layout) + embed(SIGMA_X, 1, layout))
             return propagate(gen, rho0, n_steps * dt, dt=dt, record={"M_x": m_x})
-        return propagate(gen, rho0, n_steps * dt, dt=dt, marginal_keep=(0, 1), layout=layout)
+        return propagate(gen, rho0, n_steps * dt, dt=dt, marginal_keep=(0, 1))
 
     @staticmethod
     def assert_matches(got, ref, b):
@@ -798,11 +816,6 @@ class TestChunkedRecording:
         assert traj.stats["chunk"] > 1 and 100 % traj.stats["chunk"] == 0
         assert traj.stats["pairs_stepped"] == 6
 
-    def test_keep_states_steps_one_point_at_a_time(self):
-        gen, rho0 = probe_tlf_system(2, "plus_plus")
-        traj = propagate(gen, rho0, 400 * 0.05, dt=0.05, keep_states=True)
-        assert traj.stats["chunk"] == 1
-
     def test_large_blocks_take_shorter_chunks(self):
         # an XX+YY gate point at the benchmark's size, with the probe pair in the
         # computational basis, where |01> and |10> share one 32-state sector: 300
@@ -810,9 +823,7 @@ class TestChunkedRecording:
         # the mat-vecs it saves, so B stays far below the 16-dim blocks' B at the
         # same step count
         gen, rho0 = probe_tlf_system(4, "plus_plus", "xxyy", ratio_eps=1.0, computational=True)
-        layout = SubsystemLayout((2,) * 6)
-        traj = propagate(gen, rho0, 3 * 2 * np.pi, dt=0.01 * 2 * np.pi,
-                         marginal_keep=(0, 1), layout=layout)
+        traj = propagate(gen, rho0, 3 * 2 * np.pi, dt=0.01 * 2 * np.pi, marginal_keep=(0, 1))
         assert traj.stats["block_dim_max"] == 1024
         small = self.run("plus_plus-n2", 300)
         assert traj.stats["chunk"] < small.stats["chunk"] // 10
@@ -825,8 +836,8 @@ def test_non_hermitian_record_operator_reads_the_real_part(monkeypatch):
     layout = SubsystemLayout((2,) * 4)
     op = to_singlet_triplet(embed(SIGMA_PLUS, 0, layout))
     assert not np.allclose(op, op.conj().T)
-    dense = propagate(gen, rho0, 2.0, dt=0.02, method="dense", keep_states=True)
-    want = np.einsum("ij,nji->n", op, dense.states).real
+    dense = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=every_site(gen), method="dense")
+    want = np.einsum("ij,nji->n", op, dense.marginals).real
     assert np.max(np.abs(want)) > 0.1
     for b in (1, 10):
         force_chunk(monkeypatch, b)
@@ -843,17 +854,17 @@ def test_marginals_of_other_kept_sites(keep):
     # route's recorded marginals against the partial traces of the dense states
     gen, rho0 = probe_tlf_system(1, "plus_plus", "xxyy")
     layout = SubsystemLayout((2,) * 3)
-    dense = propagate(gen, rho0, 2.0, dt=0.02, method="dense", keep_states=True)
-    want = np.array([partial_trace(r, keep, layout) for r in dense.states])
+    dense = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=every_site(gen), method="dense")
+    want = np.array([partial_trace(r, keep, layout) for r in dense.marginals])
     kd = 2 ** len(keep)
     for method in ("sector", "dense"):
-        traj = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=keep, layout=layout,
-                         method=method)
+        traj = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=keep, method=method)
         assert traj.marginals.shape == (101, kd, kd)
         assert np.max(np.abs(traj.marginals - want)) < 1e-12
-    rk4 = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=keep, layout=layout,
-                        keep_states=True, record_every=10)
-    own = np.array([partial_trace(r, keep, layout) for r in rk4.states])
+    rk4 = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=keep, record_every=10)
+    whole = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=every_site(gen),
+                          record_every=10)
+    own = np.array([partial_trace(r, keep, layout) for r in whole.marginals])
     assert np.max(np.abs(rk4.marginals - own)) < 1e-14
     assert np.max(np.abs(rk4.marginals - want)) < 1e-7
 
@@ -878,8 +889,7 @@ class TestStationaryBellStates:
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
         rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops)
-        traj = propagate(gen, rho0, 5 * 2 * np.pi, dt=2 * np.pi / 50,
-                         marginal_keep=(0, 1), layout=ops.layout)
+        traj = propagate(gen, rho0, 5 * 2 * np.pi, dt=2 * np.pi / 50, marginal_keep=(0, 1))
         assert np.max(np.abs(traj.marginals - traj.marginals[0])) < 1e-8
 
         from tlfsim.observables import log_negativity
@@ -898,9 +908,9 @@ class TestRk4:
     def test_matches_step_propagator_random(self):
         gen = random_two_qubit_generator(6)
         rho0 = np.eye(4, dtype=complex) / 4
-        a = propagate(gen, rho0, 2.0, dt=0.02, keep_states=True)
-        b = rk4_reference(gen, rho0, 2.0, dt=0.002, keep_states=True, record_every=10)
-        assert np.max(np.abs(a.states - b.states)) < 1e-7
+        a = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=every_site(gen))
+        b = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=every_site(gen), record_every=10)
+        assert np.max(np.abs(a.marginals - b.marginals)) < 1e-7
 
     def test_fourth_order_convergence(self):
         gen = damping_generator(1.0)
@@ -928,11 +938,8 @@ class TestRk4:
         # RK4 takes each marginal by partial trace of its full state, and shares
         # no code with the block engine's weight rows
         gen, rho0 = probe_tlf_system(2, state, "zz", "warm")
-        layout = SubsystemLayout((2,) * 4)
-        a = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=(0, 1), layout=layout)
-        b = rk4_reference(
-            gen, rho0, 2.0, dt=0.002, marginal_keep=(0, 1), layout=layout, record_every=10
-        )
+        a = propagate(gen, rho0, 2.0, dt=0.02, marginal_keep=(0, 1))
+        b = rk4_reference(gen, rho0, 2.0, dt=0.002, marginal_keep=(0, 1), record_every=10)
         assert a.marginals.shape == b.marginals.shape == (101, 4, 4)
         assert np.max(np.abs(b.marginals[-1] - b.marginals[0])) > 0.1
         assert np.max(np.abs(a.marginals - b.marginals)) < 1e-6
@@ -968,11 +975,11 @@ def test_cross_validation_one_qubit_one_tlf():
         (0.02, embed(SIGMA_Z, 1, layout)),
         (0.005, embed(SIGMA_MINUS, 1, layout)),
     ]
-    gen = LindbladGenerator(h=h, jumps=jumps)
+    gen = LindbladGenerator(h=h, jumps=jumps, layout=layout)
     psi = np.kron(PLUS, np.array([0, 1], dtype=complex))
     rho0 = np.outer(psi, psi.conj())
     t_end = 100 * 2 * np.pi
     dt = 2 * np.pi / 50
-    a = propagate(gen, rho0, t_end, dt=dt, keep_states=True, method="dense")
-    b = rk4_reference(gen, rho0, t_end, dt=dt / 8, keep_states=True, record_every=8)
-    assert np.max(np.abs(a.states - b.states)) < 1e-6
+    a = propagate(gen, rho0, t_end, dt=dt, marginal_keep=every_site(gen), method="dense")
+    b = rk4_reference(gen, rho0, t_end, dt=dt / 8, marginal_keep=every_site(gen), record_every=8)
+    assert np.max(np.abs(a.marginals - b.marginals)) < 1e-6

@@ -148,6 +148,8 @@ class TestPartialTrace:
             partial_trace(rho, (), LAYOUT_2Q)
         with pytest.raises(ValueError):
             partial_trace(rho, (3,), LAYOUT_2Q)
+        with pytest.raises(ValueError, match="state shape"):
+            partial_trace(np.eye(8) / 8, (0,), LAYOUT_2Q)
 
 
 class TestPartialTranspose:
@@ -251,6 +253,11 @@ class TestExpm:
         bad = np.array([[np.inf, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             expm(bad)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.zeros(shape))
 
     def test_real_input_stays_real(self):
         rng = np.random.default_rng(13)

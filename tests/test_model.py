@@ -275,6 +275,11 @@ def test_gated_isolated_probe_against_kron(gate):
     assert ops.jumps == []
 
 
+def test_unknown_gate_rejected():
+    with pytest.raises(ConfigurationError, match="unknown gate 'cnot'"):
+        add_gate(probe_only_operators(), "cnot", 0.1)
+
+
 @pytest.mark.parametrize("label", ["II", "ZI", "IZ", "ZZ", "XX", "YY"])
 def test_singlet_triplet_paulis_are_exact(label):
     # with the unnormalized |00>, |01> + |10>, |01> - |10>, |11> every product is an
@@ -438,5 +443,12 @@ class TestInitialState:
         bad = np.eye(4, dtype=complex)  # trace 4
         with pytest.raises(ValueError):
             initial_state("plus_plus", bad, self.ops)
+        for bad, message in [
+            (np.eye(2) / 2, "shape"),
+            (np.diag([1.0, 0, 0, 0]) + 0.1j * np.eye(4, k=1), "not Hermitian"),
+            (np.diag([1.2, -0.2, 0, 0]), "not positive semidefinite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                initial_state("plus_plus", bad.astype(complex), self.ops)
         with pytest.raises(ConfigurationError):
             probe_state_vector("nope")

@@ -81,7 +81,7 @@ class TestMagnetization:
         gen = LindbladGenerator.from_system(ops)
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
         traj = propagate(gen, rho0, 1.0, dt=0.05, record={"M_x": ops.m_x},
-                         marginal_keep=(0, 1), layout=ops.layout)
+                         marginal_keep=(0, 1))
         m_x = to_singlet_triplet(kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
         from_marginal = np.einsum("ij,nji->n", m_x, traj.marginals).real
         assert np.allclose(magnetization_series(traj).values, from_marginal, atol=1e-12)
@@ -226,8 +226,7 @@ class TestLowerBound:
         ops = build_operators(ens, cfg)
         gen = LindbladGenerator.from_system(ops)
         rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
-        traj = propagate(gen, rho0, 20 * 2 * np.pi, dt=2 * np.pi / 50,
-                         marginal_keep=(0, 1), layout=ops.layout)
+        traj = propagate(gen, rho0, 20 * 2 * np.pi, dt=2 * np.pi / 50, marginal_keep=(0, 1))
         u = SINGLET_TRIPLET
         et = entanglement_trace(traj.t_grid, u @ traj.marginals @ u.T)  # the product basis
         assert np.all(et.c2prime <= et.log_negativity + 1e-8)
@@ -330,6 +329,11 @@ class TestBatchedEntanglement:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             entanglement_trace(np.arange(3.0), probe_batch(4))
+        # the single-sample views check their one state's shape
+        for single, bad in [(log_negativity, np.eye(8) / 8), (correlation_matrix, np.eye(2) / 2),
+                            (lower_bound_c2prime, np.eye(4))]:
+            with pytest.raises(ValueError, match="expect"):
+                single(bad)
 
 
 class TestLifetime:

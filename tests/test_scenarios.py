@@ -532,13 +532,12 @@ def assert_marginals_match_the_computational_basis(gate, n_tlf, probe):
     ops = build_operators(ens, cfg)
     if gate is not None:
         ops = add_gate(ops, gate, 0.3)
-    gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps)
+    gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps,
+                            layout=ops.layout)
     psi = probe_state_vector(probe)
     rho0 = np.kron(np.outer(psi, psi.conj()), tlf_ground_state(ens, cfg))
-    dense = propagate(gen, rho0, t_end, dt, marginal_keep=(0, 1), layout=ops.layout,
-                      method="dense")
-    rk4 = rk4_reference(gen, rho0, t_end, dt / 10, marginal_keep=(0, 1), layout=ops.layout,
-                        record_every=10)
+    dense = propagate(gen, rho0, t_end, dt, marginal_keep=(0, 1), method="dense")
+    rk4 = rk4_reference(gen, rho0, t_end, dt / 10, marginal_keep=(0, 1), record_every=10)
     assert np.max(np.abs(traj.marginals - dense.marginals)) < 1e-10
     assert np.max(np.abs(traj.marginals - rk4.marginals)) < 1e-7
     # the rotated route steps one sector per probe state: four of 2^n_tlf states each
