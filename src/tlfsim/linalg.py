@@ -112,114 +112,79 @@ def herm_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-# Pade coefficients b_0..b_m of r_m(A) = q_m(A)^-1 p_m(A), p_m(x) = sum_k b_k x^k
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-        110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-# theta_m: r_m has backward error at most the unit roundoff u where eta <= theta_m;
-# c_m: the leading coefficient of that error's series, for ell(m)
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-          9: 2.097847961257068, 13: 4.25}
-_C_LEAD = {3: 1 / 100800, 5: 1 / 10059033600, 7: 1 / 4487938430976000,
-           9: 1 / 5914384781877411840000, 13: 1 / 113250775606021113483283660800000000}
-_UNIT_ROUNDOFF = 2.0**-53
+# (m, theta_m): Taylor degree m, and the largest ||A||_1 at which T_m(A) = sum_(k<=m) A^k/k!
+# has a relative backward error of at most 2^-53: the root of h(x)/x = 2^-53, h the series
+# of log(e^-x T_m(x)) with its coefficients' magnitudes. Al-Mohy and Higham, SIAM J. Sci.
+# Comput. 33 (2011) 488-511, table 3.1; recomputed with mpmath to 16 digits.
+_TAYLOR = ((2, 2.580956802971767e-8), (4, 3.397168839976962e-4), (6, 9.065656407595102e-3),
+           (9, 8.957760203223343e-2), (12, 2.99615891381158e-1), (16, 7.802874256626574e-1),
+           (20, 1.438252596804337), (25, 2.428582524442826), (30, 3.539666348743689))
 _MAX_HALVINGS = 1022  # 2^-s stays a normal double
 
 
 def _norm1(a: np.ndarray) -> np.float64:
-    return np.abs(a).sum(axis=0).max()  # a numpy float: its powers overflow to inf, not raise
+    return np.abs(a).sum(axis=0).max()  # a numpy float: it overflows to inf, not raise
 
 
-def _ell(a: np.ndarray, m: int) -> int:
-    """The squarings ell(m) that keep the rounding of r_m(A) at the unit roundoff.
+def _block_size(m: int) -> int:
+    """Paterson-Stockmeyer's block size k for degree m; k divides every degree of _TAYLOR."""
+    return math.isqrt(m - 1) + 1
 
-    alpha = |c_m| ||abs(A)^(2m+1)||_1 / ||A||_1, and ell(m) = ceil(log2(alpha / u) / 2m)
-    when positive. The 1-norm of the non-negative abs(A)^(2m+1) is the largest
-    entry of 1^T abs(A)^(2m+1), from 2m + 1 vector products, each scaled to a
-    largest entry of 1 so that nothing overflows.
+
+def _degree_and_halvings(norm: float) -> tuple[int, int]:
+    """The degree m and halvings s with ||A||_1 / 2^s <= theta_m that take the fewest
+    products: k - 1 powers, m/k - 1 Horner steps and s squarings; at a tie, fewer
+    halvings. s is capped at ``_MAX_HALVINGS``; a norm that overflowed takes m = 30."""
+
+    def plan(m, theta):
+        s = max(np.ceil(np.log2(norm / theta)), 0.0)  # inf for an overflowed norm
+        k = _block_size(m)
+        return k + m // k - 2 + s, s, -m  # no two degrees cost the same
+
+    _, s, m = min(plan(m, theta) for m, theta in _TAYLOR)
+    return -m, int(min(s, _MAX_HALVINGS))
+
+
+def _taylor(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """T_m(A / 2^s) by Paterson and Stockmeyer, with block size k and r = m / k blocks:
+
+        T_m(X) = B_0 + X^k (B_1 + ... + X^k (B_(r-2) + X^k B_(r-1))),
+
+    B_j = sum_(i<k) X^i / (jk + i)!, and B_(r-1) takes the last term X^k / m! too.
+    The powers X, ..., X^k sit in one stack, so each block sum is one product of its
+    coefficients with the flattened stack, written into a buffer that is then reused.
     """
-    norm = _norm1(a)
-    if _C_LEAD[m] * norm ** (2 * m) <= _UNIT_ROUNDOFF:  # ||abs(A)^p||_1 <= ||A||_1^p
-        return 0
-    abs_a, v, log2_norm = np.abs(a), np.ones(len(a)), 0.0
-    for _ in range(2 * m + 1):
-        v = v @ abs_a
-        top = v.max()
-        if top == 0.0:  # abs(A) is nilpotent
-            return 0
-        if not np.isfinite(top):
-            return _MAX_HALVINGS
-        log2_norm += np.log2(top)
-        v /= top
-    log2_alpha = np.log2(_C_LEAD[m] / norm) + log2_norm
-    return max(int(np.ceil((log2_alpha - np.log2(_UNIT_ROUNDOFF)) / (2 * m))), 0)
-
-
-def _pade(a: np.ndarray, powers: list, m: int) -> np.ndarray:
-    """r_m(A) from A and its even powers A^2, A^4, ... as in N. J. Higham, SIAM J. Matrix
-    Anal. Appl. 26 (2005) 1179-1193, section 2.
-
-    ``powers`` is emptied as it is used, so that the solve runs with the fewest
-    buffers alive.
-    """
-    b = _PADE[m]
-    diag = np.s_[:: len(a) + 1]
-    if m == 13:
-        a2, a4, a6 = powers
-        powers.clear()
-        u = a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        u += b[7] * a6 + b[5] * a4 + b[3] * a2
-        v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        v += b[6] * a6 + b[4] * a4 + b[2] * a2
-        del a2, a4, a6
-    else:
-        # u = sum_k b_(2k+1) A^2k and v = sum_k b_2k A^2k, the highest power's buffer reused for u
-        k = len(powers)
-        u = powers.pop()
-        v = b[2 * k] * u
-        u *= b[2 * k + 1]
-        tmp = np.empty_like(u)
-        while powers:
-            k -= 1
-            p = powers.pop()
-            v += np.multiply(p, b[2 * k], out=tmp)
-            u += np.multiply(p, b[2 * k + 1], out=tmp)
-            del p
-        del tmp
-    u.flat[diag] += b[1]
-    v.flat[diag] += b[0]
-    u = a @ u
-    q = v + u
-    v -= u
-    del u
-    # q and v are polynomials in A and commute, so v^-1 q = (v^-T q^T)^T; LAPACK
-    # takes the transposes, which are Fortran-ordered, without a transposing copy
-    return np.linalg.solve(v.T, q.T).T
+    n, k = len(a), _block_size(m)
+    c = 1.0 / np.array([math.factorial(i) for i in range(m + 1)])
+    powers = np.empty((k, n, n), dtype=a.dtype)
+    np.multiply(a, 2.0**-s, out=powers[0])
+    for i in range(1, k):
+        np.matmul(powers[i - 1], powers[0], out=powers[i])
+    flat, diag = powers.reshape(k, n * n), np.s_[:: n + 1]
+    x, y = np.empty_like(powers[0]), np.empty_like(powers[0])
+    np.matmul(c[m - k + 1 :].astype(a.dtype), flat, out=x.reshape(-1))
+    x.flat[diag] += c[m - k]
+    for j in range(m // k - 2, -1, -1):
+        np.matmul(x, powers[-1], out=y)
+        np.matmul(c[j * k + 1 : j * k + k].astype(a.dtype), flat[:-1], out=x.reshape(-1))
+        x += y
+        x.flat[diag] += c[j * k]
+    return x
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential; real input stays real.
 
-    The scaling and squaring algorithm of Al-Mohy and Higham, "A New Scaling
-    and Squaring Algorithm for the Matrix Exponential", SIAM J. Matrix Anal.
-    Appl. 31 (2009) 970-989 (Algorithm 6.1), with exact 1-norms in place of
-    norm estimates. The Pade order m (3, 5, 7, 9, or 13 after s halvings of
-    A) is chosen from d_p = ||A^p||_1^(1/p) of the even powers A^2, A^4 and
-    A^6. Where a power is not formed, a bound stands in for its norm: d_6 <=
-    (||A^2||_1 ||A^4||_1)^(1/6) for m = 3 and 5, d_8 <= min(d_4,
-    (||A^2||_1 ||A^6||_1)^(1/8)) and d_10 <= (||A^4||_1 ||A^6||_1)^(1/10);
-    so A^6 is formed only for m >= 7, A^8 only for m = 9, and A^10 never. A
-    bound can only raise the order, so the backward error stays at the unit
-    roundoff. r_m comes from one ``np.linalg.solve``. Overflow in the products
-    or squarings leaves non-finite entries, with no warning, and stops the
-    squarings; the caller checks for them.
+    Scaling and squaring with a truncated Taylor series, as in Al-Mohy and
+    Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
+    Comput. 33 (2011) 488-511: exp(A) = T_m(A / 2^s)^(2^s), with the degree
+    m (2, 4, 6, 9, 12, 16, 20, 25 or 30) and the halvings s that together
+    take the fewest matrix products, subject to ||A||_1 / 2^s <= theta_m, so
+    that the backward error stays at the unit roundoff. T_m is evaluated by
+    Paterson-Stockmeyer in 1 to 9 products and no linear solve, then squared
+    s times. Overflow in the products or squarings leaves non-finite
+    entries, with no warning, and stops the squarings; the caller checks for
+    them.
     """
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm expects a square matrix")
@@ -227,40 +192,12 @@ def expm(a: np.ndarray) -> np.ndarray:
         raise ValueError("expm input has non-finite entries")
     a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        powers = [a @ a]
-        powers.append(powers[0] @ powers[0])
-        n2, n4 = map(_norm1, powers)
-        d4 = n4 ** (1 / 4)
-        eta = max(d4, (n2 * n4) ** (1 / 6))  # d_6 <= (||A^2||_1 ||A^4||_1)^(1/6)
-        for m in (3, 5):
-            if eta <= _THETA[m] and _ell(a, m) == 0:
-                del powers[m // 2 :]
-                return _pade(a, powers, m)
-        powers.append(powers[0] @ powers[1])
-        n6 = _norm1(powers[2])
-        d6 = n6 ** (1 / 6)
-        d8 = min(d4, (n2 * n6) ** (1 / 8))
-        eta = max(d6, d8)
-        for m in (7, 9):
-            if eta <= _THETA[m] and _ell(a, m) == 0:
-                if m == 9:
-                    powers.append(powers[1] @ powers[1])
-                return _pade(a, powers, m)
-        eta = min(max(d6, d8), max(d8, (n4 * n6) ** (1 / 10)))
-        norm = _norm1(a)
-        if not eta <= norm:  # the powers overflowed; every d_p is at most ||A||_1
-            eta = norm
-        s = int(np.clip(np.ceil(np.log2(eta / _THETA[13])), 0, _MAX_HALVINGS))
-        s = min(s + _ell(a * 2.0**-s, 13), _MAX_HALVINGS)
-        if s:  # the powers of the halved A, formed from it: none overflowed or underflowed
-            del powers[:]
-            a = a * 2.0**-s
-            powers.append(a @ a)
-            powers.append(powers[0] @ powers[0])
-            powers.append(powers[0] @ powers[1])
-        x = _pade(a, powers, 13)
+        m, s = _degree_and_halvings(_norm1(a))
+        x = _taylor(a, m, s)
+        y = np.empty_like(x)
         for _ in range(s):
             if not np.isfinite(x).all():
                 break
-            x = x @ x
+            np.matmul(x, x, out=y)
+            x, y = y, x
         return x

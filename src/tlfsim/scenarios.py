@@ -322,6 +322,11 @@ def _write_table(path, fmt: str, header_lines: list[str], columns: list[str], ro
     _write(path, buf.getvalue())
 
 
+# libyaml's emitter where PyYAML was built with it: the same text as yaml.safe_dump,
+# 2-4 times faster
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def _write(path, text: str) -> None:
     """Write one output file; a path that cannot be written is a configuration error."""
     try:
@@ -710,5 +715,6 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         summary=summary,
         wall_clock_s=time.monotonic() - t0,
     )
-    _write(out / "manifest.yaml", yaml.safe_dump(dataclasses.asdict(record), sort_keys=False))
+    text = yaml.dump(dataclasses.asdict(record), Dumper=_YAML_DUMPER, sort_keys=False)
+    _write(out / "manifest.yaml", text)
     return record

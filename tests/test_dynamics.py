@@ -869,6 +869,33 @@ def test_marginals_of_other_kept_sites(keep):
     assert np.max(np.abs(rk4.marginals - want)) < 1e-7
 
 
+@pytest.mark.parametrize("keep", [(0, 1), (1,), (0, 2)])
+@pytest.mark.parametrize("n_tlf", [1, 2])
+def test_marginal_rows_are_the_one_hot_contraction(n_tlf, keep):
+    # the reference: entry (x, y) as the contraction over the traced index z of
+    # one-hot rows, which the rows filled by index must reproduce bit for bit
+    layout = SubsystemLayout((2,) * (2 + n_tlf))
+    rows = dynamics._Recorder(1, None, keep, layout).functionals()
+    dim, kd = layout.total_dim, 2 ** len(keep)
+    order = list(keep) + [s for s in range(layout.n_sites) if s not in keep]
+    full = np.arange(dim).reshape(layout.dims).transpose(order).reshape(kd, -1)
+    one_hot = np.eye(dim, dtype=complex)[full]
+    entries = np.einsum("xzi,yzj->xyij", one_hot, one_hot).reshape(kd**2, -1)
+    want = _mix_pairs(entries.T, _hermitian_pairs(kd), _W_PAIR.conj().T).T.reshape(-1, dim, dim)
+    assert rows.dtype == want.dtype and rows.shape == want.shape
+    assert rows.tobytes() == want.tobytes()
+
+
+def test_gated_point_builds_its_propagators_without_a_solve(monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    gen, rho0 = probe_tlf_system(2, "plus_plus", "xxyy")
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    traj = propagate(gen, rho0, 1.0, dt=0.05, marginal_keep=(0, 1))
+    assert traj.stats["pairs_stepped"] > 1 and np.isfinite(traj.marginals).all()
+
+
 def test_trace_drift_is_audited_not_repaired(monkeypatch):
     # a gain of 1e-10 per step lies well inside the trace abort tolerance;
     # nothing divides it away, so it compounds over the 20 steps

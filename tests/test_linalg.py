@@ -275,29 +275,51 @@ class TestExpm:
         exact = scipy.linalg.expm(a)
         assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
-    # the 1-norm of a random 6 x 6 input that reaches each Pade order; 13 with squarings
-    ORDER_NORMS = {3: 0.01, 5: 0.2, 7: 0.9, 9: 2.0, 13: 12.0}
+    # a random 6 x 6 input's 1-norm, and the (degree, halvings) it takes: one for
+    # each degree that the shipped scenarios' step generators take unhalved (2 only
+    # where L dt = 0)
+    DEGREE_CASES = {2: (1e-9, 0), 9: (0.05, 0), 12: (0.2, 0), 16: (0.6, 0), 20: (1.2, 0),
+                    25: (2.0, 0), 30: (3.3, 0)}
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("m", sorted(ORDER_NORMS))
-    def test_matches_scipy_at_each_order(self, monkeypatch, m, dtype):
-        rng = np.random.default_rng(13 + m)
+    @staticmethod
+    def assert_taylor_matches_scipy(monkeypatch, norm, dtype, want, seed):
+        rng = np.random.default_rng(seed)
         a = rng.normal(size=(6, 6)).astype(dtype)
         if dtype is complex:
             a += 1j * rng.normal(size=(6, 6))
-        a *= self.ORDER_NORMS[m] / np.abs(a).sum(axis=0).max()
+        a *= norm / np.abs(a).sum(axis=0).max()
         taken = []
-        pade = linalg._pade
+        taylor = linalg._taylor
         monkeypatch.setattr(
-            linalg, "_pade", lambda x, powers, order: taken.append((order, x)) or pade(x, powers, order)
+            linalg, "_taylor", lambda x, m, s: taken.append((m, s)) or taylor(x, m, s)
         )
         out = expm(a)
-        assert [order for order, _ in taken] == [m]
-        if m == 13:  # r_13 was taken of a halved A, then squared
-            assert np.abs(taken[0][1]).max() <= np.abs(a).max() / 2
+        assert taken == [want]
         assert out.dtype == (np.complex128 if dtype is complex else np.float64)
         exact = scipy.linalg.expm(a)
         assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("m", sorted(DEGREE_CASES))
+    def test_matches_scipy_at_each_order(self, monkeypatch, m, dtype):
+        norm, s = self.DEGREE_CASES[m]
+        self.assert_taylor_matches_scipy(monkeypatch, norm, dtype, (m, s), seed=13 + m)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_scipy_after_halvings(self, monkeypatch, dtype):
+        # ||A||_1 = 12: T_16 of A / 16, then four squarings
+        self.assert_taylor_matches_scipy(monkeypatch, 12.0, dtype, (16, 4), seed=26)
+
+    def test_fewest_products_at_each_norm(self):
+        # (degree, halvings) by cost: 1, 2, 3, 4, ... products for degrees 2, 4,
+        # 6, 9, ..., plus one squaring per halving; at 1.35, (20, 0) and (16, 1)
+        # tie and the fewer halvings win; an overflowed norm takes the cap
+        cases = [(0.0, (2, 0)), (1e-4, (4, 0)), (5e-3, (6, 0)), (1.35, (20, 0)),
+                 (3.0, (16, 2)), (1e3, (25, 9)), (1e300, (16, 997)), (np.inf, (30, 1022))]
+        with np.errstate(divide="ignore"):
+            assert [linalg._degree_and_halvings(np.float64(n)) for n, _ in cases] == [
+                want for _, want in cases
+            ]
 
     def test_matches_scipy_on_gate_block_liouvillian(self):
         # the real 1024 x 1024 step generator of an XX+YY gate point at n_tlf=4, with
@@ -318,7 +340,7 @@ class TestExpm:
         assert np.max(np.abs(out - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_nilpotent_input(self):
-        # A^2 = 0 picks order 3, whose squaring count stops at abs(A)^2 = 0
+        # ||A||_1 = 1e3 takes T_25 of A / 2^9, exactly I + A / 2^9, and nine squarings
         a = np.array([[0.0, 1e3], [0.0, 0.0]])
         out = expm(a)
         for exact in (np.eye(2) + a, scipy.linalg.expm(a)):
