@@ -5,7 +5,6 @@ from .model import (
     ConfigurationError,
     GroundStateDegeneracyError,
     ModelConfig,
-    SystemOperators,
     TlfEnsemble,
     build_operators,
     initial_state,
@@ -52,7 +51,6 @@ __all__ = [
     "ConfigurationError",
     "GroundStateDegeneracyError",
     "ModelConfig",
-    "SystemOperators",
     "TlfEnsemble",
     "build_operators",
     "initial_state",

@@ -30,8 +30,8 @@ test suite:
   arithmetic on the diagonal and each (ij, ji) pair of vec entries (never
   built), and the exponential is :func:`tlfsim.linalg.expm`;
 * a classic fixed-step fourth-order Runge-Kutta integrator on the operator
-  form of the equation of motion, recording from the full state, kept as an
-  independent oracle.
+  form of the equation of motion, one precomputed step map applied to the full
+  state, which it records from; kept as an independent oracle.
 
 The initial state is Hermitized and normalized once; nothing repairs it after.
 The block engine is Hermitian by construction (a complex real-basis propagator
@@ -106,10 +106,6 @@ class LindbladGenerator:
     @property
     def dim(self) -> int:
         return self.h.shape[0]
-
-    @classmethod
-    def from_system(cls, ops) -> "LindbladGenerator":
-        return cls(h=ops.hamiltonian, jumps=ops.jumps, layout=ops.layout)
 
     def norm_bound(self) -> float:
         """Cheap upper bound on the superoperator spectral norm."""
@@ -451,8 +447,12 @@ class _Recorder:
     operator O, then the marginal's coordinates W^dagger vec(m)."""
 
     def __init__(self, n_rec, record, marginal_keep, layout: SubsystemLayout):
-        self.record, self.keep, self.layout = record or {}, marginal_keep, layout
-        self.kd = 0 if marginal_keep is None else math.prod(layout.dims[k] for k in marginal_keep)
+        keep = None if marginal_keep is None else sorted(marginal_keep)
+        if keep is not None and (not keep or keep != sorted(set(keep) & set(range(layout.n_sites)))):
+            raise ValueError(f"marginal_keep {marginal_keep!r} must name distinct sites of "
+                             f"0..{layout.n_sites - 1}, at least one")
+        self.record, self.keep, self.layout = record or {}, keep, layout
+        self.kd = 0 if keep is None else math.prod(layout.dims[k] for k in keep)
         self.pairs = _hermitian_pairs(self.kd)
         self.values = np.empty((n_rec, len(self.record) + self.kd**2))
         self.max_trace_drift, self.max_herm_dev = 0.0, 0.0
@@ -467,8 +467,7 @@ class _Recorder:
         f = [0.5 * (op + dag(op)).T.reshape(-1) for op in map(np.asarray, self.record.values())]
         dim = self.layout.total_dim
         if self.kd:
-            keep = sorted(set(self.keep))
-            order = keep + [s for s in range(self.layout.n_sites) if s not in keep]
+            order = self.keep + [s for s in range(self.layout.n_sites) if s not in self.keep]
             full = np.arange(dim).reshape(self.layout.dims).transpose(order).reshape(self.kd, -1)
             x = np.arange(self.kd)
             entries = np.zeros((self.kd, self.kd, dim, dim), dtype=complex)
@@ -563,10 +562,10 @@ def propagate(
         raise ValueError(f"unknown propagation method {method!r}")
     rho = _validate_initial_state(rho0, gen.dim)
     n_steps = _grid_steps(t_end, dt)
+    rec = _Recorder(n_steps + 1, record, marginal_keep, gen.layout)
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
     with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
         stepper = _BlockStepper(gen, dt, sectors, rho)
-    rec = _Recorder(n_steps + 1, record, marginal_keep, gen.layout)
     # the recorded scalars, then the trace
     weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
 
@@ -611,13 +610,17 @@ def rk4_reference(
     """Fixed-step RK4 integration of the operator-form equation of motion.
 
     Independent of the vectorized-superoperator route; intended for
-    cross-checks and small instances. ``record_every`` thins the recording
-    grid to every k-th integration step.
+    cross-checks and small instances. Column k of the one-step map is the RK4
+    step of the basis matrix E_k, taken for all d^2 at once; the map needs
+    O(d^4) memory, so this is meant for d <= 16. ``record_every`` thins the
+    recording grid to every k-th integration step.
     """
     rho = _validate_initial_state(rho0, gen.dim)
     n_steps = _grid_steps(t_end, dt)
     if record_every < 1 or n_steps % record_every != 0:
         raise ValueError("record_every must divide the number of steps")
+    n_rec = n_steps // record_every + 1
+    rec = _Recorder(n_rec, record, marginal_keep, gen.layout)
     if gen.norm_bound() * dt > 0.1:
         warnings.warn(
             "RK4 step looks too coarse for this generator (||L|| dt > 0.1)",
@@ -630,20 +633,22 @@ def rk4_reference(
     g = -1j * gen.h - 0.5 * (jumps_dag @ jumps).sum(axis=0)
     g_dag = dag(g)
 
-    def rhs(r: np.ndarray) -> np.ndarray:
-        return g @ r + r @ g_dag + (jumps @ r @ jumps_dag).sum(axis=0)
+    def rhs(r: np.ndarray) -> np.ndarray:  # on a (n, d, d) stack, one jump at a time
+        return g @ r + r @ g_dag + sum(j @ r @ j_dag for j, j_dag in zip(jumps, jumps_dag))
 
-    n_rec = n_steps // record_every + 1
-    rec = _Recorder(n_rec, record, marginal_keep, gen.layout)
+    d = gen.dim
+    basis = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    k1 = rhs(basis)
+    k2 = rhs(basis + 0.5 * dt * k1)
+    k3 = rhs(basis + 0.5 * dt * k2)
+    k4 = rhs(basis + dt * k3)
+    step = (basis + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).reshape(d * d, d * d).T
+
     t_grid = (dt * record_every) * np.arange(n_rec)
     rec.take(0, rho)
     rec.check_eigs(rho, 0.0)
     for i in range(1, n_steps + 1):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * dt * k1)
-        k3 = rhs(rho + 0.5 * dt * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = (step @ rho.reshape(-1)).reshape(d, d)
         rec.audit_hermiticity(float(np.max(np.abs(rho - dag(rho)))), i * dt)
         rec.audit(np.trace(rho).real, i * dt)
         if i % record_every == 0:

@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .dynamics import LindbladGenerator
 from .linalg import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -339,24 +340,6 @@ def ring_bonds(n: int) -> list[tuple[int, int]]:
     return [(j, (j + 1) % n) for j in range(n)]
 
 
-@dataclass(frozen=True)
-class SystemOperators:
-    """Dense operators of the joint probe + TLF system.
-
-    ``terms`` is the scaled Pauli-string decomposition of the Hamiltonian
-    (site order: probe A, probe B, TLF 1..N); the dense matrix is assembled
-    from it, and it doubles as machine-readable provenance. The matrices take
-    the probe pair in the singlet-triplet basis and the fluctuators in their
-    eigenbases.
-    """
-
-    hamiltonian: np.ndarray
-    jumps: list  # (rate, operator) pairs
-    m_x: np.ndarray
-    layout: SubsystemLayout
-    terms: list  # (coefficient, pauli label) pairs
-
-
 def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, str]]:
     """Scaled Pauli-string terms of the full Hamiltonian.
 
@@ -391,28 +374,22 @@ def hamiltonian_terms(ens: TlfEnsemble, cfg: ModelConfig) -> list[tuple[float, s
     return [(c, lab) for c, lab in terms if c != 0.0]
 
 
-def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> SystemOperators:
-    """Assemble the Hamiltonian, jump list and probe observables.
+def build_operators(ens: TlfEnsemble, cfg: ModelConfig) -> LindbladGenerator:
+    """The generator of the joint system, its Hamiltonian from :func:`hamiltonian_terms`.
 
-    Site order is probe A, probe B, TLF 1..N. Jumps are the per-fluctuator
-    dephasing, emission and absorption operators with their dressed rates;
-    zero-rate entries are dropped.
+    Site order is probe A, probe B, TLF 1..N, with the probe pair in the
+    singlet-triplet basis. Jumps are the per-fluctuator dephasing, emission and
+    absorption operators with their dressed rates; zero-rate entries are dropped.
     """
-    n = ens.n_tlf
-    layout = SubsystemLayout((2,) * (2 + n))
-    terms = hamiltonian_terms(ens, cfg)
-    jumps = []
-    for j in range(n):
-        site = 2 + j
-        for rate, op in (
-            (ens.Gamma_z[j], SIGMA_Z),
-            (ens.Gamma_minus[j], SIGMA_MINUS),
-            (ens.Gamma_plus[j], SIGMA_PLUS),
-        ):
-            if rate > 0.0:
-                jumps.append((float(rate), embed(op, site, layout)))
-
-    return _system(terms, jumps, layout)
+    layout = SubsystemLayout((2,) * (2 + ens.n_tlf))
+    jumps = [
+        (float(rate), embed(op, 2 + j, layout))
+        for j in range(ens.n_tlf)
+        for rate, op in ((ens.Gamma_z[j], SIGMA_Z), (ens.Gamma_minus[j], SIGMA_MINUS),
+                         (ens.Gamma_plus[j], SIGMA_PLUS))
+        if rate > 0.0
+    ]
+    return _system(hamiltonian_terms(ens, cfg), jumps, layout)
 
 
 def tlf_hamiltonian(ens: TlfEnsemble, cfg: ModelConfig) -> np.ndarray:
@@ -451,10 +428,10 @@ def probe_state_vector(kind: str) -> np.ndarray:
     return table[kind]
 
 
-def initial_state(probe: str, tlf: np.ndarray, ops: SystemOperators) -> np.ndarray:
-    """Joint initial state of the system ``ops``: the chosen probe state, in the
+def initial_state(probe: str, tlf: np.ndarray, gen: LindbladGenerator) -> np.ndarray:
+    """Joint initial state of the system ``gen``: the chosen probe state, in the
     singlet-triplet basis, tensored with a TLF state."""
-    n_tlf_dim = int(np.prod(ops.layout.dims[2:]))
+    n_tlf_dim = int(np.prod(gen.layout.dims[2:]))
     if tlf.shape != (n_tlf_dim, n_tlf_dim):
         raise ValueError(f"TLF state shape {tlf.shape} != register dim {n_tlf_dim}")
     if not is_hermitian(tlf, atol=1e-9):
@@ -498,14 +475,10 @@ def _plus_terms(h: np.ndarray, terms, matrix=term_matrix) -> np.ndarray:
     return h
 
 
-def _system(terms, jumps, layout: SubsystemLayout) -> SystemOperators:
-    """The system of Hamiltonian ``terms`` and ``jumps``."""
+def _system(terms, jumps, layout: SubsystemLayout) -> LindbladGenerator:
+    """The generator of Hamiltonian ``terms`` and ``jumps`` on ``layout``."""
     h = _plus_terms(np.zeros((layout.total_dim, layout.total_dim), dtype=complex), terms)
-    if not is_hermitian(h):
-        raise RuntimeError("assembled Hamiltonian is not Hermitian")
-    return SystemOperators(
-        hamiltonian=h, jumps=jumps, m_x=_m_x(layout), layout=layout, terms=terms
-    )
+    return LindbladGenerator(h=h, jumps=jumps, layout=layout)
 
 
 def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
@@ -514,25 +487,27 @@ def _probe_terms(n_sites: int) -> list[tuple[float, str]]:
     return [(0.5, "ZI" + rest), (0.5, "IZ" + rest)]
 
 
-def _m_x(layout: SubsystemLayout) -> np.ndarray:
-    """Transverse probe magnetization X_A + X_B on ``layout``."""
+def probe_magnetization(layout: SubsystemLayout) -> np.ndarray:
+    """Transverse probe magnetization M_x = X_A + X_B on ``layout``, with the probe
+    pair in the singlet-triplet basis."""
     rest = "I" * (layout.n_sites - 2)
     m = pauli_string("XI" + rest) + pauli_string("IX" + rest)
     d = layout.total_dim // 4
     return change_probe_basis(m.reshape(4, d, 4, d), (0, 2)).reshape(m.shape)
 
 
-def probe_only_operators() -> SystemOperators:
+def probe_only_operators() -> LindbladGenerator:
     """Isolated two-qubit probe (no fluctuators)."""
     return _system(_probe_terms(2), [], SubsystemLayout((2, 2)))
 
 
-def add_gate(ops: SystemOperators, gate: str, gate_strength: float) -> SystemOperators:
-    """Return a copy of the system with a static two-qubit gate term added."""
+def add_gate(gen: LindbladGenerator, gate: str, gate_strength: float) -> LindbladGenerator:
+    """A new generator: ``gen`` with the static two-qubit gate's terms added to its
+    Hamiltonian one at a time, and the same jumps and layout."""
     if gate not in GATE_TERMS:
         raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
-    rest = "I" * (ops.layout.n_sites - 2)
+    rest = "I" * (gen.layout.n_sites - 2)
     terms = [(gate_strength, lab + rest) for lab in GATE_TERMS[gate]]
-    return replace(
-        ops, hamiltonian=_plus_terms(ops.hamiltonian, terms), terms=list(ops.terms) + terms
+    return LindbladGenerator(
+        h=_plus_terms(gen.h, terms), jumps=list(zip(gen.rates, gen.jump_ops)), layout=gen.layout
     )

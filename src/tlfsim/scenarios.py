@@ -44,7 +44,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .dynamics import TRACE_ABORT_TOL, LindbladGenerator, PropagationError, _grid_steps, propagate
+from .dynamics import TRACE_ABORT_TOL, PropagationError, _grid_steps, propagate
 from .model import (
     ConfigurationError,
     GATE_TERMS,
@@ -56,6 +56,7 @@ from .model import (
     check_field_types,
     check_value,
     initial_state,
+    probe_magnetization,
     probe_only_operators,
     sample_ensemble,
     tlf_ground_state,
@@ -432,16 +433,15 @@ def simulate(
     """
     if fluctuators:
         ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
+        gen = build_operators(ens, cfg)
         tlf = tlf_ground_state(ens, cfg)
     else:
-        ens, ops, tlf = None, probe_only_operators(), np.eye(1)
+        ens, gen, tlf = None, probe_only_operators(), np.eye(1)
     if gate is not None:
-        ops = add_gate(ops, gate, g)
-    rho0 = initial_state(probe, tlf, ops)
-    gen = LindbladGenerator.from_system(ops)
+        gen = add_gate(gen, gate, g)
+    rho0 = initial_state(probe, tlf, gen)
     if magnetization:
-        traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": ops.m_x})
+        traj = propagate(gen, rho0, t_end, dt=dt, record={"M_x": probe_magnetization(gen.layout)})
     else:
         traj = propagate(gen, rho0, t_end, dt=dt, marginal_keep=(0, 1))
         # log-negativity needs the product basis

@@ -38,10 +38,12 @@ from tlfsim.dynamics import (
     step_propagator,
 )
 from tlfsim.model import (
+    GATE_TERMS,
     PROBE_STATES,
     ModelConfig,
     add_gate,
     build_operators,
+    hamiltonian_terms,
     initial_state,
     probe_state_vector,
     sample_ensemble,
@@ -408,18 +410,17 @@ class TestSectors:
     def make_system(self, mu_over_nu=1.0, n_tlf=2, seed=21):
         cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=mu_over_nu, seed=seed)
         ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
-        return gen, rho0, ops
+        gen = build_operators(ens, cfg)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), gen)
+        return gen, rho0
 
     def test_probe_sectors_found(self):
-        gen, _, _ = self.make_system()
+        gen, _ = self.make_system()
         sectors = find_invariant_sectors(gen)
         assert sorted(len(s) for s in sectors) == [4, 4, 4, 4]
 
     def test_sector_matches_dense(self):
-        gen, rho0, _ = self.make_system()
+        gen, rho0 = self.make_system()
         t_end, dt = 10.0, 0.05
         dense = propagate(gen, rho0, t_end, dt=dt, marginal_keep=every_site(gen), method="dense")
         split = propagate(gen, rho0, t_end, dt=dt, marginal_keep=every_site(gen), method="sector")
@@ -432,8 +433,8 @@ class TestSectors:
         for seed in (1, 2, 3, 21):
             cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed)
             ens = sample_ensemble(cfg)
-            ops = add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu))
-            sectors = find_invariant_sectors(LindbladGenerator.from_system(ops))
+            gen = add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu))
+            sectors = find_invariant_sectors(gen)
             size = 2**n_tlf
             assert [list(s) for s in sectors] == [
                 list(range(p * size, (p + 1) * size)) for p in range(4)
@@ -443,9 +444,8 @@ class TestSectors:
         # in the singlet-triplet probe basis XX+YY keeps the four probe sectors apart
         cfg = ModelConfig(n_tlf=2, mu_over_nu=1.0, seed=22)
         ens = sample_ensemble(cfg)
-        noisy = add_gate(build_operators(ens, cfg), "xxyy", 0.2)
-        gen = LindbladGenerator.from_system(noisy)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), noisy)
+        gen = add_gate(build_operators(ens, cfg), "xxyy", 0.2)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), gen)
         sectors = find_invariant_sectors(gen)
         assert sorted(len(s) for s in sectors) == [4, 4, 4, 4]
         dense = propagate(gen, rho0, 5.0, dt=0.05, marginal_keep=every_site(gen), method="dense")
@@ -470,7 +470,7 @@ class TestSectors:
                     assert_sectors_match_scipy(probe_tlf_system(n_tlf, state, gate, variant)[0])
 
     def test_unknown_method_rejected(self):
-        gen, rho0, _ = self.make_system()
+        gen, rho0 = self.make_system()
         with pytest.raises(ValueError):
             propagate(gen, rho0, 1.0, dt=0.05, method="magic")
 
@@ -490,16 +490,18 @@ def probe_tlf_system(n_tlf, state, gate=None, variant="plain", seed=21, computat
     and the probe state from its computational vector."""
     cfg = ModelConfig(n_tlf=n_tlf, mu_over_nu=1.0, seed=seed, **MODEL_VARIANTS[variant], **model)
     ens = sample_ensemble(cfg)
-    ops = build_operators(ens, cfg)
+    gen = build_operators(ens, cfg)
+    terms = hamiltonian_terms(ens, cfg)
     if gate is not None:
-        ops = add_gate(ops, gate, float(ens.nu))
+        gen = add_gate(gen, gate, float(ens.nu))
+        terms += [(float(ens.nu), lab + "I" * n_tlf) for lab in GATE_TERMS[gate]]
     tlf = tlf_ground_state(ens, cfg)
     if computational:
-        h = sum(c * pauli_string(lab) for c, lab in ops.terms)
+        h = sum(c * pauli_string(lab) for c, lab in terms)
         psi = probe_state_vector(state)
-        gen = LindbladGenerator(h=h, jumps=ops.jumps, layout=ops.layout)
+        gen = LindbladGenerator(h=h, jumps=list(zip(gen.rates, gen.jump_ops)), layout=gen.layout)
         return gen, np.kron(np.outer(psi, psi.conj()), tlf)
-    return LindbladGenerator.from_system(ops), initial_state(state, tlf, ops)
+    return gen, initial_state(state, tlf, gen)
 
 
 class TestBlockEngine:
@@ -886,6 +888,17 @@ def test_marginal_rows_are_the_one_hot_contraction(n_tlf, keep):
     assert rows.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("keep", [(0, 0), (2,), (-1,), ()])
+def test_marginal_keep_is_checked_alike_by_both_integrators(keep):
+    # a repeated, out-of-range or empty keep set is refused before any step
+    gen = LindbladGenerator(h=kron(SIGMA_Z, I2), jumps=[(0.1, kron(I2, SIGMA_MINUS))],
+                            layout=SubsystemLayout((2, 2)))
+    rho0 = np.eye(4, dtype=complex) / 4
+    for integrate in (propagate, rk4_reference):
+        with pytest.raises(ValueError, match="marginal_keep"):
+            integrate(gen, rho0, 0.1, 0.01, marginal_keep=keep)
+
+
 def test_gated_point_builds_its_propagators_without_a_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")
@@ -913,9 +926,8 @@ class TestStationaryBellStates:
     def test_probe_marginal_frozen(self, state):
         cfg = ModelConfig(n_tlf=2, mu_over_nu=1.0, seed=23)
         ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state(state, tlf_ground_state(ens, cfg), ops)
+        gen = build_operators(ens, cfg)
+        rho0 = initial_state(state, tlf_ground_state(ens, cfg), gen)
         traj = propagate(gen, rho0, 5 * 2 * np.pi, dt=2 * np.pi / 50, marginal_keep=(0, 1))
         assert np.max(np.abs(traj.marginals - traj.marginals[0])) < 1e-8
 

@@ -26,7 +26,7 @@ from tlfsim.linalg import (
     partial_trace,
     pauli_string,
 )
-from tlfsim.model import ModelConfig, add_gate, build_operators, sample_ensemble
+from tlfsim.model import ModelConfig, build_operators, hamiltonian_terms, sample_ensemble
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 LAYOUT_2Q = SubsystemLayout((2, 2))
@@ -327,8 +327,10 @@ class TestExpm:
         # 32-state sector; in the Hermitian basis, as the engine would take it
         cfg = ModelConfig(n_tlf=4, ratio_eps=1.0, mu_over_nu=1.0, seed=1)
         ens = sample_ensemble(cfg)
-        ops = add_gate(build_operators(ens, cfg), "xxyy", float(ens.nu))
-        gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps)
+        noisy = build_operators(ens, cfg)  # its jumps; the gate does not change them
+        terms = hamiltonian_terms(ens, cfg) + [(float(ens.nu), "XXIIII"), (float(ens.nu), "YYIIII")]
+        gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in terms),
+                                jumps=list(zip(noisy.rates, noisy.jump_ops)))
         s = max(find_invariant_sectors(gen), key=len)
         h, jumps = gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]
         l = _liouvillian_block(h, h, gen.rates, jumps, jumps)

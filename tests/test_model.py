@@ -17,7 +17,9 @@ from tlfsim.model import (
     add_gate,
     build_operators,
     dressed_rates,
+    hamiltonian_terms,
     initial_state,
+    probe_magnetization,
     probe_only_operators,
     probe_state_vector,
     ring_bonds,
@@ -28,7 +30,7 @@ from tlfsim.model import (
     tlf_ground_state,
     tlf_hamiltonian,
 )
-from tlfsim.dynamics import LindbladGenerator, find_invariant_sectors, propagate
+from tlfsim.dynamics import find_invariant_sectors, propagate
 
 
 class FixedRng:
@@ -173,7 +175,7 @@ class TestBuildOperators:
             s0 * cfg.omega_p / 2 + s1 * cfg.omega_p / 2 + s2 * ens.omega[0] / 2 + s3 * ens.omega[1] / 2
             for s0, s1, s2, s3 in itertools.product((1, -1), repeat=4)
         )
-        eigs = np.sort(np.linalg.eigvalsh(ops.hamiltonian))
+        eigs = np.sort(np.linalg.eigvalsh(ops.h))
         assert np.allclose(eigs, expected, atol=1e-12)
 
     def test_zero_local_field_is_diagonal(self):
@@ -187,7 +189,7 @@ class TestBuildOperators:
             mu_over_nu=1.0,
         )
         ops = build_operators(ens, cfg)
-        off_diag = ops.hamiltonian - np.diag(np.diag(ops.hamiltonian))
+        off_diag = ops.h - np.diag(np.diag(ops.h))
         assert np.count_nonzero(off_diag) == 0
 
     def test_single_tlf_against_hand_assembly(self):
@@ -213,35 +215,34 @@ class TestBuildOperators:
             + 0.5 * ens.omega[0] * z_t
             + ens.nu * (z_a + z_b) @ (c * z_t - s * x_t)
         )
-        assert np.allclose(ops.hamiltonian, h_hand, atol=1e-13)
+        assert np.allclose(ops.h, h_hand, atol=1e-13)
 
     def test_jump_count_and_rates(self):
         cfg = ModelConfig(n_tlf=3, seed=9)
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
         # absorption dropped at zero temperature: two jumps per fluctuator
-        assert len(ops.jumps) == 2 * 3
+        assert len(ops.rates) == len(ops.jump_ops) == 2 * 3
         cfg_hot = ModelConfig(n_tlf=3, seed=9, nbar=0.5)
         ops_hot = build_operators(sample_ensemble(cfg_hot), cfg_hot)
-        assert len(ops_hot.jumps) == 3 * 3
+        assert len(ops_hot.rates) == len(ops_hot.jump_ops) == 3 * 3
 
     def test_halve_couplings_flag(self):
         cfg = ModelConfig(n_tlf=2, mu_over_nu=1.0, seed=10)
         cfg_half = dataclasses.replace(cfg, halve_couplings=True)
-        h_full = build_operators(sample_ensemble(cfg), cfg).hamiltonian
-        h_half = build_operators(sample_ensemble(cfg_half), cfg_half).hamiltonian
+        h_full = build_operators(sample_ensemble(cfg), cfg).h
+        h_half = build_operators(sample_ensemble(cfg_half), cfg_half).h
         ens = sample_ensemble(cfg)
         cfg0 = dataclasses.replace(cfg, mu_over_nu=0.0)
-        h_base = build_operators(dataclasses.replace(ens, mu=0.0), cfg0).hamiltonian
+        h_base = build_operators(dataclasses.replace(ens, mu=0.0), cfg0).h
         assert np.allclose(h_half - h_base, 0.5 * (h_full - h_base), atol=1e-13)
 
     def test_decoupled_probe_precesses(self):
         # nu = 0 leaves the probe marginal precessing at the bare frequency
         cfg = ModelConfig(n_tlf=2, seed=12)
         ens = dataclasses.replace(sample_ensemble(cfg), nu=0.0, mu=0.0)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
+        gen = build_operators(ens, cfg)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), gen)
         sx_a = to_singlet_triplet(kron(SIGMA_X, np.eye(8, dtype=complex)))
         traj = propagate(gen, rho0, t_end=4 * 2 * np.pi, dt=2 * np.pi / 200, record={"sx_a": sx_a})
         assert np.max(np.abs(traj.expectations["sx_a"] - np.cos(cfg.omega_p * traj.t_grid))) < 1e-8
@@ -270,9 +271,30 @@ def test_gated_isolated_probe_against_kron(gate):
     for a, b in GATE_TERMS[gate]:
         h = h + s * kron(PAULI[a], PAULI[b])
     m_x = kron(SIGMA_X, I2) + kron(I2, SIGMA_X)
-    assert np.max(np.abs(ops.hamiltonian - to_singlet_triplet(h))) <= 1e-15
-    assert np.max(np.abs(ops.m_x - to_singlet_triplet(m_x))) <= 1e-15
-    assert ops.jumps == []
+    assert np.max(np.abs(ops.h - to_singlet_triplet(h))) <= 1e-15
+    assert np.max(np.abs(probe_magnetization(ops.layout) - to_singlet_triplet(m_x))) <= 1e-15
+    assert ops.rates.shape == (0,) and ops.jump_ops.shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("gate", sorted(GATE_TERMS))
+def test_add_gate_returns_a_new_generator(gate):
+    cfg = ModelConfig(n_tlf=2, seed=3, nbar=0.5)
+    gen = build_operators(sample_ensemble(cfg), cfg)
+    h, rates, jump_ops = gen.h.copy(), gen.rates.copy(), gen.jump_ops.copy()
+    gated = add_gate(gen, gate, 0.37)
+    # the input is left as it was
+    for got, want in ((gen.h, h), (gen.rates, rates), (gen.jump_ops, jump_ops)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # the jumps and layout are carried over bit for bit, and the gate's terms are
+    # added to the Hamiltonian one at a time
+    want_h = h
+    for lab in GATE_TERMS[gate]:
+        want_h = want_h + 0.37 * term_matrix(lab + "II")
+    for got, want in ((gated.h, want_h), (gated.rates, rates), (gated.jump_ops, jump_ops)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert gated.layout == gen.layout
 
 
 def test_unknown_gate_rejected():
@@ -302,11 +324,13 @@ def test_computational_hamiltonian_is_the_pauli_sum(n_tlf, gate):
         cfg = ModelConfig(n_tlf=n_tlf, seed=seed, mu_over_nu=1.0)
         ens = sample_ensemble(cfg)
         ops = build_operators(ens, cfg)
+        terms = hamiltonian_terms(ens, cfg)
         if gate is not None:
             ops = add_gate(ops, gate, float(ens.nu))
-        h_pauli = sum(c * pauli_string(lab) for c, lab in ops.terms)
-        assert np.max(np.abs(to_singlet_triplet(h_pauli) - ops.hamiltonian)) <= 1e-15
-        sectors = find_invariant_sectors(LindbladGenerator.from_system(ops))
+            terms += [(float(ens.nu), lab + "I" * n_tlf) for lab in GATE_TERMS[gate]]
+        h_pauli = sum(c * pauli_string(lab) for c, lab in terms)
+        assert np.max(np.abs(to_singlet_triplet(h_pauli) - ops.h)) <= 1e-15
+        sectors = find_invariant_sectors(ops)
         assert [len(s) for s in sectors] == [2**n_tlf] * 4
 
 

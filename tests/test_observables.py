@@ -14,8 +14,8 @@ from tlfsim.linalg import (
     SubsystemLayout,
     herm_eig,
 )
-from tlfsim.dynamics import LindbladGenerator, PropagationError, propagate
-from tlfsim.model import ModelConfig, build_operators, initial_state, probe_only_operators, probe_state_vector, sample_ensemble, tlf_ground_state
+from tlfsim.dynamics import PropagationError, propagate
+from tlfsim.model import ModelConfig, build_operators, initial_state, probe_magnetization, probe_only_operators, probe_state_vector, sample_ensemble, tlf_ground_state
 from tlfsim.observables import (
     EntanglementTrace,
     TimeSeries,
@@ -53,23 +53,20 @@ class TestTimeSeries:
 
 class TestMagnetization:
     def test_plus_plus_is_two(self):
-        ops = probe_only_operators()
-        gen = LindbladGenerator.from_system(ops)
-        traj = propagate(gen, dm(PLUS_PLUS_ST), 0.1, dt=0.1, record={"M_x": ops.m_x})
+        gen = probe_only_operators()
+        traj = propagate(gen, dm(PLUS_PLUS_ST), 0.1, dt=0.1, record={"M_x": probe_magnetization(gen.layout)})
         series = magnetization_series(traj)
         assert np.isclose(series.values[0], 2.0, atol=1e-12)
 
     def test_maximally_mixed_is_zero(self):
-        ops = probe_only_operators()
-        gen = LindbladGenerator.from_system(ops)
-        traj = propagate(gen, np.eye(4, dtype=complex) / 4, 0.1, dt=0.1, record={"M_x": ops.m_x})
+        gen = probe_only_operators()
+        traj = propagate(gen, np.eye(4, dtype=complex) / 4, 0.1, dt=0.1, record={"M_x": probe_magnetization(gen.layout)})
         assert np.allclose(magnetization_series(traj).values, 0.0, atol=1e-12)
 
     def test_isolated_probe_precession(self):
-        ops = probe_only_operators()
-        gen = LindbladGenerator.from_system(ops)
+        gen = probe_only_operators()
         traj = propagate(gen, dm(PLUS_PLUS_ST), 4 * 2 * np.pi, dt=2 * np.pi / 100,
-                         record={"M_x": ops.m_x})
+                         record={"M_x": probe_magnetization(gen.layout)})
         series = magnetization_series(traj)
         assert np.max(np.abs(series.values - 2 * np.cos(traj.t_grid))) < 1e-8
         assert np.all(np.abs(series.values) <= 2 + 1e-12)
@@ -77,18 +74,16 @@ class TestMagnetization:
     def test_from_marginals(self):
         cfg = ModelConfig(n_tlf=2, seed=30)
         ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
-        traj = propagate(gen, rho0, 1.0, dt=0.05, record={"M_x": ops.m_x},
+        gen = build_operators(ens, cfg)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), gen)
+        traj = propagate(gen, rho0, 1.0, dt=0.05, record={"M_x": probe_magnetization(gen.layout)},
                          marginal_keep=(0, 1))
         m_x = to_singlet_triplet(kron(SIGMA_X, I2) + kron(I2, SIGMA_X))
         from_marginal = np.einsum("ij,nji->n", m_x, traj.marginals).real
         assert np.allclose(magnetization_series(traj).values, from_marginal, atol=1e-12)
 
     def test_missing_record_raises(self):
-        ops = probe_only_operators()
-        gen = LindbladGenerator.from_system(ops)
+        gen = probe_only_operators()
         traj = propagate(gen, dm(PLUS_PLUS), 0.1, dt=0.1)
         with pytest.raises(ValueError):
             magnetization_series(traj)
@@ -223,9 +218,8 @@ class TestLowerBound:
     def test_dominated_by_log_negativity_along_trajectory(self):
         cfg = ModelConfig(n_tlf=2, mu_over_nu=0.5, seed=33)
         ens = sample_ensemble(cfg)
-        ops = build_operators(ens, cfg)
-        gen = LindbladGenerator.from_system(ops)
-        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), ops)
+        gen = build_operators(ens, cfg)
+        rho0 = initial_state("plus_plus", tlf_ground_state(ens, cfg), gen)
         traj = propagate(gen, rho0, 20 * 2 * np.pi, dt=2 * np.pi / 50, marginal_keep=(0, 1))
         u = SINGLET_TRIPLET
         et = entanglement_trace(traj.t_grid, u @ traj.marginals @ u.T)  # the product basis

@@ -12,11 +12,12 @@ from tlfsim.cli import cli_main
 from tlfsim.dynamics import LindbladGenerator, propagate, rk4_reference
 from tlfsim.linalg import pauli_string
 from tlfsim.model import (
+    GATE_TERMS,
     PROBE_STATES,
     ConfigurationError,
     ModelConfig,
-    add_gate,
     build_operators,
+    hamiltonian_terms,
     probe_state_vector,
     tlf_ground_state,
 )
@@ -529,11 +530,12 @@ def assert_marginals_match_the_computational_basis(gate, n_tlf, probe):
     cfg = ModelConfig(n_tlf=n_tlf, ratio_eps=1.0, mu_over_nu=1.0, seed=7)
     t_end, dt = 2.0, 0.02
     ens, traj = simulate(cfg, t_end, dt, probe=probe, gate=gate, g=0.3)
-    ops = build_operators(ens, cfg)
+    noisy = build_operators(ens, cfg)  # its jumps and layout; a gate changes neither
+    terms = hamiltonian_terms(ens, cfg)
     if gate is not None:
-        ops = add_gate(ops, gate, 0.3)
-    gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in ops.terms), jumps=ops.jumps,
-                            layout=ops.layout)
+        terms += [(0.3, lab + "I" * n_tlf) for lab in GATE_TERMS[gate]]
+    gen = LindbladGenerator(h=sum(c * pauli_string(lab) for c, lab in terms),
+                            jumps=list(zip(noisy.rates, noisy.jump_ops)), layout=noisy.layout)
     psi = probe_state_vector(probe)
     rho0 = np.kron(np.outer(psi, psi.conj()), tlf_ground_state(ens, cfg))
     dense = propagate(gen, rho0, t_end, dt, marginal_keep=(0, 1), method="dense")
