@@ -452,6 +452,10 @@ class _Recorder:
             raise ValueError(f"marginal_keep {marginal_keep!r} must name distinct sites of "
                              f"0..{layout.n_sites - 1}, at least one")
         self.record, self.keep, self.layout = record or {}, keep, layout
+        for key, op in self.record.items():
+            if np.shape(op) != (layout.total_dim,) * 2:
+                raise ValueError(f"record {key!r} must be a ({layout.total_dim}, "
+                                 f"{layout.total_dim}) operator, got shape {np.shape(op)}")
         self.kd = 0 if keep is None else math.prod(layout.dims[k] for k in keep)
         self.pairs = _hermitian_pairs(self.kd)
         self.values = np.empty((n_rec, len(self.record) + self.kd**2))

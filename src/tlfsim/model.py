@@ -506,6 +506,7 @@ def add_gate(gen: LindbladGenerator, gate: str, gate_strength: float) -> Lindbla
     Hamiltonian one at a time, and the same jumps and layout."""
     if gate not in GATE_TERMS:
         raise ConfigurationError(f"unknown gate {gate!r}; use one of {tuple(GATE_TERMS)}")
+    check_value("gate strength", gate_strength, "float")
     rest = "I" * (gen.layout.n_sites - 2)
     terms = [(gate_strength, lab + rest) for lab in GATE_TERMS[gate]]
     return LindbladGenerator(

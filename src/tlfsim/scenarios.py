@@ -1,12 +1,13 @@
 """Scenario runs: seeded figure-style experiments with file outputs.
 
-Every experiment kind runs one pipeline per point. :func:`simulate` samples
-the fluctuators, assembles the operators (plus a gate term), builds the
-initial state and propagates it, or does the same for the isolated probe.
-The kind's point function observes the trajectory and returns the point's
-tables and manifest entries; :func:`run_scenario` runs the points one
-after another and writes every table and the manifest. The points are
-mu/nu values of the TLF-TLF coupling:
+Every experiment kind runs one pipeline per point. :func:`run_scenario` calls
+:func:`simulate` once per point, with its kind's probe state, gate and
+recording: it samples the fluctuators, assembles the operators (plus a gate
+term), builds the initial state and propagates it, or does the same for the
+isolated probe. The kind's point function only observes the trajectory and
+returns the point's tables and manifest entries; :func:`run_scenario` writes
+every table and the manifest. The points are mu/nu values of the TLF-TLF
+coupling:
 
 * ``spectrum_sweep``   -- magnetization time series and periodogram at each
   ``sweep`` value and for an isolated-probe control, plus a peak table;
@@ -179,6 +180,11 @@ class Scenario:
             ignored.append("model.mu_over_nu")
         if ignored:
             raise ConfigurationError(f"{self.kind} does not read {', '.join(ignored)}; drop it")
+        if self.n_samples < 16:
+            raise ConfigurationError("n_samples must be at least 16")
+        for key in ("sample_step", "trace_step_cycles", "bell_step_cycles"):
+            if getattr(self, key) <= 0:
+                raise ConfigurationError(f"{key} must be positive")
         if self.resolved_duration() <= 0:
             raise ConfigurationError("duration must be positive")
         if self.kind == "gate":
@@ -203,10 +209,6 @@ class Scenario:
                 )
             if any(not 0 < e <= 1 for e in self.epsilons):
                 raise ConfigurationError("epsilons must lie in (0, 1]")
-        if self.n_samples < 16:
-            raise ConfigurationError("n_samples must be at least 16")
-        if self.sample_step <= 0 or self.trace_step_cycles <= 0 or self.bell_step_cycles <= 0:
-            raise ConfigurationError("sampling steps must be positive")
         t_end, dt = self.time_grid()
         try:
             n_steps = _grid_steps(t_end, dt)
@@ -449,38 +451,16 @@ def simulate(
     return ens, traj
 
 
-def _config(scenario: Scenario, mu_over_nu: float | None) -> ModelConfig:
-    """The model of one point; the fluctuator-free point (None) keeps the scenario's."""
-    model = scenario.model
-    return model if mu_over_nu is None else dataclasses.replace(model, mu_over_nu=mu_over_nu)
-
-
-def _point_result(tables: list, ens, traj, **summary) -> dict:
-    """What a point function hands back: its tables, each ``(file stem, header
-    extras, columns, rows)`` with the rows in a list, and its manifest entries."""
-    return {
-        "tables": tables,
-        "ensemble": None if ens is None else ens.as_dict(),
-        "stats": traj.stats,
-        "summary": summary,
-    }
-
-
 def _entanglement_table(stem: str, extra: dict, et) -> tuple:
     rows = zip(et.t_grid.tolist(), et.log_negativity.tolist(), et.c2prime.tolist())
     return stem, extra, ["t", "E_P", "C2prime"], list(rows)
 
 
-def _spectrum_point(scenario: Scenario, label: str, mu_over_nu: float | None) -> dict:
+def _spectrum_point(scenario: Scenario, label: str, mu_over_nu: float | None, ens, traj):
     """Magnetization series and spectrum; ``None`` is the isolated-probe control."""
-    control = mu_over_nu is None
-    ens, traj = simulate(
-        _config(scenario, mu_over_nu), *scenario.time_grid(),
-        fluctuators=not control, magnetization=True,
-    )
     series = magnetization_series(traj)
     spec = power_spectrum(series)
-    point = {"control": "isolated probe"} if control else {"mu_over_nu": mu_over_nu}
+    point = {"control": "isolated probe"} if mu_over_nu is None else {"mu_over_nu": mu_over_nu}
     extra = {**point, "time_unit": "1/omega_p"}
     tables = [
         (f"timeseries_{label}", extra, ["t", "value"],
@@ -488,23 +468,21 @@ def _spectrum_point(scenario: Scenario, label: str, mu_over_nu: float | None) ->
         (f"spectrum_{label}", extra, ["omega", "power"],
          list(zip(spec.omega.tolist(), spec.power.tolist()))),
     ]
-    return _point_result(tables, ens, traj, peaks=detect_peaks(spec))
+    return tables, {"peaks": detect_peaks(spec)}
 
 
-def _entanglement_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
+def _entanglement_point(scenario: Scenario, label: str, mu_over_nu: float, ens, traj):
     """Probe entanglement trace from a separable start (also the bound comparison)."""
-    ens, traj = simulate(_config(scenario, mu_over_nu), *scenario.time_grid())
     et = entanglement_trace(traj.t_grid, traj.marginals)
     extra = {"mu_over_nu": mu_over_nu, "time_unit": "1/omega_p"}
     gap = et.log_negativity - et.c2prime
     i_max = int(np.argmax(et.log_negativity))
-    return _point_result(
-        [_entanglement_table(f"entanglement_{label}", extra, et)], ens, traj,
-        max_E_P=float(et.log_negativity[i_max]),
-        t_at_max=float(et.t_grid[i_max]),
-        mean_bound_gap=float(np.mean(gap)),
-        max_bound_violation=float(np.max(et.c2prime - et.log_negativity)),
-    )
+    return [_entanglement_table(f"entanglement_{label}", extra, et)], {
+        "max_E_P": float(et.log_negativity[i_max]),
+        "t_at_max": float(et.t_grid[i_max]),
+        "mean_bound_gap": float(np.mean(gap)),
+        "max_bound_violation": float(np.max(et.c2prime - et.log_negativity)),
+    }
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
@@ -516,7 +494,7 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> dict:
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
 
 
-def _bell_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
+def _bell_point(scenario: Scenario, label: str, mu_over_nu: float, ens, traj):
     """Entanglement decay of a register Bell state, with lifetimes and the
     exchange-probability law.
 
@@ -527,9 +505,6 @@ def _bell_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
     """
     state = scenario.bell
     state_tag = state.replace("+", "_plus").replace("-", "_minus")
-    cfg = _config(scenario, mu_over_nu)
-    t_end, dt = scenario.time_grid()
-    ens, traj = simulate(cfg, t_end, dt, probe=state)
     et = entanglement_trace(traj.t_grid, traj.marginals)
     if abs(et.log_negativity[0] - 1.0) > 1e-8:
         raise PropagationError(
@@ -539,11 +514,12 @@ def _bell_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
         "bell_state": state,
         "mu_over_nu": mu_over_nu,
         "time_unit": "1/omega_p",
-        "t_eps_resolution": dt,
+        "t_eps_resolution": traj.step,
     }
     gamma_char = float(np.mean(ens.Gamma_minus))
     t_eps = [entanglement_lifetime(et, eps) for eps in scenario.epsilons]
-    p_t_eps = [None if t is None else p_of_t(t, gamma=gamma_char, nbar=cfg.nbar) for t in t_eps]
+    nbar = scenario.model.nbar
+    p_t_eps = [None if t is None else p_of_t(t, gamma=gamma_char, nbar=nbar) for t in t_eps]
     rows = [
         (eps, t, p, float(-np.log(eps)))
         for eps, t, p in zip(scenario.epsilons, t_eps, p_t_eps)
@@ -563,10 +539,9 @@ def _bell_point(scenario: Scenario, label: str, mu_over_nu: float) -> dict:
         x = -np.log(np.asarray(scenario.epsilons))
         fit = _linear_fit(x, np.array(p_t_eps))
         fit_raw = _linear_fit(x, np.array(t_eps))
-    return _point_result(
-        tables, ens, traj,
-        lifetimes=t_eps, fits=fit, fits_raw_lifetime=fit_raw, gamma_char=gamma_char,
-    )
+    return tables, {
+        "lifetimes": t_eps, "fits": fit, "fits_raw_lifetime": fit_raw, "gamma_char": gamma_char,
+    }
 
 
 def _first_local_max(t: np.ndarray, values: np.ndarray) -> tuple[float, float]:
@@ -588,22 +563,22 @@ def _plateau_report(t: np.ndarray, values: np.ndarray) -> dict:
     }
 
 
-def _gate_point(scenario: Scenario, label: str, mu_over_nu: float | None) -> dict:
+def _gate_point(scenario: Scenario, label: str, mu_over_nu: float | None, ens, traj):
     """Entangling gate among the fluctuators; ``None`` is the ideal register,
     with no fluctuators at all."""
     gate, g = scenario.gate.kind, scenario.gate_strength()
-    ens, traj = simulate(
-        _config(scenario, mu_over_nu), *scenario.time_grid(),
-        gate=gate, g=g, fluctuators=mu_over_nu is not None,
-    )
     et = entanglement_trace(traj.t_grid, traj.marginals)
     extra = {"gate": gate, "gate_strength": g, "run": label, "time_unit": "1/omega_p"}
     t_max, v_max = _first_local_max(et.t_grid, et.log_negativity)
-    return _point_result(
-        [_entanglement_table(f"gate_{gate}_{label}", extra, et)], ens, traj,
-        first_max={"t": t_max, "E_P": v_max},
-        plateau=_plateau_report(et.t_grid, et.log_negativity),
-    )
+    return [_entanglement_table(f"gate_{gate}_{label}", extra, et)], {
+        "first_max": {"t": t_max, "E_P": v_max},
+        "plateau": _plateau_report(et.t_grid, et.log_negativity),
+    }
+
+
+# each kind's point function, which observes one point's trajectory and returns its
+# tables, each (file stem, header extras, columns, rows), and its manifest entries
+_OBSERVE = {"spectrum_sweep": _spectrum_point, "bell_decay": _bell_point, "gate": _gate_point}
 
 
 def expand_grid(raw: dict, seed: int | None = None) -> list[tuple[str, Scenario]]:
@@ -671,18 +646,25 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot write output: {exc}") from exc
-    # each kind: its point function and the manifest summary entries that
-    # precede the points'
-    point, head = _entanglement_point, {}
-    if scenario.kind == "spectrum_sweep":
-        point = _spectrum_point
-    elif scenario.kind == "bell_decay":
-        point, head = _bell_point, {"bell_state": scenario.bell}
-    elif scenario.kind == "gate":
-        point = _gate_point
-        head = {"gate": scenario.gate.kind, "gate_strength": scenario.gate_strength()}
+    # what every point runs with; only the model's mu/nu, and whether there are
+    # fluctuators at all, change from point to point
+    gate = None if scenario.gate is None else scenario.gate.kind
+    g = None if scenario.gate is None else scenario.gate_strength()
+    observe = _OBSERVE.get(scenario.kind, _entanglement_point)
+
+    def run_point(label: str, mu: float | None) -> dict:
+        # a function of its own, so that no trajectory outlives its point
+        model = scenario.model if mu is None else dataclasses.replace(scenario.model, mu_over_nu=mu)
+        ens, traj = simulate(
+            model, *scenario.time_grid(), probe=scenario.bell or "plus_plus", gate=gate, g=g,
+            fluctuators=mu is not None, magnetization=scenario.kind == "spectrum_sweep",
+        )
+        tables, summary = observe(scenario, label, mu, ens, traj)
+        ensemble = None if ens is None else ens.as_dict()
+        return {"tables": tables, "ensemble": ensemble, "stats": traj.stats, "summary": summary}
+
     points = scenario.points()
-    results = {label: point(scenario, label, mu) for label, mu in points}
+    results = {label: run_point(label, mu) for label, mu in points}
 
     tables = [t for r in results.values() for t in r["tables"]]
     tables.sort(key=lambda t: f"{t[0]}.{fmt}")
@@ -697,15 +679,12 @@ def run_scenario(scenario: Scenario, out_dir=None, fmt: str = "csv") -> RunRecor
     for stem, extra, columns, rows in tables:
         files.append(f"{stem}.{fmt}")
         _write_table(out / files[-1], fmt, _header(scenario, extra), columns, rows)
-    summary = dict(head)
+    head = {"bell_state": scenario.bell, "gate": gate, "gate_strength": g}
+    summary = {key: value for key, value in head.items() if value is not None}
     for label, r in results.items():
         for key, value in r["summary"].items():
             summary.setdefault(key, {})[label] = value
-    # plain Python scalars: the manifest's YAML cannot represent numpy's
-    summary["cptp"] = {
-        label: {k: v.item() if isinstance(v, np.generic) else v for k, v in r["stats"].items()}
-        for label, r in results.items()
-    }
+    summary["cptp"] = {label: r["stats"] for label, r in results.items()}
     record = RunRecord(
         scenario_hash=scenario.hash(),
         seed=scenario.model.seed,

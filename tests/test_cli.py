@@ -282,26 +282,6 @@ def test_bell_start_that_is_not_entangled_is_numerical_failure(tmp_path, monkeyp
     assert "Traceback" not in err
 
 
-def test_numpy_scalars_in_point_stats_are_written_plain(scenario_file, tmp_path, monkeypatch):
-    from tlfsim import scenarios
-
-    exact = scenarios.propagate
-
-    def propagate(*args, **kwargs):
-        traj = exact(*args, **kwargs)
-        traj.stats.update(count=np.int64(3), share=np.float64(0.25))
-        return traj
-
-    monkeypatch.setattr(scenarios, "propagate", propagate)
-    out = tmp_path / "numpy"
-    assert cli_main(["run", str(scenario_file), "--out-dir", str(out)]) == 0
-    cptp = yaml.safe_load((out / "manifest.yaml").read_text())["summary"]["cptp"]
-    assert set(cptp) == {"mu0.00", "mu1.00", "control"}
-    for stats in cptp.values():
-        assert (stats["count"], stats["share"]) == (3, 0.25)
-        assert (type(stats["count"]), type(stats["share"])) == (int, float)
-
-
 @pytest.mark.parametrize("target", ["spectrum_mu0.00.csv", "manifest.yaml"])
 def test_output_file_that_cannot_be_written_is_config_error(
     target, scenario_file, tmp_path, capsys
@@ -508,6 +488,24 @@ def test_malformed_value_is_config_error(case, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("sample_step: 0.0\n", "sample_step"),
+        ("sample_step: -0.05\n", "sample_step"),
+        ("n_samples: 1\n", "n_samples"),
+    ],
+)
+def test_spectrum_sampling_error_names_its_key(text, key, tmp_path, capsys):
+    # a spectrum file sets no duration: its sampling keys are blamed, not duration
+    path = tmp_path / "spectrum.yaml"
+    path.write_text("schema_version: 1\nkind: spectrum_sweep\n" + text)
+    assert cli_main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err and "Traceback" not in err
+    assert "duration" not in err
 
 
 # validated only: running one would ask for terabytes or days

@@ -899,6 +899,23 @@ def test_marginal_keep_is_checked_alike_by_both_integrators(keep):
             integrate(gen, rho0, 0.1, 0.01, marginal_keep=keep)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 4), (16,)])
+def test_record_operators_are_checked_alike_by_both_integrators(shape, monkeypatch):
+    # an operator of the wrong shape is refused, by its key, before any step map
+    def build(*args, **kwargs):
+        raise AssertionError("step map built")
+
+    gen = LindbladGenerator(h=kron(SIGMA_Z, I2), jumps=[(0.1, kron(I2, SIGMA_MINUS))],
+                            layout=SubsystemLayout((2, 2)))
+    monkeypatch.setattr(dynamics, "find_invariant_sectors", build)
+    monkeypatch.setattr(LindbladGenerator, "norm_bound", build)
+    rho0 = np.eye(4, dtype=complex) / 4
+    record = {"ok": np.eye(4), "bad": np.ones(shape)}
+    for integrate in (propagate, rk4_reference):
+        with pytest.raises(ValueError, match="record 'bad'"):
+            integrate(gen, rho0, 0.1, 0.01, record=record)
+
+
 def test_gated_point_builds_its_propagators_without_a_solve(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve called")

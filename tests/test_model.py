@@ -302,6 +302,12 @@ def test_unknown_gate_rejected():
         add_gate(probe_only_operators(), "cnot", 0.1)
 
 
+@pytest.mark.parametrize("strength", [None, float("nan"), float("inf"), True])
+def test_gate_strength_must_be_a_finite_number(strength):
+    with pytest.raises(ConfigurationError, match="gate strength"):
+        add_gate(probe_only_operators(), "zz", strength)
+
+
 @pytest.mark.parametrize("label", ["II", "ZI", "IZ", "ZZ", "XX", "YY"])
 def test_singlet_triplet_paulis_are_exact(label):
     # with the unnormalized |00>, |01> + |10>, |01> - |10>, |11> every product is an

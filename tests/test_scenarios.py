@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -324,7 +326,11 @@ class TestFindPeaks:
         path = Path(__file__).parent.parent / "scenarios" / "spectrum_weak_fields.yaml"
         ((_, sc),) = load_scenario_file(path)
         for label, mu in sc.points():
-            spectrum = _spectrum_point(sc, label, mu)["tables"][1]
+            model = sc.model if mu is None else dataclasses.replace(sc.model, mu_over_nu=mu)
+            ens, traj = simulate(
+                model, *sc.time_grid(), fluctuators=mu is not None, magnetization=True
+            )
+            spectrum = _spectrum_point(sc, label, mu, ens, traj)[0][1]
             assert spectrum[0].startswith("spectrum_")
             power = np.array([p for _, p in spectrum[3]])
             assert_peaks_match_scipy(power)
@@ -405,6 +411,45 @@ MULTI_POINT_SCENARIOS = {
     "bell_decay": {"bell": "phi+", "duration": 5.0, "bell_step_cycles": 0.1},
     "gate": {"gate": {"kind": "xxyy"}, "duration": 2.0, "trace_step_cycles": 0.05},
 }
+
+
+@pytest.mark.parametrize("kind", list(MULTI_POINT_SCENARIOS))
+def test_run_scenario_simulates_each_point_once(kind, tmp_path, monkeypatch):
+    # every point runs the one pipeline call, in run order, with the kind's probe,
+    # gate and recording; only the fluctuator-free points go without fluctuators
+    from tlfsim import scenarios
+
+    calls, exact = [], scenarios.simulate
+    signature = inspect.signature(exact)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        ens, traj = exact(*args, **kwargs)
+        assert all(type(v) in (int, float, type(None)) for v in traj.stats.values())
+        return ens, traj
+
+    monkeypatch.setattr(scenarios, "simulate", spy)
+    sc = small_scenario(kind, **MULTI_POINT_SCENARIOS[kind])
+    run_scenario(sc, out_dir=tmp_path)
+    gate = ("xxyy", sc.gate_strength()) if kind == "gate" else (None, None)
+    assert len(calls) == len(sc.points())
+    for call, (label, mu) in zip(calls, sc.points()):
+        assert call["cfg"].mu_over_nu == (sc.model.mu_over_nu if mu is None else mu)
+        assert (call["t_end"], call["dt"]) == sc.time_grid()
+        assert call["probe"] == (sc.bell or "plus_plus")
+        assert (call["gate"], call["g"]) == gate
+        assert call["fluctuators"] is (mu is not None)
+        assert call["magnetization"] is (kind == "spectrum_sweep")
+
+
+@pytest.mark.parametrize("strength", [None, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("fluctuators", [False, True])
+def test_gate_strength_is_checked(strength, fluctuators):
+    cfg = ModelConfig(**SMALL_MODEL)
+    with pytest.raises(ConfigurationError, match="gate strength"):
+        simulate(cfg, 0.1, 0.01, gate="zz", g=strength, fluctuators=fluctuators)
 
 
 @pytest.mark.parametrize("kind", list(MULTI_POINT_SCENARIOS))
