@@ -17,12 +17,17 @@ test suite:
   observable as a linear functional of them, a whole state as the marginal on
   every site; the full state is assembled only for the strided eigenvalue
   check and the final state.
-  The loop runs in chunks of B grid points: one product of the stacked rows
-  ``weights P^j`` (j < B) with the state records all B of them, trace
-  included, and one mat-vec per pair with ``P^B`` reaches the next
-  chunk start; a tail of fewer than B steps takes single steps. B comes from
-  a cost rule (:func:`_chunk_size`) and divides ``EIG_CHECK_STRIDE``; with
-  B = 1 the loop is one step per grid point.
+  The pairs run one at a time (:func:`_step_pair`). A pair's propagator
+  ``P`` and its power ``P^B`` are built; one mat-vec with ``P^B`` steps it
+  from each chunk start of B grid points to the next, and ``P`` through a
+  tail of fewer than B steps; one product of the stacked rows ``w P^j``
+  (j < B) of the scalars that read the pair records all its chunks. Its
+  share of every recorded value, trace included, is summed in, its states
+  at the eigenvalue checks and at the end are kept, and the rest is freed
+  before the next pair, so one pair's propagators are live at a time. The
+  trace audit and the eigenvalue checks then run over the grid in order. B
+  comes from a cost rule (:func:`_chunk_size`) and divides
+  ``EIG_CHECK_STRIDE``; with B = 1 every grid point is one step.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
   one-sector route through the same engine and is its oracle. The engine runs
   on numpy alone: the sectors are a transitive closure of the operators'
@@ -152,10 +157,12 @@ def step_propagator(l: np.ndarray, dt: float) -> np.ndarray:
 
     A rate or coupling too large for floating point leaves L dt or its
     exponential with non-finite entries; that raises PropagationError.
+    ``l`` is never written; with ``dt = 1`` it is taken as L dt without a
+    copy, which is how the block builder passes an L it has scaled in place.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    l_dt = l * dt
+    l_dt = l if dt == 1 else l * dt
     if not np.isfinite(l_dt).all():
         raise PropagationError("L dt has non-finite entries")
     p = expm(l_dt)
@@ -245,13 +252,15 @@ def _block_propagator(
     its flow maps Hermitian blocks to Hermitian blocks and L is real in the
     Hermitian basis W. Its propagator is then the real exp(W^dagger L W dt),
     which acts on a block's coordinates W^dagger vec(X), not on vec(X).
+    L dt is formed in L's own buffer, so no copy of it is live in the exponential.
     """
     l = _liouvillian_block(ops_r[0], ops_c[0], rates, ops_r[1], ops_c[1])
+    l *= dt
     if not self_adjoint:
-        return step_propagator(l, dt)
+        return step_propagator(l, 1.0)
     r = _real_basis_generator(l, ops_r[0].shape[0])
     del l  # frees the complex buffer before the exponential
-    p = step_propagator(r, dt)
+    p = step_propagator(r, 1.0)
     if np.iscomplexobj(p):  # the steps would no longer keep real coordinates real
         raise PropagationError(
             f"Hermiticity deviation {np.max(np.abs(p.imag)):.3e} in a real-basis propagator"
@@ -260,38 +269,34 @@ def _block_propagator(
 
 
 class _BlockStepper:
-    """Holds the state as the sector pairs that are live in ``rho0``.
+    """Holds the state as the sector pairs that are live in ``rho0``, each built and
+    stepped on its own.
 
     A pair (a, b) is the block of rows in sector a and columns in sector b;
     the flow maps each pair into itself, so pairs that start exactly zero
     stay zero and are never built or stepped. Block (b, a) of the Hermitian
     state is block (a, b)^dagger and Phi(X)^dagger = Phi(X^dagger), so each
     unordered pair is stepped once, as (a, b) with a <= b and with its own
-    propagator, and its mirror is read as the conjugate.
+    propagator (:meth:`propagator`), and its mirror is read as the conjugate.
 
-    The state is one vector, the stepped pairs end to end, and a step is one
-    mat-vec per pair on its slice. A diagonal (a, a) pair is its coordinates
-    W^dagger vec(X) in the Hermitian basis, real for the Hermitian block of a
-    Hermitian state, which the real propagator then keeps exactly Hermitian;
-    any other is its F-order vec. Every recorded scalar
-    is real and linear in the state, so it is Re(w v) for one weight row w
-    (:meth:`weights`).
-
-    Chunked recording (:meth:`chunk`) moves the propagators onto the rows:
-    row ``w P^j`` read on the state at grid point i is ``w`` read at i + j, so
-    stacking the rows for j < B records B grid points with one product, and
-    the pairs with ``P^B`` in place of ``P`` step from one chunk start to the
-    next. A real ``P`` has a real ``P^B``, so real coordinates stay real.
+    The state is one vector, the stepped pairs end to end, each on its slice.
+    A diagonal (a, a) pair is its coordinates W^dagger vec(X) in the
+    Hermitian basis, real for the Hermitian block of a Hermitian state, which
+    the real propagator then keeps exactly Hermitian; any other is its
+    F-order vec. Every recorded scalar is real and linear in the state, so it
+    is Re(w v) for one weight row w (:meth:`weights`), the sum of what each
+    pair's slice of w reads on that pair.
     """
 
     def __init__(
         self, gen: LindbladGenerator, dt: float, sectors: list[np.ndarray], rho0: np.ndarray
     ):
+        self.gen, self.dt, self.sectors = gen, dt, sectors
         self.dim = dim = gen.dim
-        # (slice of the state vector, flat indices, mirror, Hermitian pairs or None)
-        # per stepped pair
+        # ((a, b), slice of the state vector, flat indices, mirror, Hermitian pairs or
+        # None) per stepped pair
         self.pairs = []
-        stepped, v0, start = [], [], 0
+        v0, start = [], 0
         for a, b in zip(*np.triu_indices(len(sectors))):
             rows, cols = sectors[a], sectors[b]
             flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
@@ -303,32 +308,24 @@ class _BlockStepper:
             sl = slice(start, start + len(block))
             start = sl.stop
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
-            self.pairs.append((sl, flat, mirror, pairs))
-            stepped.append((a, b))
+            self.pairs.append(((a, b), sl, flat, mirror, pairs))
             v0.append(block)
         self.v0 = np.concatenate(v0)
-        # built after the pair loop: interleaved with its small allocations, the
-        # exponentials' temporaries left about 1 MB more peak RSS at n_tlf=4
-        restricted = [(gen.h[np.ix_(s, s)], gen.jump_ops[:, s[:, None], s]) for s in sectors]
-        self.props = [
-            _block_propagator(restricted[a], restricted[b], gen.rates, dt, self_adjoint=a == b)
-            for a, b in stepped
-        ]
         self.stats = {
             "sectors": len(sectors),
-            "pairs_live": sum(1 if mirror is None else 2 for _, _, mirror, _ in self.pairs),
+            "pairs_live": sum(1 if mirror is None else 2 for *_, mirror, _ in self.pairs),
             "pairs_stepped": len(self.pairs),
-            "propagators_real": sum(mirror is None for _, _, mirror, _ in self.pairs),
-            "block_dim_max": max(prop.shape[0] for prop in self.props),
+            "propagators_real": sum(mirror is None for *_, mirror, _ in self.pairs),
+            "block_dim_max": max(len(flat) for _, _, flat, *_ in self.pairs),
         }
 
-    def step(self, v: np.ndarray, props: list | None = None) -> np.ndarray:
-        """Apply each pair's propagator (``props`` may swap in their powers)."""
-        out = np.empty_like(v)
-        for prop, (sl, *_) in zip(self.props if props is None else props, self.pairs):
-            # real coordinates take the real propagator, never cast to complex
-            np.matmul(prop, v[sl].real if np.isrealobj(prop) else v[sl], out=out[sl])
-        return out
+    def propagator(self, k: int) -> np.ndarray:
+        """exp(L dt) of stepped pair k, real for a diagonal pair."""
+        (a, b), *_ = self.pairs[k]
+        h, jumps, sectors = self.gen.h, self.gen.jump_ops, self.sectors
+        ops = [(h[np.ix_(s, s)], jumps[:, s[:, None], s]) for s in (sectors[a], sectors[b])]
+        with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
+            return _block_propagator(*ops, self.gen.rates, self.dt, self_adjoint=a == b)
 
     def weights(self, f: np.ndarray) -> np.ndarray:
         """Rows w with sum_ij f[k, i, j] rho[i, j] = Re(w[k] v), for a ``(k, dim, dim)`` stack
@@ -336,67 +333,104 @@ class _BlockStepper:
         there are the conjugates of the pair's, so the pair's row is 2 f."""
         f = f.reshape(len(f), self.dim * self.dim).astype(complex, copy=False)  # mixed in place
         w = np.empty((len(f), len(self.v0)), dtype=complex)
-        for sl, flat, mirror, pairs in self.pairs:
+        for _, sl, flat, mirror, pairs in self.pairs:
             x = f[:, flat]
             w[:, sl] = 2 * x if mirror is not None else _mix_pairs(x, pairs, _W_PAIR.T)
         return w
 
-    def chunk(self, weights: np.ndarray, b: int) -> tuple[np.ndarray, list]:
-        """The rows ``R_j = weights P^j`` for ``j < b``, stacked as ``(b * len(weights), n)``,
-        and the propagators' powers ``P^b``.
-
-        ``R @ v`` then records the ``b`` grid points from ``v`` on, and one
-        :meth:`step` with the powers reaches the next chunk start. ``R_j`` takes
-        ``b - 1`` right products per pair. A real ``P`` acts on real coordinates,
-        which only the real part of a row reads, so its products are real.
-        """
-        if b == 1:
-            return weights, self.props
-        powers = [np.linalg.matrix_power(p, b) for p in self.props]
-        rows = np.empty((b, *weights.shape), dtype=complex)
-        rows[0] = weights
-        for prop, (sl, *_) in zip(self.props, self.pairs):
-            x = weights[:, sl].real if np.isrealobj(prop) else weights[:, sl]
-            for j in range(1, b):
-                x = x @ prop
-                rows[j, :, sl] = x
-        return rows.reshape(-1, weights.shape[1]), powers
-
     def assemble(self, v: np.ndarray) -> np.ndarray:
         rho = np.zeros(self.dim * self.dim, dtype=complex)
-        for sl, flat, mirror, pairs in self.pairs:
+        for _, sl, flat, mirror, pairs in self.pairs:
             rho[flat] = _mix_pairs(v[sl].astype(complex), pairs, _W_PAIR)
             if mirror is not None:
                 rho[mirror] = rho[flat].conj()
         return rho.reshape(self.dim, self.dim)
 
 
-# The cost rule's unit is one multiply-add of a real mat-vec, about 0.2-0.35 ns
-# with 2-thread OpenBLAS on 256^2 to 1024^2 blocks. A square product's
-# multiply-adds run 7-15 times faster (8-13 on most points), as fast right after
-# the exponentials as later, since both run in the same BLAS.
-_GEMM_GAIN = 8
-_ROWS_GAIN = 2  # the same for a product of the 2 to 17 rows, one per recorded scalar
-_PASS_COST = 5e5  # the Python of one pass of the step loop (70-150 us)
-_ROWS_BYTES = 8 << 20  # the most the stacked recording rows may take
+_HELD_BYTES = 8 << 20  # the most one pair's held states may take
 
 
-def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
-    """The number of grid points B that one pass of the step loop records.
+def _chunk_rows(w: np.ndarray, p: np.ndarray, b: int) -> np.ndarray:
+    """The rows ``w P^j`` for ``j < b``, stacked j-major as ``(b * len(w), n)``.
+
+    Row ``w P^j`` read on the state at grid point i is ``w`` read at i + j,
+    so these rows, read on a chunk start, record its ``b`` grid points.
+    """
+    rows = np.empty((b, *w.shape), dtype=np.result_type(w, p))
+    rows[0] = w
+    for j in range(1, b):
+        np.matmul(rows[j - 1], p, out=rows[j])
+    return rows.reshape(-1, w.shape[1])
+
+
+def _step_pair(p, v, w, b: int, n_steps: int, values: np.ndarray, cols) -> np.ndarray:
+    """Step one pair over the grid from its coordinates ``v`` at t = 0.
+
+    ``P^b`` steps the pair from chunk start to chunk start while a whole chunk
+    of b grid points fits, then ``P`` through the tail, one mat-vec each. The
+    states held at these stops are then read in one product with the chunk
+    rows (:func:`_chunk_rows`) for the chunk starts and one with ``w`` for the
+    rest, in batches of at most ``_HELD_BYTES``. ``Re(w x)`` of the pair's
+    coordinates x at every grid point is added into the columns ``cols`` of
+    ``values``; x is returned at every multiple of ``EIG_CHECK_STRIDE``, then
+    at the end. A real ``P`` (and its power) keeps real coordinates real,
+    which only the real part of a row reads.
+    """
+    if np.isrealobj(p):
+        v, w = v.real, w.real
+    n_chunks = n_steps // b
+    stops = np.r_[np.arange(0, n_chunks * b, b), np.arange(n_chunks * b, n_steps + 1)]
+    power = p if b == 1 else np.linalg.matrix_power(p, b)
+    rows = _chunk_rows(w, p, b)
+    held = min(len(stops), max(1, _HELD_BYTES // v.nbytes))
+    x = np.empty((held, len(v)), dtype=np.result_type(p, v))
+    saved = []
+    for lo in range(0, len(stops), held):
+        at = stops[lo : lo + held]
+        for j in range(len(at)):
+            if lo + j == 0:
+                x[0] = v
+            else:  # stop i <= n_chunks is a chunk start; x[-1] ends the batch before
+                np.matmul(power if lo + j <= n_chunks else p, x[j - 1], out=x[j])
+        m = np.count_nonzero(at < n_chunks * b)  # the chunk starts, each recording b points
+        values[at[0] : at[0] + m * b, cols] += (x[:m] @ rows.T).real.reshape(m * b, len(cols))
+        if m < len(at):
+            values[at[m] : at[-1] + 1, cols] += (x[m : len(at)] @ w.T).real
+        saved.append(x[: len(at)][at % EIG_CHECK_STRIDE == 0])
+    saved.append(x[[len(at) - 1]])
+    return np.concatenate(saved)
+
+
+# The cost rule's unit is one multiply-add of a real mat-vec, measured at 0.11-0.21 ns
+# on 256^2 to 1024^2 blocks with 2-thread OpenBLAS; a complex one took 1.7-2.4
+# units, counted 2. A complex product's multiply-add counts 4. A product of k
+# rows costs about k mat-vecs: relative to that, k = 1 and k = 2 measured
+# 1.0-1.3 and 0.9-2.3 times faster in real arithmetic and 1.1 and 0.5-0.8 times
+# in complex, so rows take no gain of their own.
+_GEMM_GAIN = 5  # a square product's multiply-adds ran 3.7-4.1 (real) and 5.4-7 (complex)
+# times faster on 256^2 blocks, the size of every shipped scenario; on 1024^2, 8-11
+# and 8-13, where B = 1, which this gain keeps, ran within 4% of B = 2
+_CALL_COST = 1.5e4  # one matmul call of the pair loops: 1.9-2.1 us on 1- to 16-dim blocks
+_ROWS_BYTES = 8 << 20  # the most one pair's stacked recording rows may take
+
+
+def _chunk_size(stepper: _BlockStepper, live_rows: list[int], n_steps: int) -> int:
+    """The number of grid points B that one chunk records.
 
     B divides ``EIG_CHECK_STRIDE``, so every eigenvalue check falls on a chunk
-    start. Of those B, this takes the one with the least modelled work: the
-    powers ``P^B`` (squarings and products, per pair), the ``B - 1`` right
-    products of the ``n_rows`` recording rows per pair, and one mat-vec per
-    pair and one Python pass for each chunk and each step of the tail.
-    Candidates whose rows would pass ``_ROWS_BYTES`` are left out.
+    start. Of those B, this takes the one with the least modelled work, summed
+    over the stepped pairs: the power ``P^B`` (squarings and products), the
+    ``B - 1`` right products of the pair's ``live_rows`` recording rows, and
+    one mat-vec for each chunk and each step of the tail, with one call's
+    Python on every product. Recording is one product over the held states
+    whatever B, so it is left out. Candidates whose rows for some pair would
+    pass ``_ROWS_BYTES`` are left out too.
     """
-    props = stepper.props
-    step = _PASS_COST + sum(p.shape[0] ** 2 * (2 if np.iscomplexobj(p) else 1) for p in props)
-    square = sum(p.shape[0] ** 3 * (4 if np.iscomplexobj(p) else 1) for p in props) / _GEMM_GAIN
-    rows = sum(n_rows * p.shape[0] ** 2 * (4 if np.iscomplexobj(p) else 1)
-               for p in props) / _ROWS_GAIN
-    n = len(stepper.v0)
+    pairs = [(sl.stop - sl.start, 1 if mirror is None else 2, k)
+             for (_, sl, _, mirror, _), k in zip(stepper.pairs, live_rows)]
+    step = sum(_CALL_COST + n * n * c for n, c, _ in pairs)
+    square = sum(_CALL_COST + n**3 * c * c / _GEMM_GAIN for n, c, _ in pairs)
+    rows = sum(_CALL_COST + k * n * n * c * c for n, c, k in pairs)
 
     def cost(b: int) -> float:
         products = b.bit_length() + b.bit_count() - 2  # squarings, then the products
@@ -405,7 +439,8 @@ def _chunk_size(stepper: _BlockStepper, n_rows: int, n_steps: int) -> int:
 
     candidates = [
         b for b in range(1, EIG_CHECK_STRIDE + 1)
-        if EIG_CHECK_STRIDE % b == 0 and (b == 1 or b * n_rows * n * 16 <= _ROWS_BYTES)
+        if EIG_CHECK_STRIDE % b == 0
+        and (b == 1 or all(b * k * n * 8 * c <= _ROWS_BYTES for n, c, k in pairs))
     ]
     return min(candidates, key=cost)
 
@@ -568,37 +603,30 @@ def propagate(
     n_steps = _grid_steps(t_end, dt)
     rec = _Recorder(n_steps + 1, record, marginal_keep, gen.layout)
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
-    with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
-        stepper = _BlockStepper(gen, dt, sectors, rho)
-    # the recorded scalars, then the trace
+    stepper = _BlockStepper(gen, dt, sectors, rho)
+    # the recorded scalars, then the trace; each pair reads the rows that are not zero on it
     weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
+    live = [np.flatnonzero(np.any(weights[:, sl] != 0, axis=1)) for _, sl, *_ in stepper.pairs]
+    b = _chunk_size(stepper, [len(cols) for cols in live], n_steps)
 
+    # one pair at a time: its propagator, powers and rows are freed before the next
+    values = np.zeros((n_steps + 1, len(weights)))
+    saved = np.empty((n_steps // EIG_CHECK_STRIDE + 2, len(stepper.v0)), dtype=complex)
+    for k, (_, sl, *_) in enumerate(stepper.pairs):
+        saved[:, sl] = _step_pair(stepper.propagator(k), stepper.v0[sl], weights[live[k], sl],
+                                  b, n_steps, values, live[k])
+
+    # the audits in grid order: Hermitian by construction, so only the trace is audited
     t_grid = dt * np.arange(n_steps + 1)
-    b = _chunk_size(stepper, len(weights), n_steps)
-    chunk_rows, powers = stepper.chunk(weights, b)
-
-    def record(i: int, rows: np.ndarray, v: np.ndarray) -> None:
-        """Record grid points i, i + 1, ... from the state v at i, one per block of rows."""
-        w = (rows @ v).real.reshape(-1, len(weights))
-        trace, t = w[:, -1], t_grid[i : i + len(w)]
-        if i % EIG_CHECK_STRIDE == 0:  # the order of one grid point at a time
-            rec.audit(trace[:1], t[:1])
-            rec.check_eigs(stepper.assemble(v), t[0])
-            trace, t = trace[1:], t[1:]
-        rec.audit(trace, t)  # Hermitian by construction: only the trace is audited
-        rec.values[i : i + len(w)] = w[:, :-1]
-
-    # chunks of b grid points while a whole one fits, then single steps
-    v, i = stepper.v0, 0
-    for rows, props in ((chunk_rows, powers), (weights, stepper.props)):
-        span = len(rows) // len(weights)
-        while i + span <= n_steps:
-            record(i, rows, v)
-            v = stepper.step(v, props)
-            i += span
-    record(n_steps, weights, v)
-    rho = stepper.assemble(v)
+    trace = values[:, -1]
+    for i in range(0, n_steps + 1, EIG_CHECK_STRIDE):
+        rest = slice(i + 1, i + EIG_CHECK_STRIDE)
+        rec.audit(trace[i], t_grid[i])
+        rec.check_eigs(stepper.assemble(saved[i // EIG_CHECK_STRIDE]), t_grid[i])
+        rec.audit(trace[rest], t_grid[rest])
+    rho = stepper.assemble(saved[-1])
     rec.check_eigs(rho, t_grid[-1])
+    rec.values[:] = values[:, :-1]
     return rec.trajectory(t_grid, dt, rho, {**stepper.stats, "chunk": b})
 
 

@@ -98,7 +98,10 @@ def check_value(name: str, v, kind: str) -> None:
     types, what = _FIELD_KINDS.get(kind, (object, ""))
     if not isinstance(v, types) or (isinstance(v, bool) and types is not bool):
         raise ConfigurationError(f"{name} must be {what}, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
+    # every non-integral real, numpy floats of any width among them; an integer is
+    # always finite, and math.isfinite of a huge one would overflow
+    if (isinstance(v, numbers.Real) and not isinstance(v, numbers.Integral)
+            and not math.isfinite(v)):
         raise ConfigurationError(f"{name} must be finite, got {v!r}")
 
 

@@ -8,10 +8,12 @@ entanglement decay.
 
 The entanglement quantities are computed over a whole (n, 4, 4) stack of
 probe marginals at once; the single-state functions are the same kernels
-on a stack of one. Each quantity has one formula, a trace norm taken as the
-sum of singular values: of the partial transpose for the log-negativity, of
-the correlator matrix for its lower bound. The stack is audited for its
-trace and its populations, never repaired.
+on a stack of one. Each quantity has one formula, a trace norm: of the
+partial transpose for the log-negativity, which is Hermitian, so its trace
+norm is the sum of its eigenvalues' magnitudes; of the correlator matrix,
+which need not be symmetric, for its lower bound, as the sum of its singular
+values. The stack is audited for its trace and its populations, never
+repaired.
 """
 
 from __future__ import annotations
@@ -102,13 +104,11 @@ def _one(a, shape: tuple, message: str, dtype=complex) -> np.ndarray:
     return a[None]
 
 
-def _trace_norms(stack: np.ndarray) -> np.ndarray:
-    """Trace norm ||A||_1, the sum of the singular values, of each matrix of a stack."""
-    return np.sum(np.linalg.svd(stack, compute_uv=False), axis=1)
-
-
 def _log_negativities(states: np.ndarray) -> np.ndarray:
     """log2 trace norm of the partial transpose of each state of an (n, 4, 4) stack.
+
+    The partial transpose of a Hermitian state is Hermitian, so its trace norm
+    is the sum of the magnitudes of its eigenvalues, from ``eigvalsh``.
 
     The stack is audited, not repaired: the first sample whose trace is off
     one, or whose smallest population lies below ``POPULATION_ABORT_TOL``,
@@ -125,7 +125,7 @@ def _log_negativities(states: np.ndarray) -> np.ndarray:
         raise PropagationError(f"state has negative population {w_min[i]:.3e}")
     # transpose the first qubit: (n, a, b, a', b') -> (n, a', b, a, b')
     pt = herm.reshape(-1, 2, 2, 2, 2).swapaxes(1, 3).reshape(-1, 4, 4)
-    return np.maximum(0.0, np.log2(_trace_norms(pt)))
+    return np.maximum(0.0, np.log2(np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=1)))
 
 
 def _correlators(states: np.ndarray) -> np.ndarray:
@@ -142,8 +142,10 @@ def _correlators(states: np.ndarray) -> np.ndarray:
 
 def _c2primes(lam: np.ndarray) -> np.ndarray:
     """Entanglement lower bound max(0, log2(1 + ||L||_1) - 1) of each correlator
-    matrix L of an (n, 3, 3) stack."""
-    return np.maximum(0.0, np.log2(1.0 + _trace_norms(lam)) - 1.0)
+    matrix L of an (n, 3, 3) stack; L need not be symmetric, so its trace norm
+    ||L||_1 is the sum of its singular values."""
+    trace_norms = np.sum(np.linalg.svd(lam, compute_uv=False), axis=1)
+    return np.maximum(0.0, np.log2(1.0 + trace_norms) - 1.0)
 
 
 def log_negativity(rho_p: np.ndarray) -> float:

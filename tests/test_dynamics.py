@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -45,6 +47,7 @@ from tlfsim.model import (
     build_operators,
     hamiltonian_terms,
     initial_state,
+    probe_magnetization,
     probe_state_vector,
     sample_ensemble,
     tlf_ground_state,
@@ -281,10 +284,11 @@ class TestBlockAssembly:
         stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), x)
         counters = [stepper.stats[k] for k in ("pairs_live", "pairs_stepped", "propagators_real")]
         assert counters == [2, 1, 0]
-        assert np.iscomplexobj(stepper.props[0])
+        prop = stepper.propagator(0)
+        assert np.iscomplexobj(prop)
         jumps = list(zip(gen.rates, gen.jump_ops, gen.jump_ops))
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
-        stepped = stepper.assemble(stepper.step(stepper.v0))
+        stepped = stepper.assemble(prop @ stepper.v0)  # the one stepped pair is the whole state
         assert np.max(np.abs(vec(stepped) - exact)) < 1e-13
 
 
@@ -829,6 +833,45 @@ class TestChunkedRecording:
         assert traj.stats["block_dim_max"] == 1024
         small = self.run("plus_plus-n2", 300)
         assert traj.stats["chunk"] < small.stats["chunk"] // 10
+
+
+@pytest.mark.parametrize("workload", ["spectrum", "gate_xxyy"])
+def test_one_pair_is_live_at_a_time(workload):
+    # six stepped pairs of 256^2 blocks from |++> at n_tlf=4: the propagators,
+    # their powers, the chunk rows and the exponential's workspace of one pair
+    # at a time stay under 10 MiB, where all six pairs' at once took over 11 MiB
+    if workload == "spectrum":
+        gen, rho0 = probe_tlf_system(4, "plus_plus", seed=3, ratio_eps=3.0)
+        run = dict(t_end=799 * 0.05, dt=0.05, record={"M_x": probe_magnetization(gen.layout)})
+    else:
+        gen, rho0 = probe_tlf_system(4, "plus_plus", "xxyy", seed=3, ratio_eps=1.0)
+        dt = 0.01 * 2 * np.pi
+        run = dict(t_end=300 * dt, dt=dt, marginal_keep=(0, 1))
+    tracemalloc.start()
+    try:
+        traj = propagate(gen, rho0, **run)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (traj.stats["pairs_stepped"], traj.stats["block_dim_max"]) == (6, 256)
+    assert peak < 10 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("b", [1, 10])
+def test_held_states_in_batches(b, monkeypatch):
+    # a held-state budget of 3 or 7 states makes every pair's stops span several
+    # batches, some of them mixing chunk starts and tail steps; the records and
+    # the checked states must not move
+    gen, rho0 = probe_tlf_system(2, "phi+", "xxyy")
+    force_chunk(monkeypatch, b)
+    run = dict(t_end=253 * 0.05, dt=0.05, marginal_keep=(0, 1))
+    ref = propagate(gen, rho0, **run)
+    for held in (3, 7):
+        monkeypatch.setattr(dynamics, "_HELD_BYTES", held * 16 * 8)
+        got = propagate(gen, rho0, **run)
+        assert np.max(np.abs(got.marginals - ref.marginals)) <= 1e-14
+        assert np.array_equal(got.final_state, ref.final_state)
+        assert got.stats == ref.stats
 
 
 def test_non_hermitian_record_operator_reads_the_real_part(monkeypatch):

@@ -16,6 +16,7 @@ from tlfsim.model import (
     TlfEnsemble,
     add_gate,
     build_operators,
+    check_value,
     dressed_rates,
     hamiltonian_terms,
     initial_state,
@@ -306,6 +307,21 @@ def test_unknown_gate_rejected():
 def test_gate_strength_must_be_a_finite_number(strength):
     with pytest.raises(ConfigurationError, match="gate strength"):
         add_gate(probe_only_operators(), "zz", strength)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_gate_strength_refuses_numpy_nan_and_inf(dtype, value):
+    # a numpy float of any width is checked as a Python float is, before the
+    # Hamiltonian is built
+    with pytest.raises(ConfigurationError, match="gate strength must be finite"):
+        add_gate(probe_only_operators(), "zz", dtype(value))
+
+
+def test_huge_integer_passes_the_finiteness_check():
+    # integers skip the finiteness test, which would overflow converting to float
+    check_value("seed", 10**400, "int")
+    check_value("ratio_eps", 10**400, "float")
 
 
 @pytest.mark.parametrize("label", ["II", "ZI", "IZ", "ZZ", "XX", "YY"])
