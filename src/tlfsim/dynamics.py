@@ -13,20 +13,22 @@ test suite:
   :mod:`tlfsim.model`). Block Liouvillians are assembled from the effective
   Hamiltonians G = -iH - 1/2 sum_k rate_k J_k^dagger J_k, and a diagonal
   (a, a) pair is stepped in real arithmetic in a Hermitian basis.
-  :class:`_BlockStepper` holds the state as its live pairs and records every
-  observable as a linear functional of them, a whole state as the marginal on
-  every site; the full state is assembled only for the strided eigenvalue
-  check and the final state.
+  The state is one record per live pair (:class:`_Pair`), and every
+  observable is recorded as a linear functional of the pairs, a whole state
+  as the marginal on every site; the full state is assembled only for the
+  strided eigenvalue check and the final state.
   The pairs run one at a time (:func:`_step_pair`). A pair's propagator
-  ``P`` and its power ``P^B`` are built; one mat-vec with ``P^B`` steps it
-  from each chunk start of B grid points to the next, and ``P`` through a
-  tail of fewer than B steps; one product of the stacked rows ``w P^j``
-  (j < B) of the scalars that read the pair records all its chunks. Its
-  share of every recorded value, trace included, is summed in, its states
-  at the eigenvalue checks and at the end are kept, and the rest is freed
-  before the next pair, so one pair's propagators are live at a time. The
-  trace audit and the eigenvalue checks then run over the grid in order. B
-  comes from a cost rule (:func:`_chunk_size`) and divides
+  ``P`` and its power ``P^B`` are built; the pair stops only at the chunk
+  starts 0, B, 2B, ..., one mat-vec with ``P^B`` apart, and each batch of
+  held chunk starts is recorded by one product with the stacked rows
+  ``w P^j`` (j < B) of the scalars that read the pair; the last chunk is
+  padded past the grid and what it reads there dropped. The final state is
+  fewer than B steps of ``P`` past the last chunk start. The pair's share of
+  every recorded value, trace included, is summed into the recorder, its
+  states at the eigenvalue checks and at the end are kept, and the rest is
+  freed before the next pair, so one pair's propagators are live at a time.
+  The trace audit and the eigenvalue checks then run over the grid in order.
+  B comes from a cost rule (:func:`_chunk_size`) and divides
   ``EIG_CHECK_STRIDE``; with B = 1 every grid point is one step.
   This is ``method="sector"``, the default; ``method="dense"`` takes the
   one-sector route through the same engine and is its oracle. The engine runs
@@ -56,6 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import InitVar, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,83 +271,69 @@ def _block_propagator(
     return p
 
 
-class _BlockStepper:
-    """Holds the state as the sector pairs that are live in ``rho0``, each built and
-    stepped on its own.
+class _Pair(NamedTuple):
+    """A stepped sector pair (a, b), a <= b: the flat indices of its block (F-order)
+    and of block (b, a), None if a == b; its Hermitian pairs, None unless a == b;
+    its coordinates at t = 0 (see :func:`_stepped_pairs`)."""
+
+    ab: tuple
+    flat: np.ndarray
+    mirror: np.ndarray | None
+    herm: tuple | None
+    v0: np.ndarray
+
+
+def _stepped_pairs(sectors: list[np.ndarray], rho0: np.ndarray) -> list[_Pair]:
+    """The sector pairs that are live in ``rho0``, each stepped on its own.
 
     A pair (a, b) is the block of rows in sector a and columns in sector b;
     the flow maps each pair into itself, so pairs that start exactly zero
     stay zero and are never built or stepped. Block (b, a) of the Hermitian
     state is block (a, b)^dagger and Phi(X)^dagger = Phi(X^dagger), so each
-    unordered pair is stepped once, as (a, b) with a <= b and with its own
-    propagator (:meth:`propagator`), and its mirror is read as the conjugate.
-
-    The state is one vector, the stepped pairs end to end, each on its slice.
-    A diagonal (a, a) pair is its coordinates W^dagger vec(X) in the
-    Hermitian basis, real for the Hermitian block of a Hermitian state, which
-    the real propagator then keeps exactly Hermitian; any other is its
-    F-order vec. Every recorded scalar is real and linear in the state, so it
-    is Re(w v) for one weight row w (:meth:`weights`), the sum of what each
-    pair's slice of w reads on that pair.
+    unordered pair is stepped once, as (a, b) with a <= b, and its mirror is
+    read as the conjugate. An (a, a) pair is held as its coordinates
+    W^dagger vec(X) in the Hermitian basis, real for a Hermitian state's
+    block, which the real propagator keeps exactly Hermitian; any other as
+    its F-order vec.
     """
-
-    def __init__(
-        self, gen: LindbladGenerator, dt: float, sectors: list[np.ndarray], rho0: np.ndarray
-    ):
-        self.gen, self.dt, self.sectors = gen, dt, sectors
-        self.dim = dim = gen.dim
-        # ((a, b), slice of the state vector, flat indices, mirror, Hermitian pairs or
-        # None) per stepped pair
-        self.pairs = []
-        v0, start = [], 0
-        for a, b in zip(*np.triu_indices(len(sectors))):
-            rows, cols = sectors[a], sectors[b]
-            flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
-            # an (a, a) pair is held as coordinates in the Hermitian basis, any other as the vec
-            pairs = _hermitian_pairs(len(rows)) if a == b else None
-            block = _mix_pairs(rho0.reshape(-1)[flat], pairs, _W_PAIR.conj().T)
-            if not np.any(block != 0):
-                continue
-            sl = slice(start, start + len(block))
-            start = sl.stop
+    dim = len(rho0)
+    pairs = []
+    for a, b in zip(*np.triu_indices(len(sectors))):
+        rows, cols = sectors[a], sectors[b]
+        flat = (rows[:, None] * dim + cols[None, :]).reshape(-1, order="F")
+        herm = _hermitian_pairs(len(rows)) if a == b else None
+        v0 = _mix_pairs(rho0.reshape(-1)[flat], herm, _W_PAIR.conj().T)
+        if np.any(v0 != 0):
             mirror = None if a == b else (cols[:, None] * dim + rows[None, :]).reshape(-1)
-            self.pairs.append(((a, b), sl, flat, mirror, pairs))
-            v0.append(block)
-        self.v0 = np.concatenate(v0)
-        self.stats = {
-            "sectors": len(sectors),
-            "pairs_live": sum(1 if mirror is None else 2 for *_, mirror, _ in self.pairs),
-            "pairs_stepped": len(self.pairs),
-            "propagators_real": sum(mirror is None for *_, mirror, _ in self.pairs),
-            "block_dim_max": max(len(flat) for _, _, flat, *_ in self.pairs),
-        }
+            pairs.append(_Pair((a, b), flat, mirror, herm, v0))
+    return pairs
 
-    def propagator(self, k: int) -> np.ndarray:
-        """exp(L dt) of stepped pair k, real for a diagonal pair."""
-        (a, b), *_ = self.pairs[k]
-        h, jumps, sectors = self.gen.h, self.gen.jump_ops, self.sectors
-        ops = [(h[np.ix_(s, s)], jumps[:, s[:, None], s]) for s in (sectors[a], sectors[b])]
-        with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
-            return _block_propagator(*ops, self.gen.rates, self.dt, self_adjoint=a == b)
 
-    def weights(self, f: np.ndarray) -> np.ndarray:
-        """Rows w with sum_ij f[k, i, j] rho[i, j] = Re(w[k] v), for a ``(k, dim, dim)`` stack
-        ``f`` with f[k, j, i] = conj(f[k, i, j]): a mirrored block and what ``f`` reads
-        there are the conjugates of the pair's, so the pair's row is 2 f."""
-        f = f.reshape(len(f), self.dim * self.dim).astype(complex, copy=False)  # mixed in place
-        w = np.empty((len(f), len(self.v0)), dtype=complex)
-        for _, sl, flat, mirror, pairs in self.pairs:
-            x = f[:, flat]
-            w[:, sl] = 2 * x if mirror is not None else _mix_pairs(x, pairs, _W_PAIR.T)
-        return w
+def _pair_propagator(gen: LindbladGenerator, dt: float, sectors, pair: _Pair) -> np.ndarray:
+    """exp(L dt) of one stepped pair, real for a diagonal pair."""
+    h, jumps = gen.h, gen.jump_ops
+    ops = [(h[np.ix_(s, s)], jumps[:, s[:, None], s]) for s in (sectors[i] for i in pair.ab)]
+    with np.errstate(over="ignore", invalid="ignore"):  # step_propagator refuses inf/NaN
+        return _block_propagator(*ops, gen.rates, dt, self_adjoint=pair.mirror is None)
 
-    def assemble(self, v: np.ndarray) -> np.ndarray:
-        rho = np.zeros(self.dim * self.dim, dtype=complex)
-        for _, sl, flat, mirror, pairs in self.pairs:
-            rho[flat] = _mix_pairs(v[sl].astype(complex), pairs, _W_PAIR)
-            if mirror is not None:
-                rho[mirror] = rho[flat].conj()
-        return rho.reshape(self.dim, self.dim)
+
+def _pair_weights(f: np.ndarray, pair: _Pair) -> np.ndarray:
+    """Rows w with Re(w[k] v) one pair's share of sum_ij f[k, i, j] rho[i, j], for its
+    coordinates v and a complex ``(k, dim * dim)`` stack ``f`` with f[k, j, i] =
+    conj(f[k, i, j]): a mirrored block and what ``f`` reads there are the conjugates
+    of the pair's, so the pair's row is 2 f."""
+    x = f[:, pair.flat]
+    return 2 * x if pair.mirror is not None else _mix_pairs(x, pair.herm, _W_PAIR.T)
+
+
+def _assemble(pairs: list[_Pair], states, dim: int) -> np.ndarray:
+    """The full state from each stepped pair's coordinates ``states``."""
+    rho = np.zeros(dim * dim, dtype=complex)
+    for pair, v in zip(pairs, states):
+        rho[pair.flat] = _mix_pairs(v.astype(complex), pair.herm, _W_PAIR)
+        if pair.mirror is not None:
+            rho[pair.mirror] = rho[pair.flat].conj()
+    return rho.reshape(dim, dim)
 
 
 _HELD_BYTES = 8 << 20  # the most one pair's held states may take
@@ -363,42 +352,39 @@ def _chunk_rows(w: np.ndarray, p: np.ndarray, b: int) -> np.ndarray:
     return rows.reshape(-1, w.shape[1])
 
 
-def _step_pair(p, v, w, b: int, n_steps: int, values: np.ndarray, cols) -> np.ndarray:
+def _step_pair(p, v, w, b: int, n_steps: int, values: np.ndarray, cols) -> list[np.ndarray]:
     """Step one pair over the grid from its coordinates ``v`` at t = 0.
 
-    ``P^b`` steps the pair from chunk start to chunk start while a whole chunk
-    of b grid points fits, then ``P`` through the tail, one mat-vec each. The
-    states held at these stops are then read in one product with the chunk
-    rows (:func:`_chunk_rows`) for the chunk starts and one with ``w`` for the
-    rest, in batches of at most ``_HELD_BYTES``. ``Re(w x)`` of the pair's
-    coordinates x at every grid point is added into the columns ``cols`` of
-    ``values``; x is returned at every multiple of ``EIG_CHECK_STRIDE``, then
-    at the end. A real ``P`` (and its power) keeps real coordinates real,
-    which only the real part of a row reads.
+    ``P^b`` steps the pair from each chunk start (every b-th grid point) to
+    the next, one mat-vec each. The states held at the chunk starts are read
+    in one product with the chunk rows (:func:`_chunk_rows`) per batch of at
+    most ``_HELD_BYTES``; what the last chunk reads past the grid is dropped.
+    ``Re(w x)`` of the pair's coordinates x at every grid point is added into
+    the columns ``cols`` of ``values``. x is returned at every multiple of
+    ``EIG_CHECK_STRIDE``, which is a chunk start, then at the end, fewer than
+    b steps of ``P`` past the last chunk start. A real ``P`` (and its power)
+    keeps real coordinates real, which only the real part of a row reads.
     """
     if np.isrealobj(p):
         v, w = v.real, w.real
-    n_chunks = n_steps // b
-    stops = np.r_[np.arange(0, n_chunks * b, b), np.arange(n_chunks * b, n_steps + 1)]
+    starts = np.arange(0, n_steps + 1, b)
     power = p if b == 1 else np.linalg.matrix_power(p, b)
     rows = _chunk_rows(w, p, b)
-    held = min(len(stops), max(1, _HELD_BYTES // v.nbytes))
+    held = min(len(starts), max(1, _HELD_BYTES // v.nbytes))
     x = np.empty((held, len(v)), dtype=np.result_type(p, v))
+    x[0] = v
     saved = []
-    for lo in range(0, len(stops), held):
-        at = stops[lo : lo + held]
-        for j in range(len(at)):
-            if lo + j == 0:
-                x[0] = v
-            else:  # stop i <= n_chunks is a chunk start; x[-1] ends the batch before
-                np.matmul(power if lo + j <= n_chunks else p, x[j - 1], out=x[j])
-        m = np.count_nonzero(at < n_chunks * b)  # the chunk starts, each recording b points
-        values[at[0] : at[0] + m * b, cols] += (x[:m] @ rows.T).real.reshape(m * b, len(cols))
-        if m < len(at):
-            values[at[m] : at[-1] + 1, cols] += (x[m : len(at)] @ w.T).real
-        saved.append(x[: len(at)][at % EIG_CHECK_STRIDE == 0])
-    saved.append(x[[len(at) - 1]])
-    return np.concatenate(saved)
+    for lo in range(0, len(starts), held):
+        at = starts[lo : lo + held]
+        for j in range(1 if lo == 0 else 0, len(at)):  # x[-1] ends the batch before
+            np.matmul(power, x[j - 1], out=x[j])
+        got = (x[: len(at)] @ rows.T).real.reshape(len(at) * b, len(cols))
+        values[at[0] : at[0] + len(got), cols] += got[: n_steps + 1 - at[0]]
+        saved += list(x[: len(at)][at % EIG_CHECK_STRIDE == 0])
+    v = x[len(at) - 1].copy()  # not a view, which would keep x alive
+    for _ in range(n_steps - starts[-1]):
+        v = p @ v
+    return saved + [v]
 
 
 # The cost rule's unit is one multiply-add of a real mat-vec, measured at 0.11-0.21 ns
@@ -414,20 +400,19 @@ _CALL_COST = 1.5e4  # one matmul call of the pair loops: 1.9-2.1 us on 1- to 16-
 _ROWS_BYTES = 8 << 20  # the most one pair's stacked recording rows may take
 
 
-def _chunk_size(stepper: _BlockStepper, live_rows: list[int], n_steps: int) -> int:
+def _chunk_size(pairs: list[tuple[int, int, int]], n_steps: int) -> int:
     """The number of grid points B that one chunk records.
 
-    B divides ``EIG_CHECK_STRIDE``, so every eigenvalue check falls on a chunk
-    start. Of those B, this takes the one with the least modelled work, summed
-    over the stepped pairs: the power ``P^B`` (squarings and products), the
-    ``B - 1`` right products of the pair's ``live_rows`` recording rows, and
-    one mat-vec for each chunk and each step of the tail, with one call's
-    Python on every product. Recording is one product over the held states
-    whatever B, so it is left out. Candidates whose rows for some pair would
-    pass ``_ROWS_BYTES`` are left out too.
+    ``pairs`` holds (n, c, k) per stepped pair: its dimension, 1 if real or 2 if
+    complex, and its number of recording rows. B divides ``EIG_CHECK_STRIDE``,
+    so every eigenvalue check falls on a chunk start. Of those B, this takes the
+    one with the least modelled work, summed over the pairs: the power ``P^B``
+    (squarings and products), the ``B - 1`` right products of the k rows, and
+    one mat-vec per chunk and per step past the last chunk start, with one
+    call's Python on every product. Recording is one product over the held
+    states whatever B, so it is left out. Candidates whose rows for some pair
+    would pass ``_ROWS_BYTES`` are left out too.
     """
-    pairs = [(sl.stop - sl.start, 1 if mirror is None else 2, k)
-             for (_, sl, _, mirror, _), k in zip(stepper.pairs, live_rows)]
     step = sum(_CALL_COST + n * n * c for n, c, _ in pairs)
     square = sum(_CALL_COST + n**3 * c * c / _GEMM_GAIN for n, c, _ in pairs)
     rows = sum(_CALL_COST + k * n * n * c * c for n, c, k in pairs)
@@ -479,7 +464,8 @@ def _grid_steps(t_end: float, dt: float) -> int:
 class _Recorder:
     """A run's recorded scalars and hygiene figures, and the aborts that guard the
     figures. The recorded scalars are real: Re tr(O rho) for each ``record``
-    operator O, then the marginal's coordinates W^dagger vec(m)."""
+    operator O, then the marginal's coordinates W^dagger vec(m); ``values`` holds
+    them, then the trace."""
 
     def __init__(self, n_rec, record, marginal_keep, layout: SubsystemLayout):
         keep = None if marginal_keep is None else sorted(marginal_keep)
@@ -493,7 +479,7 @@ class _Recorder:
                                  f"{layout.total_dim}) operator, got shape {np.shape(op)}")
         self.kd = 0 if keep is None else math.prod(layout.dims[k] for k in keep)
         self.pairs = _hermitian_pairs(self.kd)
-        self.values = np.empty((n_rec, len(self.record) + self.kd**2))
+        self.values = np.zeros((n_rec, len(self.record) + self.kd**2 + 1))
         self.max_trace_drift, self.max_herm_dev = 0.0, 0.0
         self.min_eigenvalue, self.eig_checks = np.inf, 0
 
@@ -523,7 +509,7 @@ class _Recorder:
         if self.kd:
             marginal = partial_trace(rho, self.keep, self.layout).reshape(-1)
             values += list(_mix_pairs(marginal, self.pairs, _W_PAIR.conj().T).real)
-        self.values[i] = values
+        self.values[i] = values + [np.trace(rho).real]
 
     def audit_hermiticity(self, herm_dev: float, t: float) -> None:
         """Record a step's Hermiticity deviation; abort past its tolerance (RK4 only:
@@ -559,7 +545,7 @@ class _Recorder:
     def trajectory(self, t_grid, step: float, final_state, stats: dict) -> Trajectory:
         n = len(self.record)
         expect = {name: self.values[:, j].copy() for j, name in enumerate(self.record)}
-        vec = _mix_pairs(self.values[:, n:].astype(complex), self.pairs, _W_PAIR)  # vec(m) = W c
+        vec = _mix_pairs(self.values[:, n:-1].astype(complex), self.pairs, _W_PAIR)  # vec(m) = W c
         return Trajectory(
             t_grid=t_grid,
             step=step,
@@ -603,31 +589,36 @@ def propagate(
     n_steps = _grid_steps(t_end, dt)
     rec = _Recorder(n_steps + 1, record, marginal_keep, gen.layout)
     sectors = [np.arange(gen.dim)] if method == "dense" else find_invariant_sectors(gen)
-    stepper = _BlockStepper(gen, dt, sectors, rho)
+    pairs = _stepped_pairs(sectors, rho)
     # the recorded scalars, then the trace; each pair reads the rows that are not zero on it
-    weights = stepper.weights(np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]))
-    live = [np.flatnonzero(np.any(weights[:, sl] != 0, axis=1)) for _, sl, *_ in stepper.pairs]
-    b = _chunk_size(stepper, [len(cols) for cols in live], n_steps)
+    f = np.concatenate([rec.functionals(), np.eye(gen.dim)[None]]).reshape(-1, gen.dim**2)
+    weights = [_pair_weights(f, pair) for pair in pairs]
+    del f  # a complex dim^2 row per scalar, freed before the steps
+    live = [np.flatnonzero(np.any(w != 0, axis=1)) for w in weights]
+    b = _chunk_size([(len(pair.v0), 1 if pair.mirror is None else 2, len(cols))
+                     for pair, cols in zip(pairs, live)], n_steps)
 
-    # one pair at a time: its propagator, powers and rows are freed before the next
-    values = np.zeros((n_steps + 1, len(weights)))
-    saved = np.empty((n_steps // EIG_CHECK_STRIDE + 2, len(stepper.v0)), dtype=complex)
-    for k, (_, sl, *_) in enumerate(stepper.pairs):
-        saved[:, sl] = _step_pair(stepper.propagator(k), stepper.v0[sl], weights[live[k], sl],
-                                  b, n_steps, values, live[k])
+    # one pair at a time: its propagator, powers and rows are freed before the next;
+    # then each checked grid point, and the end, holds every pair's state
+    checked = list(zip(*[_step_pair(_pair_propagator(gen, dt, sectors, pair), pair.v0, w[cols],
+                                    b, n_steps, rec.values, cols)
+                         for pair, w, cols in zip(pairs, weights, live)]))
 
     # the audits in grid order: Hermitian by construction, so only the trace is audited
     t_grid = dt * np.arange(n_steps + 1)
-    trace = values[:, -1]
-    for i in range(0, n_steps + 1, EIG_CHECK_STRIDE):
+    trace = rec.values[:, -1]
+    for i, states in zip(range(0, n_steps + 1, EIG_CHECK_STRIDE), checked):
         rest = slice(i + 1, i + EIG_CHECK_STRIDE)
         rec.audit(trace[i], t_grid[i])
-        rec.check_eigs(stepper.assemble(saved[i // EIG_CHECK_STRIDE]), t_grid[i])
+        rec.check_eigs(_assemble(pairs, states, gen.dim), t_grid[i])
         rec.audit(trace[rest], t_grid[rest])
-    rho = stepper.assemble(saved[-1])
+    rho = _assemble(pairs, checked[-1], gen.dim)
     rec.check_eigs(rho, t_grid[-1])
-    rec.values[:] = values[:, :-1]
-    return rec.trajectory(t_grid, dt, rho, {**stepper.stats, "chunk": b})
+    real = sum(pair.mirror is None for pair in pairs)  # each other pair is live with its mirror
+    return rec.trajectory(t_grid, dt, rho, {
+        "sectors": len(sectors), "pairs_live": 2 * len(pairs) - real, "pairs_stepped": len(pairs),
+        "propagators_real": real, "block_dim_max": max(len(pair.v0) for pair in pairs), "chunk": b,
+    })
 
 
 def rk4_reference(

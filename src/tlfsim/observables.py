@@ -44,8 +44,9 @@ class TimeSeries:
         if len(self.t_grid) != len(self.values):
             raise ValueError("time grid and values must have equal length")
         if len(self.t_grid) >= 2:
-            spacings = np.diff(self.t_grid)
-            if np.max(np.abs(spacings - self.step)) > 1e-12:
+            # dt * arange(n) rounds by about ulp(t_end)
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(self.t_grid))))
+            if np.max(np.abs(np.diff(self.t_grid) - self.step)) > tol:
                 raise ValueError("time grid is not uniform")
 
 

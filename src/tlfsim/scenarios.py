@@ -209,6 +209,9 @@ class Scenario:
                 )
             if any(not 0 < e <= 1 for e in self.epsilons):
                 raise ConfigurationError("epsilons must lie in (0, 1]")
+            repeated = _repeated([repr(e) for e in self.epsilons])
+            if repeated:
+                raise ConfigurationError(f"epsilons repeat {', '.join(repeated)}")
         t_end, dt = self.time_grid()
         try:
             n_steps = _grid_steps(t_end, dt)
@@ -535,7 +538,7 @@ def _bell_point(scenario: Scenario, label: str, mu_over_nu: float, ens, traj):
          ["epsilon", "t_eps", "p_t_eps", "neg_log_eps"], rows),
     ]
     fit = fit_raw = None
-    if None not in t_eps:
+    if None not in t_eps and len(t_eps) > 1:  # a line through one threshold is undefined
         x = -np.log(np.asarray(scenario.epsilons))
         fit = _linear_fit(x, np.array(p_t_eps))
         fit_raw = _linear_fit(x, np.array(t_eps))

@@ -28,11 +28,14 @@ from tlfsim.dynamics import (
     PropagationError,
     _block_propagator,
     _W_PAIR,
-    _BlockStepper,
+    _assemble,
     _hermitian_pairs,
     _liouvillian_block,
     _mix_pairs,
+    _pair_propagator,
+    _pair_weights,
     _real_basis_generator,
+    _stepped_pairs,
     build_liouvillian,
     find_invariant_sectors,
     propagate,
@@ -215,24 +218,23 @@ class TestBlockAssembly:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_stepper_basis_matches_dense(self, n):
-        # a one-sector generator makes the whole state one (c, c) pair: v0 is
-        # W^dagger vec(rho0), the weight rows f W, and assemble(c) is W c
+        # one sector makes the whole state one (c, c) pair: v0 is
+        # W^dagger vec(rho0), the weight rows f W, and the assembly of c is W c
         rng = np.random.default_rng(70 + n)
-        h, jumps = random_block_ops(rng, n, 2)
-        gen = LindbladGenerator(h=h, jumps=list(zip([0.6, 0.3], jumps)))
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         rho0 = a @ a.conj().T
         rho0 /= np.trace(rho0).real
-        stepper = _BlockStepper(gen, 0.1, [np.arange(n)], rho0)
+        pairs = _stepped_pairs([np.arange(n)], rho0)
         w = dense_hermitian_basis(n)
-        assert np.max(np.abs(stepper.v0 - w.conj().T @ vec(rho0))) < 1e-15
+        assert len(pairs) == 1
+        assert np.max(np.abs(pairs[0].v0 - w.conj().T @ vec(rho0))) < 1e-15
         f = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
-        rows = stepper.weights(f)
+        rows = _pair_weights(f.reshape(3, -1), pairs[0])
         flat = f.transpose(0, 2, 1).reshape(3, -1)  # f[k, i, j] at the vec position i + j n
         assert rows.shape == (3, n * n)  # one row per functional
         assert np.max(np.abs(rows - flat @ w)) < 1e-14
         c = rng.normal(size=n * n)
-        assert np.max(np.abs(vec(stepper.assemble(c)) - w @ c)) < 1e-15
+        assert np.max(np.abs(vec(_assemble(pairs, [c], n)) - w @ c)) < 1e-15
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_real_basis_propagator(self, n):
@@ -271,7 +273,7 @@ class TestBlockAssembly:
     def test_t0_s_pair_is_complex(self, n_tlf):
         # the |T0> and |S> sectors carry the same restricted dynamics, but their pair
         # is off-diagonal, so it is stepped by its own complex propagator; feed it a
-        # non-Hermitian block, inside a Hermitian state as the stepper requires
+        # non-Hermitian block, inside a Hermitian state as the pair records require
         gen, _ = probe_tlf_system(n_tlf, "psi+")
         dt = 0.05
         d = 2**n_tlf
@@ -281,14 +283,15 @@ class TestBlockAssembly:
         x = np.zeros((gen.dim, gen.dim), dtype=complex)
         x[t0, s] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         x = x + x.conj().T
-        stepper = _BlockStepper(gen, dt, find_invariant_sectors(gen), x)
-        counters = [stepper.stats[k] for k in ("pairs_live", "pairs_stepped", "propagators_real")]
-        assert counters == [2, 1, 0]
-        prop = stepper.propagator(0)
+        sectors = find_invariant_sectors(gen)
+        pairs = _stepped_pairs(sectors, x)
+        # pairs_live 2, pairs_stepped 1, propagators_real 0: one complex pair and its mirror
+        assert len(pairs) == 1 and pairs[0].mirror is not None
+        prop = _pair_propagator(gen, dt, sectors, pairs[0])
         assert np.iscomplexobj(prop)
         jumps = list(zip(gen.rates, gen.jump_ops, gen.jump_ops))
         exact = scipy.linalg.expm(kron_liouvillian_block(gen.h, gen.h, jumps) * dt) @ vec(x)
-        stepped = stepper.assemble(prop @ stepper.v0)  # the one stepped pair is the whole state
+        stepped = _assemble(pairs, [prop @ pairs[0].v0], gen.dim)  # the pair is the whole state
         assert np.max(np.abs(vec(stepped) - exact)) < 1e-13
 
 
@@ -777,6 +780,7 @@ class TestChunkedRecording:
             (101, 25),
             (7, 10),  # fewer steps than one chunk
             (10, 10),  # one chunk, then the last grid point alone
+            (99, 10),  # the last chunk ends on the last grid point, 9 steps past its start
         ],
     )
     def test_matches_one_step_per_point(self, case, n_steps, b, monkeypatch):
@@ -859,9 +863,9 @@ def test_one_pair_is_live_at_a_time(workload):
 
 @pytest.mark.parametrize("b", [1, 10])
 def test_held_states_in_batches(b, monkeypatch):
-    # a held-state budget of 3 or 7 states makes every pair's stops span several
-    # batches, some of them mixing chunk starts and tail steps; the records and
-    # the checked states must not move
+    # a held-state budget of 3 or 7 states makes every pair's chunk starts span
+    # several batches, the last of them holding the chunk that runs past the grid;
+    # the records and the checked states must not move
     gen, rho0 = probe_tlf_system(2, "phi+", "xxyy")
     force_chunk(monkeypatch, b)
     run = dict(t_end=253 * 0.05, dt=0.05, marginal_keep=(0, 1))

@@ -50,6 +50,18 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries(t_grid=t, values=np.zeros(3), step=1.0)
 
+    def test_long_grid_rounding_is_uniform(self):
+        # dt * arange(n) rounds by about ulp(t_end): 1.09e-12 here, past an absolute 1e-12
+        t = 0.05 * np.arange(200000)
+        assert np.max(np.abs(np.diff(t) - 0.05)) > 1e-12
+        TimeSeries(t_grid=t, values=np.zeros(len(t)), step=0.05)
+
+    def test_one_spacing_off_is_refused(self):
+        t = 0.05 * np.arange(200)
+        t[100:] += 1e-9  # one spacing off by 1e-9
+        with pytest.raises(ValueError, match="not uniform"):
+            TimeSeries(t_grid=t, values=np.zeros(len(t)), step=0.05)
+
 
 class TestMagnetization:
     def test_plus_plus_is_two(self):

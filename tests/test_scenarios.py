@@ -95,6 +95,13 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             small_scenario("bell_decay", bell="phi+", epsilons=[0.1, 2.0])
 
+    def test_repeated_epsilons_are_refused(self):
+        # a repeated threshold writes the same decay row twice and fits a line to it
+        with pytest.raises(ConfigurationError, match="epsilons"):
+            small_scenario("bell_decay", bell="phi+", epsilons=[0.5, 0.5])
+        with pytest.raises(ConfigurationError, match="epsilons"):
+            small_scenario("bell_decay", bell="phi+", epsilons=[0.5, 0.1, 0.5])
+
     def test_duration_positive(self):
         with pytest.raises(ConfigurationError):
             small_scenario("gate", gate={"kind": "zz"}, duration=-1.0)
@@ -504,6 +511,15 @@ class TestBellDecay:
         assert fit is not None and 0.0 <= fit["r_squared"] <= 1.0
         assert any("t_eps_resolution" in line for line in header)
         assert any("gamma_char" in line for line in header)
+
+    def test_one_threshold_has_no_fit(self, tmp_path):
+        # a line through one point is undefined: null, not a least-norm slope
+        sc = small_scenario("bell_decay", bell="phi+", duration=80.0, bell_step_cycles=0.1,
+                            epsilons=[0.5])
+        record = run_scenario(sc, out_dir=tmp_path)
+        assert record.summary["lifetimes"]["mu0.00"][0] is not None
+        for key in ("fits", "fits_raw_lifetime"):
+            assert record.summary[key] == {"mu0.00": None, "mu1.00": None}, key
 
     def test_warm_bath_with_sampled_gamma_plus(self, tmp_path):
         sc = small_scenario("bell_decay", bell="phi+", duration=80.0, bell_step_cycles=0.1,
